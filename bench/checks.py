@@ -4,7 +4,9 @@ Each check reads a file the CLI wrote with the benchmark's own reader of the
 documented format and compares it with a recomputation (numpy, scipy) or
 with a property the method must have. A failed check raises `CheckError`.
 The program's own code is used only to regenerate raw corpus series at their
-documented seeds and to read `cli.METADATA_SCHEMA`.
+documented seeds and to read `cli.METADATA_SCHEMA`. scipy.stats,
+scipy.optimize and jsonschema, which the program never loads, are imported
+inside the checks, so that they are not resident while the run is measured.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import math
 import struct
 from pathlib import Path
 
-import jsonschema
 import numpy as np
-from scipy import optimize, stats
 
 N_FAMILIES = 13
 MISSING_TOKENS = {"", "na", "n/a", "nan", "null", "none"}
@@ -34,7 +34,8 @@ def require(ok, message: str) -> None:
 
 
 def sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    with open(path, "rb") as fh:
+        return hashlib.file_digest(fh, "sha256").hexdigest()
 
 
 def read_rows(path) -> list:
@@ -63,6 +64,8 @@ def reference_stats(values, n_bins: int = 26) -> tuple:
     integer-valued column, whose scaled values sit exactly on edges, lands
     partly one bin low there.
     """
+    from scipy import stats
+
     values = np.asarray(values, dtype=np.float64)
     u, constant = scale_unit(values)
     counts, _ = np.histogram(np.minimum(np.floor(u * n_bins), n_bins - 1),
@@ -255,6 +258,8 @@ def check_segments(path, w_star: float = 2.5, p_min: float = 0.025) -> set:
 
 
 def check_curves(path) -> None:
+    from scipy import optimize
+
     curves: dict = {}
     for r in read_rows(path):
         raw, fixed = curves.setdefault(r["point_index"], ([], []))
@@ -301,6 +306,8 @@ def read_csv_columns(path) -> dict:
 
 
 def check_metadata_schema(path, schema) -> list:
+    import jsonschema
+
     records = [json.loads(line) for line in Path(path).read_text().splitlines()]
     for rec in records:
         try:

@@ -36,12 +36,11 @@ NPROC = len(os.sched_getaffinity(0))
 END_TO_END_UNITS = {"setup_s": "s", "wall_s": "s", "peak_rss_mb": "MB"}
 
 
-def limit_blas_threads() -> None:
-    """At most one BLAS thread per core this process may run on; call before numpy loads."""
+def set_blas_threads() -> None:
+    """One BLAS thread per core this process may run on, whatever the caller set; call
+    before numpy loads, so that every run measures the same configuration."""
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(var, "")
-        if not value.isdigit() or not 1 <= int(value) <= NPROC:
-            os.environ[var] = str(NPROC)
+        os.environ[var] = str(NPROC)
 
 
 def import_program():
@@ -132,7 +131,8 @@ def digest(workload) -> dict:
     for sub in workload.outputs:
         for path in sorted((workload.work / sub).rglob("*")):
             if path.is_file() and path.name != "run_log.jsonl":
-                out[str(path.relative_to(workload.work))] = hashlib.sha256(path.read_bytes()).hexdigest()
+                with open(path, "rb") as fh:
+                    out[str(path.relative_to(workload.work))] = hashlib.file_digest(fh, "sha256").hexdigest()
     return out
 
 
@@ -145,10 +145,11 @@ def run_round(workload, runner, tracer=None) -> dict:
     try:
         for op in workload.round_ops():
             before = snapshot(workload.work) if tracer else None
+            if tracer:
+                tracer.op = op.label
             ok, seconds, message = runner(op.argv)
             if tracer:
-                command = "describe" if op.label.startswith("describe") else op.label
-                written.setdefault(command, []).append(bytes_written(before, snapshot(workload.work)))
+                written.setdefault(op.label, []).append(bytes_written(before, snapshot(workload.work)))
             ops.append({"label": op.label, "ok": ok, "seconds": seconds,
                         "known_fault": op.known_fault, "message": message[-2000:]})
     finally:
@@ -166,7 +167,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
-    limit_blas_threads()
+    set_blas_threads()
     try:
         package = import_program()
     except ImportError as exc:
@@ -175,6 +176,9 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(BENCH))
     import tracing
     import workloads
+    # peak memory of the imports alone (program and benchmark), before any command ran;
+    # the checks import scipy.stats, scipy.optimize and jsonschema only after the run
+    baseline_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
     if args.workload not in workloads.WORKLOADS:
         print(f"error: unknown workload {args.workload!r}; "
@@ -238,7 +242,8 @@ def main(argv=None) -> int:
         for r in traced_rounds:
             for command, sizes in r["bytes_written"].items():
                 written.setdefault(command, []).extend(sizes)
-        values = tracing.per_layer_metrics(tracer.spans, written, len(traced_rounds))
+        values = tracing.per_layer_metrics(tracer.spans, written, len(traced_rounds),
+                                           workload.SERIES_PER_ROUND)
         values["trace.wall_ratio"] = (statistics.median(r["wall"] for r in traced_rounds)
                                       / statistics.median(untraced))
         metrics = {k: {"value": v, "unit": tracing.PER_LAYER_UNITS[k]} for k, v in values.items()}
@@ -249,7 +254,8 @@ def main(argv=None) -> int:
         metrics = {k: {"value": v, "unit": END_TO_END_UNITS[k]} for k, v in values.items()}
 
     record = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-              "trace": args.trace, "environment": environment(), "setup_s": setup_times,
+              "trace": args.trace, "environment": environment(), "baseline_rss_mb": baseline_rss_mb,
+              "setup_s": setup_times,
               "rounds": rounds, "stages": stages, "checks": summary, "problems": problems,
               "metrics": metrics}
     (work / "run.json").write_text(json.dumps(record, indent=1, default=str) + "\n")

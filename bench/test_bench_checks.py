@@ -7,6 +7,7 @@ CLI; every test then breaks one output in a copy and expects its check to fail.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import shutil
 import sys
@@ -21,8 +22,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import checks  # noqa: E402
 import tracing  # noqa: E402
-from distatlas import cli, distgen  # noqa: E402
-from distatlas import cdfcodec  # noqa: E402
+from distatlas import cdfcodec, cli, distgen  # noqa: E402
 
 SEED = 3
 PER_FAMILY = 8
@@ -243,25 +243,38 @@ def test_broken_metadata_is_rejected(broken, edit):
                               cli.METADATA_SCHEMA, {"common"})
 
 
+def module_bindings(package) -> dict:
+    return {(name, attr): obj for name in tracing.MODULES
+            for attr, obj in vars(getattr(package, name)).items()}
+
+
 def test_tracer_reaches_imported_copies_and_restores_them():
     import distatlas
 
-    original = distgen.encode_cdf
+    before = module_bindings(distatlas)
+    modules = {getattr(distatlas, name).__name__ for name in tracing.MODULES}
+    # every public package function, in its own module or bound by `from x import y`
+    public = {key for key, obj in before.items()
+              if inspect.isfunction(obj) and obj.__module__ in modules
+              and not obj.__name__.startswith("_")}
+    assert any(before[key].__module__.split(".")[-1] != key[0] for key in public)
     tracer = tracing.Tracer(distatlas)
     tracer.install()
     try:
-        assert distgen.encode_cdf is not original
+        during = module_bindings(distatlas)
         distgen.build_doe(1)
     finally:
         tracer.uninstall()
-    assert distgen.encode_cdf is original and cdfcodec.encode_cdf is original
-    names = [span[0] for span in tracer.spans]
-    assert names.count("cdfcodec.encode_cdf") == distgen.N_FAMILIES
-    parent = tracer.spans[next(i for i, s in enumerate(tracer.spans)
-                               if s[0] == "cdfcodec.encode_cdf")][1]
-    assert tracer.spans[parent][0] == "distgen.build_doe"
-    metrics = tracing.per_layer_metrics(tracer.spans, {}, 1)
-    assert metrics["cdfcodec.scale_to_unit_calls_per_series"] == 4.0
+    assert all(during[key] is not before[key] for key in public)
+    assert module_bindings(distatlas) == before
+    assert tracer.spans
+    for name, parent, start, end in tracer.spans:
+        assert start <= end
+        if parent >= 0:
+            assert tracer.spans[parent][2] <= start and end <= tracer.spans[parent][3]
+    metrics = tracing.per_layer_metrics(tracer.spans, {}, 1, distgen.N_FAMILIES)
+    calls = sum(span[0] == "cdfcodec.scale_to_unit" for span in tracer.spans)
+    assert metrics["cdfcodec.scale_to_unit_calls_per_series"] == calls / distgen.N_FAMILIES > 0
     assert set(metrics) == set(tracing.PER_LAYER_UNITS) - {"trace.wall_ratio"}
 
 

@@ -35,6 +35,7 @@ class Workload:
 
     name = ""
     outputs: tuple = ()   # subdirectories whose files must be identical after every round
+    SERIES_PER_ROUND = 0  # series a round's commands take in to encode: the input size
 
     def __init__(self, work: Path, seed: int, run_cli, program):
         self.work = work
@@ -73,6 +74,7 @@ class Corpus(Workload):
     PER_FAMILY = 400
     WARMUP_PER_FAMILY = 50
     SAMPLED_PER_FAMILY = 6
+    SERIES_PER_ROUND = N_FAMILIES * PER_FAMILY
     outputs = ("corpus",)
 
     def setup(self) -> None:
@@ -229,6 +231,7 @@ class Atlas(Workload):
     PER_FAMILY = 100
     CLASSIFIER_EPOCHS = 10
     BVAE_EPOCHS = 6
+    SERIES_PER_ROUND = CSV_FILES * CSV_COLUMNS + 1  # the wide columns and the extreme one
     outputs = ("atlas",)
 
     def setup(self) -> None:
