@@ -22,16 +22,16 @@ from .neuralcore import (
     ShapeMismatchError,
     TrainConfig,
     TrainingDivergedError,
+    _map_batches,
+    audit_gradients,
     binary_cross_entropy,
     binary_cross_entropy_grad,
-    layer_specs_from_json,
     layer_specs_to_json,
     load_checkpoint,
     make_optimizer,
     restore_net,
     save_checkpoint,
     split_indices,
-    train_config_from_json,
     train_config_to_json,
 )
 
@@ -116,13 +116,25 @@ class VaeModel:
                 f"expected grids of {self.grid_shape.n_cells} cells, got {x.shape[1]}")
         return x
 
+    def _forward(self, x: np.ndarray, eps: np.ndarray | None = None):
+        """Trunk, heads and clipped log-variance, then with eps the decode of z.
+
+        Returns (x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache)
+        with dec_cache None when eps is None.
+        """
+        x = self._check_input(x)
+        trunk_cache = self.trunk.forward(x)
+        mu_cache = self.mu_head.forward(trunk_cache.output)
+        logvar_cache = self.logvar_head.forward(trunk_cache.output)
+        logvar = np.clip(logvar_cache.output, -LOGVAR_LIMIT, LOGVAR_LIMIT)
+        dec_cache = None if eps is None else self.decoder.forward(
+            reparameterize(mu_cache.output, logvar, eps))
+        return x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache
+
     def encode(self, grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic (mu, sigma) for a batch of flattened grids."""
-        x = self._check_input(grids)
-        h = self.trunk(x)
-        mu = self.mu_head(h)
-        logvar = np.clip(self.logvar_head(h), -LOGVAR_LIMIT, LOGVAR_LIMIT)
-        return mu, np.exp(0.5 * logvar)
+        _, _, mu_cache, _, logvar, _ = self._forward(grids)
+        return mu_cache.output, np.exp(0.5 * logvar)
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Decoded intensity grids, every cell strictly inside (0, 1)."""
@@ -134,13 +146,9 @@ class VaeModel:
 
     def loss_parts(self, x: np.ndarray, eps: np.ndarray) -> tuple[float, float]:
         """(mean BCE, mean KL) of the batch at the given eps draw."""
-        x = self._check_input(x)
-        h = self.trunk(x)
-        mu = self.mu_head(h)
-        logvar = np.clip(self.logvar_head(h), -LOGVAR_LIMIT, LOGVAR_LIMIT)
-        decoded = self.decoder(reparameterize(mu, logvar, eps))
-        bce = binary_cross_entropy(decoded, x)
-        kl = float(np.mean(kl_per_example(mu, logvar)))
+        x, _, mu_cache, _, logvar, dec_cache = self._forward(x, eps)
+        bce = binary_cross_entropy(dec_cache.output, x)
+        kl = float(np.mean(kl_per_example(mu_cache.output, logvar)))
         return bce, kl
 
     def loss(self, x: np.ndarray, eps: np.ndarray) -> float:
@@ -154,18 +162,11 @@ class VaeModel:
         The clip on the log-variance head is flat outside its band, so
         its gradient mask is applied exactly.
         """
-        x = self._check_input(x)
+        x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache = self._forward(x, eps)
         n = x.shape[0]
-        trunk_cache = self.trunk.forward(x)
-        h = trunk_cache.output
-        mu_cache = self.mu_head.forward(h)
-        logvar_cache = self.logvar_head.forward(h)
         mu = mu_cache.output
         logvar_raw = logvar_cache.output
-        logvar = np.clip(logvar_raw, -LOGVAR_LIMIT, LOGVAR_LIMIT)
         sigma = np.exp(0.5 * logvar)
-        z = mu + sigma * eps
-        dec_cache = self.decoder.forward(z)
         decoded = dec_cache.output
 
         bce = binary_cross_entropy(decoded, x)
@@ -192,18 +193,17 @@ class VaeEpoch:
     test_kl: float
 
 
-def _dataset_eval(model: VaeModel, grids: np.ndarray, chunk: int = 1024):
+def _dataset_eval(model: VaeModel, grids: np.ndarray):
     """Mean (BCE, KL) with the decoder driven by the encoder mean."""
-    total_bce = 0.0
-    total_kl = 0.0
-    n = grids.shape[0]
-    for start in range(0, n, chunk):
-        x = grids[start:start + chunk].astype(np.float64)
+    def batch_sums(rows: slice):
+        x = grids[rows].astype(np.float64)
         mu, sigma = model.encode(x)
-        decoded = model.decode(mu)
-        total_bce += binary_cross_entropy(decoded, x) * x.shape[0]
-        total_kl += float(np.sum(kl_per_example(mu, 2.0 * np.log(sigma))))
-    return total_bce / n, total_kl / n
+        return (binary_cross_entropy(model.decode(mu), x) * x.shape[0],
+                float(np.sum(kl_per_example(mu, 2.0 * np.log(sigma)))))
+
+    n = grids.shape[0]
+    bces, kls = zip(*_map_batches(batch_sums, n, 1024))
+    return sum(bces) / n, sum(kls) / n
 
 
 def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
@@ -256,20 +256,16 @@ def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
 
 
 def encode_dataset(model: VaeModel, dataset: LabeledDataset,
-                   indices: np.ndarray | None = None, chunk: int = 2048) -> LatentPoints:
+                   indices: np.ndarray | None = None) -> LatentPoints:
     """Encode dataset grids (optionally a subset) into LatentPoints."""
     if indices is None:
         indices = np.arange(len(dataset))
-    mus = []
-    sigmas = []
-    for start in range(0, indices.shape[0], chunk):
-        idx = indices[start:start + chunk]
-        mu, sigma = model.encode(dataset.grids[idx].astype(np.float64))
-        mus.append(mu)
-        sigmas.append(sigma)
+    mus, sigmas = zip(*_map_batches(
+        lambda rows: model.encode(dataset.grids[indices[rows]].astype(np.float64)),
+        indices.shape[0], 2048))
     return LatentPoints(
-        z=np.concatenate(mus) if mus else np.empty((0, model.latent_dim)),
-        sigma=np.concatenate(sigmas) if sigmas else np.empty((0, model.latent_dim)),
+        z=np.concatenate(mus),
+        sigma=np.concatenate(sigmas),
         labels=dataset.labels[indices].astype(np.int64),
         entropy=dataset.entropy[indices].astype(np.float64),
         skewness=dataset.skewness[indices].astype(np.float64),
@@ -309,27 +305,8 @@ def vae_grad_check(model: VaeModel, batch: np.ndarray, eps: np.ndarray,
                    h: float = 1e-5, n_samples: int = 200, seed: int = 0) -> float:
     """Finite-difference audit of the full loss, reparameterization included."""
     grads, _, _ = model.loss_gradients(batch, eps)
-    params = model.params
-    sizes = [p.size for p in params]
-    total = int(np.sum(sizes))
-    offsets = np.cumsum([0] + sizes)
-    rng = np.random.default_rng(seed)
-    count = min(total, max(n_samples, 200))
-    worst = 0.0
-    for flat in rng.choice(total, size=count, replace=False):
-        which = int(np.searchsorted(offsets, flat, side="right") - 1)
-        inner = int(flat - offsets[which])
-        p = params[which]
-        orig = p.flat[inner]
-        p.flat[inner] = orig + h
-        up = model.loss(batch, eps)
-        p.flat[inner] = orig - h
-        down = model.loss(batch, eps)
-        p.flat[inner] = orig
-        numeric = (up - down) / (2.0 * h)
-        a = grads[which].flat[inner]
-        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
-    return worst
+    return audit_gradients(model.params, lambda: model.loss(batch, eps), grads,
+                           h, n_samples, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +343,3 @@ def load_vae(path) -> tuple[VaeModel, dict]:
         setattr(model, attr, net)
     return model, header
 
-
-def load_train_config(header: dict) -> TrainConfig | None:
-    raw = header.get("train_config")
-    return train_config_from_json(raw) if raw else None

@@ -10,16 +10,13 @@ invariant to positive affine transforms of the input.
 
 from __future__ import annotations
 
-import json
-import struct
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_X_BINS = 26
 DEFAULT_Y_LEVELS = 25
-
-_GRID_HEADER = struct.Struct("<II")
 
 
 @dataclass(frozen=True)
@@ -49,37 +46,6 @@ class CdfGrid:
         """x-bin-major flattening, the layout used as network input."""
         return self.cells.reshape(-1)
 
-    def to_bytes(self) -> bytes:
-        """Shape header plus x-bin-major little-endian float32 cells."""
-        body = np.ascontiguousarray(self.cells, dtype="<f4").tobytes()
-        return _GRID_HEADER.pack(self.shape.x_bins, self.shape.y_levels) + body
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "CdfGrid":
-        if len(raw) < _GRID_HEADER.size:
-            raise ValueError("truncated grid blob")
-        x_bins, y_levels = _GRID_HEADER.unpack_from(raw)
-        shape = GridShape(x_bins, y_levels)
-        body = raw[_GRID_HEADER.size:]
-        if len(body) != 4 * shape.n_cells:
-            raise ValueError("grid blob size does not match its header")
-        cells = np.frombuffer(body, dtype="<f4").astype(np.float64)
-        return cls(shape, cells.reshape(x_bins, y_levels))
-
-    def to_json(self) -> str:
-        """Human-readable debug form."""
-        return json.dumps({"x_bins": self.shape.x_bins, "y_levels": self.shape.y_levels,
-                           "cells": self.cells.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "CdfGrid":
-        obj = json.loads(text)
-        shape = GridShape(int(obj["x_bins"]), int(obj["y_levels"]))
-        cells = np.asarray(obj["cells"], dtype=np.float64)
-        if cells.shape != (shape.x_bins, shape.y_levels):
-            raise ValueError("grid JSON cells do not match its shape")
-        return cls(shape, cells)
-
 
 @dataclass(frozen=True)
 class SeriesStats:
@@ -97,6 +63,19 @@ class SeriesStats:
     d_neg: float
 
 
+def _span_ratio(top, bottom, lo: float, hi: float) -> np.ndarray:
+    """(top - bottom) / (hi - lo) for lo <= bottom and top <= hi.
+
+    When hi - lo overflows to inf every term is halved first, so a range
+    wider than the largest float still scales into [0, 1]; any finite
+    range takes the plain quotient.
+    """
+    span = hi - lo
+    if math.isinf(span):
+        return (0.5 * top - 0.5 * bottom) / (0.5 * hi - 0.5 * lo)
+    return (top - bottom) / span
+
+
 def scale_to_unit(values: np.ndarray) -> tuple[np.ndarray, bool]:
     """Min-max scale to [0, 1]; a constant series maps to all zeros.
 
@@ -104,10 +83,10 @@ def scale_to_unit(values: np.ndarray) -> tuple[np.ndarray, bool]:
     (max == min) case.
     """
     values = np.asarray(values, dtype=np.float64)
-    lo = values.min()
-    hi = values.max()
+    lo = float(values.min())
+    hi = float(values.max())
     if hi > lo:
-        return (values - lo) / (hi - lo), False
+        return _span_ratio(values, lo, lo, hi), False
     return np.zeros_like(values), True
 
 
@@ -117,37 +96,76 @@ def _bin_indices(u: np.ndarray, n_bins: int) -> np.ndarray:
     return np.minimum(idx, n_bins - 1)
 
 
-def _ordinal_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties broken by original order (stable sort)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0], dtype=np.int64)
-    ranks[order] = np.arange(1, values.shape[0] + 1)
-    return ranks
+def _normalized_entropy(counts: np.ndarray, n_bins: int) -> float:
+    """Shannon entropy of a bin histogram, divided by log2(n_bins)."""
+    p = counts[counts > 0] / counts.sum()
+    return float(-(p @ np.log2(p)) / np.log2(n_bins))
 
 
-def encode_cdf(values: np.ndarray, shape: GridShape | None = None) -> CdfGrid:
-    """Encode a series as its rank-level CDF grid.
+def _d_above(u_sorted: np.ndarray) -> float:
+    """Largest deviation of the ECDF above the diagonal, clamped at 0."""
+    n = u_sorted.shape[0]
+    steps = np.arange(1, n + 1, dtype=np.float64) / n
+    return max(0.0, float(np.max(steps - u_sorted)))
 
-    Steps: scale values to [0, 1]; bin along x; rank values (ordinal,
+
+def describe_series(values: np.ndarray,
+                    shape: GridShape | None = None) -> tuple[CdfGrid, SeriesStats]:
+    """The rank-level CDF grid and the shape statistics of a series, in one pass.
+
+    Grid: scale values to [0, 1]; bin along x; rank values (ordinal,
     ties by original order) and map rank r to level ceil(y_levels*r/n);
     count observations per (bin, level) cell; divide by the maximum
     cell count. A constant series puts all mass in x-bin 0 while the
     ranks still spread over the levels.
+
+    Statistics: the entropy is that of the grid's per-bin totals. d_pos
+    is the maximal excess of the scaled ECDF above the diagonal and
+    d_neg the maximal shortfall below it, each evaluated at both sides
+    of every step. d_neg is the d_pos of (hi - x) / (hi - lo), which is
+    bit for bit what scaling the negated series gives; negating a series
+    therefore swaps d_pos/d_neg exactly and negates the skewness. A
+    constant series has all statistics but the entropy zero.
     """
     shape = shape or GridShape()
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations to form a CDF grid")
-    u, _ = scale_to_unit(values)
-    bins = _bin_indices(u, shape.x_bins)
-    ranks = _ordinal_ranks(values)
+    u, degenerate = scale_to_unit(values)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(1, n + 1)
     # integer ceil keeps the level map exact; rank n always hits the top level
     levels = (shape.y_levels * ranks + n - 1) // n
     np.clip(levels, 1, shape.y_levels, out=levels)
     counts = np.zeros((shape.x_bins, shape.y_levels), dtype=np.float64)
-    np.add.at(counts, (bins, levels - 1), 1.0)
-    return CdfGrid(shape, counts / counts.max())
+    np.add.at(counts, (_bin_indices(u, shape.x_bins), levels - 1), 1.0)
+    grid = CdfGrid(shape, counts / counts.max())
+    ent = _normalized_entropy(counts.sum(axis=1), shape.x_bins)
+    if degenerate:
+        return grid, SeriesStats(entropy=ent, skewness=0.0, ks_uniform=0.0, d_pos=0.0, d_neg=0.0)
+    lo = float(values.min())
+    hi = float(values.max())
+    d_pos = _d_above(u[order])
+    d_neg = _d_above(_span_ratio(hi, values[order[::-1]], lo, hi))
+    return grid, SeriesStats(
+        entropy=ent,
+        skewness=d_pos - d_neg,
+        ks_uniform=max(d_pos, d_neg),
+        d_pos=d_pos,
+        d_neg=d_neg,
+    )
+
+
+def encode_cdf(values: np.ndarray, shape: GridShape | None = None) -> CdfGrid:
+    """Encode a series as its rank-level CDF grid (see describe_series)."""
+    return describe_series(values, shape)[0]
+
+
+def signed_ks(values: np.ndarray, n_bins: int = DEFAULT_X_BINS) -> SeriesStats:
+    """Entropy and signed K-S deviation from uniform (see describe_series)."""
+    return describe_series(values, GridShape(n_bins, DEFAULT_Y_LEVELS))[1]
 
 
 def entropy(values: np.ndarray, n_bins: int = DEFAULT_X_BINS) -> float:
@@ -162,44 +180,4 @@ def entropy(values: np.ndarray, n_bins: int = DEFAULT_X_BINS) -> float:
     if values.shape[0] < 1:
         raise ValueError("entropy needs at least one observation")
     u, _ = scale_to_unit(values)
-    counts = np.bincount(_bin_indices(u, n_bins), minlength=n_bins)
-    p = counts[counts > 0] / values.shape[0]
-    return float(-(p @ np.log2(p)) / np.log2(n_bins))
-
-
-def _d_above(u_sorted: np.ndarray) -> float:
-    """Largest deviation of the ECDF above the diagonal, clamped at 0."""
-    n = u_sorted.shape[0]
-    steps = np.arange(1, n + 1, dtype=np.float64) / n
-    return max(0.0, float(np.max(steps - u_sorted)))
-
-
-def signed_ks(values: np.ndarray, n_bins: int = DEFAULT_X_BINS) -> SeriesStats:
-    """Signed Kolmogorov-Smirnov deviation of the scaled ECDF from uniform.
-
-    d_pos is the maximal excess of the ECDF above the diagonal and
-    d_neg the maximal shortfall below it, each evaluated at both sides
-    of every step. d_neg is computed as the d_pos of the negated
-    series, which runs the mirrored input through the identical code
-    path; negating a series therefore swaps d_pos/d_neg bit for bit
-    and negates the skewness exactly. A constant series has all
-    statistics zero by definition.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    if n < 2:
-        raise ValueError("signed K-S needs at least 2 observations")
-    ent = entropy(values, n_bins)
-    u, degenerate = scale_to_unit(values)
-    if degenerate:
-        return SeriesStats(entropy=ent, skewness=0.0, ks_uniform=0.0, d_pos=0.0, d_neg=0.0)
-    v, _ = scale_to_unit(-values)
-    d_pos = _d_above(np.sort(u))
-    d_neg = _d_above(np.sort(v))
-    return SeriesStats(
-        entropy=ent,
-        skewness=d_pos - d_neg,
-        ks_uniform=max(d_pos, d_neg),
-        d_pos=d_pos,
-        d_neg=d_neg,
-    )
+    return _normalized_entropy(np.bincount(_bin_indices(u, n_bins), minlength=n_bins), n_bins)

@@ -20,6 +20,7 @@ from .neuralcore import (
     LayerSpec,
     ShapeMismatchError,
     TrainConfig,
+    _map_batches,
     categorical_cross_entropy,
     categorical_cross_entropy_grad,
     layer_specs_to_json,
@@ -123,11 +124,9 @@ def predict(model, grid) -> np.ndarray:
     return model.predict_proba(flat[None, :])[0]
 
 
-def _batched_argmax(net: DenseNet, x: np.ndarray, chunk: int = 2048) -> np.ndarray:
-    preds = np.empty(x.shape[0], dtype=np.int64)
-    for start in range(0, x.shape[0], chunk):
-        preds[start:start + chunk] = np.argmax(net(x[start:start + chunk]), axis=1)
-    return preds
+def _batched_argmax(net: DenseNet, x: np.ndarray) -> np.ndarray:
+    return np.concatenate(_map_batches(lambda rows: np.argmax(net(x[rows]), axis=1),
+                                       x.shape[0], 2048))
 
 
 def _train_softmax_net(net: DenseNet, x_train, y_train, x_test, y_test,
@@ -143,12 +142,9 @@ def _train_softmax_net(net: DenseNet, x_train, y_train, x_test, y_test,
         return float(np.mean(_batched_argmax(net, x_test) == y_test))
 
     def full_loss() -> float:
-        total = 0.0
-        for start in range(0, x_train.shape[0], 2048):
-            sl = slice(start, start + 2048)
-            total += categorical_cross_entropy(net(x_train[sl]), onehot[sl]) * (
-                min(start + 2048, x_train.shape[0]) - start)
-        return total / x_train.shape[0]
+        return sum(_map_batches(
+            lambda rows: categorical_cross_entropy(net(x_train[rows]), onehot[rows])
+            * onehot[rows].shape[0], x_train.shape[0], 2048)) / x_train.shape[0]
 
     history = [ClassifierEpoch(0, full_loss(), test_accuracy())]
     n = x_train.shape[0]
@@ -215,20 +211,15 @@ def evaluate(model, grids: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:
 
 
 def save_classifier(path, model, config: TrainConfig | None = None) -> None:
+    header = {
+        "layers": layer_specs_to_json(model.net.layers),
+        "train_config": train_config_to_json(config) if config else None,
+    }
     if isinstance(model, GridClassifier):
-        header = {
-            "kind": "classifier",
-            "grid": {"x_bins": model.grid_shape.x_bins, "y_levels": model.grid_shape.y_levels},
-            "layers": layer_specs_to_json(model.net.layers),
-            "train_config": train_config_to_json(config) if config else None,
-        }
+        header.update(kind="classifier", grid={"x_bins": model.grid_shape.x_bins,
+                                               "y_levels": model.grid_shape.y_levels})
     else:
-        header = {
-            "kind": "latent_classifier",
-            "latent_dim": model.latent_dim,
-            "layers": layer_specs_to_json(model.net.layers),
-            "train_config": train_config_to_json(config) if config else None,
-        }
+        header.update(kind="latent_classifier", latent_dim=model.latent_dim)
     save_checkpoint(path, header, model.net.params)
 
 

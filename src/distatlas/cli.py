@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, betavae, cdfrepair, classifier, distgen, latentlab
-from .cdfcodec import GridShape, encode_cdf, signed_ks
+from .cdfcodec import GridShape, describe_series
 from .neuralcore import (
     DenseNet,
     ShapeMismatchError,
@@ -245,6 +245,8 @@ def cmd_train(args, argv) -> int:
         print(f"classifier test accuracy {history[-1].test_accuracy:.4f} -> {ckpt}")
     else:
         config = _train_config_from_args(args, default_epochs=100)
+        if not args.beta >= 0:
+            raise CliError(EXIT_BAD_SPEC, f"--beta must be >= 0, got {args.beta}")
         model, history = betavae.train_bvae(dataset, beta=args.beta,
                                             latent_dim=args.latent_dim, config=config)
         ckpt = out / "bvae.ckpt"
@@ -276,6 +278,9 @@ def _lattice_rows(field, values, extra_cols=()):
 
 
 def cmd_map(args, argv) -> int:
+    for flag in ("density_resolution", "class_map_resolution", "curve_resolution", "latent_epochs"):
+        if getattr(args, flag) < 1:
+            raise CliError(EXIT_BAD_SPEC, f"--{flag.replace('_', '-')} must be >= 1")
     model, _header = _load_vae(args.vae)
     dataset = _load_dataset(args.dataset)
     if dataset.grid_shape != model.grid_shape:
@@ -294,8 +299,11 @@ def cmd_map(args, argv) -> int:
                  points.skewness[i], points.ks_uniform[i]) for i in range(len(points))))
 
     bounds = betavae.default_latent_bounds(points.z)
-    field = latentlab.estimate_density(points.z, resolution=args.density_resolution,
-                                       bounds=bounds)
+    try:
+        field = latentlab.estimate_density(points.z, resolution=args.density_resolution,
+                                           bounds=bounds)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_INPUT, f"{args.dataset}: {exc}") from exc
     woe = latentlab.segment(latentlab.woe_map(field), w_star=args.w_star, p_min=args.p_min)
     if d == 1:
         lattice_header = ["x_index", "x_center"]
@@ -421,18 +429,16 @@ def _segments_lookup(path: Path):
         rows = list(csv.DictReader(fh))
     if not rows:
         raise CliError(EXIT_MISSING_ARTIFACT, f"{path}: empty segments file")
-    two_d = "y_index" in rows[0]
-    xs = sorted({float(r["x_center"]) for r in rows})
-    x_centers = np.array(xs)
-    if two_d:
-        ys = sorted({float(r["y_center"]) for r in rows})
-        y_centers = np.array(ys)
-        labels = {}
-        for r in rows:
-            labels[(int(r["x_index"]), int(r["y_index"]))] = r["segment"]
-    else:
-        y_centers = None
-        labels = {int(r["x_index"]): r["segment"] for r in rows}
+    try:
+        x_centers = np.array(sorted({float(r["x_center"]) for r in rows}))
+        if "y_index" in rows[0]:
+            y_centers = np.array(sorted({float(r["y_center"]) for r in rows}))
+            labels = {(int(r["x_index"]), int(r["y_index"])): r["segment"] for r in rows}
+        else:
+            y_centers = None
+            labels = {int(r["x_index"]): r["segment"] for r in rows}
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(EXIT_MISSING_ARTIFACT, f"{path}: malformed segments file ({exc!r})") from exc
 
     def nearest(centers: np.ndarray, value: float):
         step = centers[1] - centers[0] if centers.shape[0] > 1 else 1.0
@@ -474,8 +480,7 @@ def cmd_describe(args, argv) -> int:
     shape = grid_model.grid_shape
     records = []
     for name, (values, missing) in columns.items():
-        grid = encode_cdf(values, shape)
-        stats = signed_ks(values, n_bins=shape.x_bins)
+        grid, stats = describe_series(values, shape)
         probs = classifier.predict(grid_model, grid)
         mu, sigma = vae_model.encode(grid.flat()[None, :])
         fid = int(np.argmax(probs))

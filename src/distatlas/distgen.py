@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cdfcodec import GridShape, encode_cdf, signed_ks
+from .cdfcodec import GridShape, describe_series
 
 M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -293,10 +293,6 @@ class DistSpec:
                 f"sample_size={self.sample_size} outside [{MIN_SAMPLE_SIZE}, {MAX_SAMPLE_SIZE}]"
             )
 
-    @property
-    def family_name(self) -> str:
-        return FAMILIES[self.family_id].name
-
 
 @dataclass(frozen=True)
 class RawSeries:
@@ -377,8 +373,8 @@ def build_doe(per_family_count: int, grid_shape: GridShape | None = None,
             spec_rng = np.random.default_rng(mix64(master_seed, family_id, index, 0))
             spec = draw_spec(family_id, spec_rng)
             series = sample_variable(spec, mix64(master_seed, family_id, index, 1))
-            grids[row] = encode_cdf(series.values, grid_shape).flat()
-            stats = signed_ks(series.values, n_bins=grid_shape.x_bins)
+            grid, stats = describe_series(series.values, grid_shape)
+            grids[row] = grid.flat()
             labels[row] = family_id
             ent[row] = stats.entropy
             skw[row] = stats.skewness

@@ -18,6 +18,7 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 from .distgen import N_FAMILIES
+from .neuralcore import _map_batches
 
 DEFAULT_DENSITY_RESOLUTION = 100
 DEFAULT_W_STAR = 2.5
@@ -37,10 +38,6 @@ class DensityField:
     def ndim(self) -> int:
         return len(self.bounds)
 
-    @property
-    def resolution(self) -> tuple:
-        return self.density.shape
-
     def centers(self, axis: int) -> np.ndarray:
         lo, hi = self.bounds[axis]
         n = self.density.shape[axis]
@@ -59,7 +56,7 @@ class DensityField:
 
 
 @dataclass
-class WoeField:
+class WoeField(DensityField):
     """WOE values over a density lattice plus exceptional-region labels.
 
     ``segments`` is 0 for common cells and k > 0 for the k-th connected
@@ -67,19 +64,11 @@ class WoeField:
     floor where WOE was evaluated.
     """
 
-    bounds: list
-    density: np.ndarray
     woe: np.ndarray
     valid: np.ndarray
     segments: np.ndarray | None = None
     w_star: float | None = None
     p_min: float | None = None
-
-    def centers(self, axis: int) -> np.ndarray:
-        lo, hi = self.bounds[axis]
-        n = self.density.shape[axis]
-        step = (hi - lo) / n
-        return lo + (np.arange(n) + 0.5) * step
 
     def segment_name(self, index) -> str:
         if self.segments is None:
@@ -107,8 +96,7 @@ def _as_points(points) -> np.ndarray:
 
 
 def estimate_density(points, resolution: int = DEFAULT_DENSITY_RESOLUTION,
-                     bandwidth: tuple | None = None, bounds=None,
-                     chunk: int = 50000) -> DensityField:
+                     bandwidth: tuple | None = None, bounds=None) -> DensityField:
     """Gaussian-kernel density of the points on a lattice of cell centers.
 
     The estimate is renormalized so it integrates to exactly 1 over the
@@ -130,31 +118,22 @@ def estimate_density(points, resolution: int = DEFAULT_DENSITY_RESOLUTION,
     bounds = [tuple(map(float, b)) for b in bounds]
     if bandwidth is None:
         bandwidth = silverman_bandwidth(z)
+    field = DensityField(bounds=bounds, density=np.zeros((resolution,) * d),
+                         bandwidth=tuple(bandwidth))
+    axes = [field.centers(j) for j in range(d)]
 
-    axes = []
-    for j, (lo, hi) in enumerate(bounds):
-        step = (hi - lo) / resolution
-        axes.append(lo + (np.arange(resolution) + 0.5) * step)
+    def kernel(j: int, rows: slice) -> np.ndarray:
+        """Unnormalized Gaussian weights, lattice centers by points."""
+        return np.exp(-0.5 * ((axes[j][:, None] - z[rows, j][None, :]) / bandwidth[j]) ** 2)
 
     if d == 1:
-        h = bandwidth[0]
-        total = np.zeros(resolution)
-        for start in range(0, n, chunk):
-            pts = z[start:start + chunk, 0]
-            total += np.exp(-0.5 * ((axes[0][:, None] - pts[None, :]) / h) ** 2).sum(axis=1)
-        density = total / (n * np.sqrt(2.0 * np.pi) * h)
+        total = sum(_map_batches(lambda rows: kernel(0, rows).sum(axis=1), n, 50000))
+        density = total / (n * np.sqrt(2.0 * np.pi) * bandwidth[0])
     else:
-        hx, hy = bandwidth
-        density = np.zeros((resolution, resolution))
-        for start in range(0, n, chunk):
-            px = z[start:start + chunk, 0]
-            py = z[start:start + chunk, 1]
-            kx = np.exp(-0.5 * ((axes[0][:, None] - px[None, :]) / hx) ** 2)
-            ky = np.exp(-0.5 * ((axes[1][:, None] - py[None, :]) / hy) ** 2)
-            density += kx @ ky.T
-        density /= n * 2.0 * np.pi * hx * hy
+        total = sum(_map_batches(lambda rows: kernel(0, rows) @ kernel(1, rows).T, n, 50000))
+        density = total / (n * 2.0 * np.pi * bandwidth[0] * bandwidth[1])
 
-    field = DensityField(bounds=bounds, density=density, bandwidth=tuple(bandwidth))
+    field.density = density
     mass = field.integral()
     if mass <= 0:
         raise ValueError("density estimate collapsed to zero mass")
@@ -185,7 +164,7 @@ def woe_map(field: DensityField, density_floor: float = DENSITY_FLOOR) -> WoeFie
     with np.errstate(divide="ignore"):
         woe[valid] = np.log(field.density[valid]) - standard_normal_logpdf(field)[valid]
     return WoeField(bounds=list(field.bounds), density=field.density.copy(),
-                    woe=woe, valid=valid)
+                    bandwidth=field.bandwidth, woe=woe, valid=valid)
 
 
 def segment(woe_field: WoeField, w_star: float = DEFAULT_W_STAR,
@@ -269,7 +248,7 @@ def trajectories(points, n_entropy_bins: int = 20, min_count: int = 20,
     return out
 
 
-def class_map(latent_model, bounds, resolution: int = 75, chunk: int = 4096) -> np.ndarray:
+def class_map(latent_model, bounds, resolution: int = 75) -> np.ndarray:
     """Arg-max family id on an inclusive lattice over the bounds.
 
     Returns an array of shape (resolution,) in 1D or
@@ -279,10 +258,9 @@ def class_map(latent_model, bounds, resolution: int = 75, chunk: int = 4096) -> 
     from .betavae import latent_lattice
 
     lattice = latent_lattice(bounds, resolution)
-    preds = np.empty(lattice.shape[0], dtype=np.int64)
-    for start in range(0, lattice.shape[0], chunk):
-        preds[start:start + chunk] = np.argmax(
-            latent_model.predict_proba(lattice[start:start + chunk]), axis=1)
+    preds = np.concatenate(_map_batches(
+        lambda rows: np.argmax(latent_model.predict_proba(lattice[rows]), axis=1),
+        lattice.shape[0], 4096))
     if len(bounds) == 1:
         return preds
     return preds.reshape(resolution, resolution)

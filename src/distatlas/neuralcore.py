@@ -53,6 +53,8 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.learning_rate <= 0:
@@ -227,20 +229,9 @@ def binary_cross_entropy_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarra
     return g
 
 
-def squared_error(pred: np.ndarray, target: np.ndarray) -> float:
-    """0.5 * sum of squares, averaged over the batch."""
-    d = pred - target
-    return float(0.5 * (d * d).sum() / pred.shape[0])
-
-
-def squared_error_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
-    return (pred - target) / pred.shape[0]
-
-
 LOSSES = {
     "cce": (categorical_cross_entropy, categorical_cross_entropy_grad),
     "bce": (binary_cross_entropy, binary_cross_entropy_grad),
-    "mse": (squared_error, squared_error_grad),
 }
 
 
@@ -298,40 +289,54 @@ def make_optimizer(params, config: TrainConfig):
 # ---------------------------------------------------------------------------
 # auditing and utilities
 
-def grad_check(net: DenseNet, batch: np.ndarray, targets: np.ndarray,
-               loss: str = "cce", h: float = 1e-5, n_samples: int = 200,
-               seed: int = 0) -> float:
-    """Max relative error of backprop vs central finite differences.
+def audit_gradients(params, loss, analytic, h: float = 1e-5, n_samples: int = 200,
+                    seed: int = 0) -> float:
+    """Max relative error of analytic gradients vs central finite differences.
 
-    Samples n_samples parameter entries (all of them when the network
-    is smaller) and perturbs each by +-h around the current value.
+    ``loss`` is a closure that recomputes the scalar loss from the
+    current ``params``; ``analytic`` holds their gradients in the same
+    order. Samples n_samples parameter entries (at least 200, all of
+    them when there are fewer) and perturbs each by +-h around its value.
     """
-    loss_fn, grad_fn = LOSSES[loss]
-    cache = net.forward(batch)
-    analytic, _ = net.backward(cache, grad_fn(cache.output, targets))
-    params = net.params
     sizes = [p.size for p in params]
     total = int(np.sum(sizes))
+    offsets = np.cumsum([0] + sizes)
     rng = np.random.default_rng(seed)
     count = min(total, max(n_samples, 200))
-    flat_choice = rng.choice(total, size=count, replace=False)
-    offsets = np.cumsum([0] + sizes)
     worst = 0.0
-    for flat in flat_choice:
+    for flat in rng.choice(total, size=count, replace=False):
         which = int(np.searchsorted(offsets, flat, side="right") - 1)
         inner = int(flat - offsets[which])
         p = params[which]
         orig = p.flat[inner]
         p.flat[inner] = orig + h
-        up = loss_fn(net(batch), targets)
+        up = loss()
         p.flat[inner] = orig - h
-        down = loss_fn(net(batch), targets)
+        down = loss()
         p.flat[inner] = orig
         numeric = (up - down) / (2.0 * h)
         a = analytic[which].flat[inner]
-        err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-6)
-        worst = max(worst, err)
+        worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
     return worst
+
+
+def grad_check(net: DenseNet, batch: np.ndarray, targets: np.ndarray,
+               loss: str = "cce", h: float = 1e-5, n_samples: int = 200,
+               seed: int = 0) -> float:
+    """audit_gradients of a network's backprop under one of LOSSES."""
+    loss_fn, grad_fn = LOSSES[loss]
+    cache = net.forward(batch)
+    analytic, _ = net.backward(cache, grad_fn(cache.output, targets))
+    return audit_gradients(net.params, lambda: loss_fn(net(batch), targets), analytic,
+                           h, n_samples, seed)
+
+
+def _map_batches(fn, n: int, rows: int) -> list:
+    """fn over consecutive slices of rows 0..n, at most ``rows`` long, in order.
+
+    A zero n still gives one empty slice, so results keep their shape.
+    """
+    return [fn(slice(start, start + rows)) for start in range(0, max(n, 1), rows)]
 
 
 def split_indices(n: int, seed: int, train_frac: float = 0.67):
@@ -368,10 +373,6 @@ def layer_specs_from_json(obj) -> list:
 
 def train_config_to_json(config: TrainConfig) -> dict:
     return asdict(config)
-
-
-def train_config_from_json(obj: dict) -> TrainConfig:
-    return TrainConfig(**obj)
 
 
 def save_checkpoint(path, header: dict, arrays) -> None:

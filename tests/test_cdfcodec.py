@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from distatlas.cdfcodec import (
     CdfGrid,
     GridShape,
+    describe_series,
     encode_cdf,
     entropy,
     scale_to_unit,
@@ -15,6 +16,10 @@ finite_series = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
     min_size=2, max_size=200,
 ).map(np.array)
+
+# a finite column whose range overflows: max - min is inf
+EXTREME = np.linspace(-3.0, 3.0, 38)
+EXTREME[5], EXTREME[30] = -1e308, 1e308
 
 
 class TestGridShape:
@@ -135,6 +140,7 @@ class TestSignedKs:
             assert abs(stats.skewness) <= 1.0 / (2 * n)
 
     @given(finite_series)
+    @example(EXTREME)
     @settings(max_examples=150, deadline=None)
     def test_mirror_negates_exactly(self, values):
         fwd = signed_ks(values)
@@ -168,6 +174,13 @@ class TestSignedKs:
         assert signed_ks(values).entropy == pytest.approx(1.0, abs=1e-12)
 
 
+class TestDescribeSeries:
+    @given(finite_series)
+    @settings(max_examples=100, deadline=None)
+    def test_grid_bin_totals_give_the_histogram_entropy(self, values):
+        assert describe_series(values)[1].entropy == entropy(values)
+
+
 class TestScaleToUnit:
     def test_basic(self):
         u, degenerate = scale_to_unit(np.array([2.0, 4.0, 6.0]))
@@ -178,28 +191,13 @@ class TestScaleToUnit:
         u, degenerate = scale_to_unit(np.full(5, 9.0))
         assert degenerate and np.all(u == 0.0)
 
+    def test_overflowing_range(self):
+        u, degenerate = scale_to_unit(np.array([-1e308, 0.0, 1e308]))
+        np.testing.assert_array_equal(u, [0.0, 0.5, 1.0])
+        assert not degenerate
+
 
 def test_grid_flat_is_x_bin_major():
     grid = CdfGrid(GridShape(3, 2), np.arange(6, dtype=float).reshape(3, 2))
     np.testing.assert_array_equal(grid.flat(), np.arange(6))
 
-
-class TestGridSerialization:
-    def test_bytes_round_trip(self):
-        grid = encode_cdf(np.random.default_rng(0).random(100))
-        raw = grid.to_bytes()
-        assert len(raw) == 8 + 4 * 650
-        clone = CdfGrid.from_bytes(raw)
-        assert clone.shape == grid.shape
-        np.testing.assert_array_equal(clone.cells, grid.cells.astype(np.float32))
-
-    def test_json_round_trip(self):
-        grid = encode_cdf(np.random.default_rng(1).random(50), GridShape(5, 4))
-        clone = CdfGrid.from_json(grid.to_json())
-        assert clone.shape == grid.shape
-        np.testing.assert_array_equal(clone.cells, grid.cells)
-
-    def test_rejects_truncated_bytes(self):
-        grid = encode_cdf(np.random.default_rng(2).random(20), GridShape(4, 3))
-        with pytest.raises(ValueError):
-            CdfGrid.from_bytes(grid.to_bytes()[:10])

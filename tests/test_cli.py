@@ -119,7 +119,31 @@ class TestTrain:
         assert "y_index" not in rows[0]
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("train bvae", ["--beta", "-1"]),
+    ("train classifier", ["--epochs", "-3"]),
+    ("map", ["--density-resolution", "0"]),
+    ("map", ["--class-map-resolution", "0"]),
+    ("map", ["--curve-resolution", "0"]),
+    ("map", ["--latent-epochs", "0"]),
+])
+def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
+    out = tmp_path / "bad"
+    models = ["--vae", str(workspace / "bvae.ckpt")] if command == "map" else []
+    assert main([*command.split(), "--dataset", str(workspace / "dataset.bin"), *models,
+                 *flags, "--out-dir", str(out)]) == EXIT_BAD_SPEC
+    assert not any(p.suffix in (".ckpt", ".csv") for p in out.glob("*"))
+
+
 class TestMap:
+    def test_too_few_points_exits_6(self, workspace, tmp_path):
+        small = tmp_path / "small"
+        assert main(["generate", "--per-family", "5", "--seed", "3",
+                     "--out-dir", str(small)]) == 0
+        assert main(["map", "--vae", str(workspace / "bvae.ckpt"),
+                     "--dataset", str(small / "dataset.bin"),
+                     "--out-dir", str(small)]) == EXIT_BAD_INPUT
+
     def test_all_exports_present(self, workspace):
         for name in ["latent_points.csv", "density.csv", "woe.csv", "segments.csv",
                      "class_map.csv", "trajectories.json", "overlap_matrix.csv",
@@ -226,6 +250,38 @@ class TestDescribe:
         sparse = by_name["sparse"]
         assert sparse["n_missing"] == 30
         assert sparse["low_confidence"] is True
+
+    def test_extreme_magnitudes_are_described(self, workspace, tmp_path):
+        import jsonschema
+
+        values = [repr(float(v)) for v in np.linspace(-3.0, 3.0, 38)]
+        values[5], values[30] = "-1e308", "1e308"
+        data = tmp_path / "extreme.csv"
+        data.write_text("extreme\n" + "\n".join(values) + "\n")
+        out_file = tmp_path / "meta.jsonl"
+        assert main(["describe", "--data", str(data),
+                     "--classifier", str(workspace / "classifier.ckpt"),
+                     "--vae", str(workspace / "bvae.ckpt"),
+                     "--out", str(out_file), "--out-dir", str(tmp_path)]) == 0
+        (record,) = [json.loads(line) for line in out_file.read_text().splitlines()]
+        jsonschema.validate(record, METADATA_SCHEMA)
+        assert record["n_values"] == 38
+
+    def test_segments_without_a_read_column_exits_3(self, workspace, tmp_path):
+        data = tmp_path / "data.csv"
+        self.write_csv(data)
+        rows = list(csv.DictReader(open(workspace / "segments.csv")))
+        segments = tmp_path / "segments.csv"
+        with open(segments, "w", newline="") as fh:
+            fields = [f for f in rows[0] if f != "x_center"]
+            writer = csv.DictWriter(fh, fields, extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        assert main(["describe", "--data", str(data),
+                     "--classifier", str(workspace / "classifier.ckpt"),
+                     "--vae", str(workspace / "bvae.ckpt"),
+                     "--segments", str(segments),
+                     "--out-dir", str(tmp_path)]) == EXIT_MISSING_ARTIFACT
 
     def test_no_numeric_columns_exits_6(self, workspace, tmp_path):
         data = tmp_path / "text.csv"

@@ -96,10 +96,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameterError):
             DistSpec(family_id=0, params={"alpha": 50.0, "beta": 1.0}, sample_size=100)
 
-    def test_family_name(self):
-        spec = DistSpec(family_id=9, params={"df": 3}, sample_size=50)
-        assert spec.family_name == "chi"
-
 
 class TestSamplerDeterminism:
     @pytest.mark.parametrize("fid", range(N_FAMILIES))

@@ -10,6 +10,7 @@ from distatlas.neuralcore import (
     ShapeMismatchError,
     TrainConfig,
     TrainingDivergedError,
+    audit_gradients,
     binary_cross_entropy,
     binary_cross_entropy_grad,
     categorical_cross_entropy,
@@ -21,7 +22,6 @@ from distatlas.neuralcore import (
     restore_net,
     save_checkpoint,
     split_indices,
-    squared_error,
     layer_specs_to_json,
 )
 
@@ -226,11 +226,31 @@ class TestOptimizers:
 
 class TestGradCheck:
     def test_linear_net_squared_loss_is_exact(self):
+        # a quadratic loss of a linear net: central differences are exact but for rounding
         rng = np.random.default_rng(5)
         net = DenseNet([LayerSpec(4, 3, "identity")], seed=6)
         x = rng.random((8, 4))
         t = rng.random((8, 3))
-        assert grad_check(net, x, t, loss="mse", h=1e-5, seed=1) < 1e-8
+
+        def loss():
+            d = net(x) - t
+            return float(0.5 * (d * d).sum() / x.shape[0])
+
+        cache = net.forward(x)
+        analytic, _ = net.backward(cache, (cache.output - t) / x.shape[0])
+        assert audit_gradients(net.params, loss, analytic, h=1e-5, seed=1) < 1e-8
+
+    def test_wrong_gradient_is_caught(self):
+        rng = np.random.default_rng(5)
+        net = DenseNet([LayerSpec(4, 3, "identity")], seed=6)
+        x = rng.random((8, 4))
+
+        def loss():
+            return float((net(x) ** 2).sum())
+
+        cache = net.forward(x)
+        analytic, _ = net.backward(cache, cache.output)  # half the true gradient
+        assert audit_gradients(net.params, loss, analytic, seed=1) > 0.3
 
     def test_coarse_step_is_worse(self):
         rng = np.random.default_rng(6)
