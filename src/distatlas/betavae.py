@@ -10,7 +10,7 @@ encoding deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,13 +26,13 @@ from .neuralcore import (
     audit_gradients,
     binary_cross_entropy,
     binary_cross_entropy_grad,
+    header_field,
     layer_specs_to_json,
     load_checkpoint,
     make_optimizer,
     restore_net,
     save_checkpoint,
     split_indices,
-    train_config_to_json,
 )
 
 LOGVAR_LIMIT = 10.0
@@ -41,20 +41,18 @@ ENCODER_WIDTHS = (512, 64)
 DECODER_WIDTHS = (64, 512)
 
 
-def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
-    """Closed-form KL divergence from N(mu, diag exp(logvar)) to N(0, I).
+def kl_per_example(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
+    """Closed-form KL from N(mu, diag exp(logvar)) to N(0, I), one per row.
 
     -0.5 * sum_j (1 + logvar_j - mu_j^2 - exp(logvar_j)); zero exactly
     when mu = 0 and logvar = 0, positive otherwise.
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    logvar = np.asarray(logvar, dtype=np.float64)
-    return float(-0.5 * np.sum(1.0 + logvar - mu * mu - np.exp(logvar)))
-
-
-def kl_per_example(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
-    """Per-row KL for a batch of latent parameters."""
     return -0.5 * np.sum(1.0 + logvar - mu * mu - np.exp(logvar), axis=1)
+
+
+def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
+    """Total KL of one latent vector, or of every row of a batch."""
+    return float(np.sum(kl_per_example(np.atleast_2d(mu), np.atleast_2d(logvar))))
 
 
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -284,13 +282,14 @@ def default_latent_bounds(z: np.ndarray, expand: float = 0.10) -> list:
     return bounds
 
 
+def axes_lattice(axes) -> np.ndarray:
+    """Every point of the product of the axes in row-major order; shape (n, d)."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+
+
 def latent_lattice(bounds, resolution: int) -> np.ndarray:
     """Row-major inclusive lattice over the bounds; shape (res^d, d)."""
-    axes = [np.linspace(lo, hi, resolution) for lo, hi in bounds]
-    if len(axes) == 1:
-        return axes[0][:, None]
-    xx, yy = np.meshgrid(axes[0], axes[1], indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()])
+    return axes_lattice([np.linspace(lo, hi, resolution) for lo, hi in bounds])
 
 
 def generate_latent_grid(model: VaeModel, bounds, resolution: int = 50):
@@ -317,12 +316,12 @@ def save_vae(path, model: VaeModel, config: TrainConfig | None = None) -> None:
         "kind": "bvae",
         "beta": model.beta,
         "latent_dim": model.latent_dim,
-        "grid": {"x_bins": model.grid_shape.x_bins, "y_levels": model.grid_shape.y_levels},
+        "grid": asdict(model.grid_shape),
         "trunk": layer_specs_to_json(model.trunk.layers),
         "mu_head": layer_specs_to_json(model.mu_head.layers),
         "logvar_head": layer_specs_to_json(model.logvar_head.layers),
         "decoder": layer_specs_to_json(model.decoder.layers),
-        "train_config": train_config_to_json(config) if config else None,
+        "train_config": asdict(config) if config else None,
     }
     save_checkpoint(path, header, model.params)
 
@@ -331,14 +330,13 @@ def load_vae(path) -> tuple[VaeModel, dict]:
     header, arrays = load_checkpoint(path)
     if header.get("kind") != "bvae":
         raise ValueError(f"{path}: not an autoencoder checkpoint")
-    grid = GridShape(int(header["grid"]["x_bins"]), int(header["grid"]["y_levels"]))
-    model = VaeModel(grid, beta=float(header["beta"]),
-                     latent_dim=int(header["latent_dim"]), seed=0)
+    model = VaeModel(header_field(header, "grid", GridShape.from_json),
+                     beta=header_field(header, "beta", float),
+                     latent_dim=header_field(header, "latent_dim", int), seed=0)
     offset = 0
     for attr in ("trunk", "mu_head", "logvar_head", "decoder"):
-        net, offset = restore_net(header[attr], arrays, offset)
-        expected = [s.activation for s in getattr(model, attr).layers]
-        if [s.activation for s in net.layers] != expected:
+        net, offset = restore_net(header, attr, arrays, offset)
+        if net.layers != getattr(model, attr).layers:
             raise ValueError(f"{path}: unexpected {attr} architecture")
         setattr(model, attr, net)
     return model, header

@@ -34,6 +34,11 @@ class GridShape:
     def n_cells(self) -> int:
         return self.x_bins * self.y_levels
 
+    @classmethod
+    def from_json(cls, record) -> GridShape:
+        """Inverse of ``dataclasses.asdict``, the grid record of specs and headers."""
+        return cls(int(record["x_bins"]), int(record["y_levels"]))
+
 
 @dataclass
 class CdfGrid:

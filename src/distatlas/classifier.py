@@ -9,7 +9,7 @@ randomized parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .neuralcore import (
     _map_batches,
     categorical_cross_entropy,
     categorical_cross_entropy_grad,
+    header_field,
     layer_specs_to_json,
     load_checkpoint,
     make_optimizer,
@@ -30,7 +31,6 @@ from .neuralcore import (
     restore_net,
     save_checkpoint,
     split_indices,
-    train_config_to_json,
 )
 
 # varying-parameter count per family id; errors toward a smaller count
@@ -213,11 +213,10 @@ def evaluate(model, grids: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:
 def save_classifier(path, model, config: TrainConfig | None = None) -> None:
     header = {
         "layers": layer_specs_to_json(model.net.layers),
-        "train_config": train_config_to_json(config) if config else None,
+        "train_config": asdict(config) if config else None,
     }
     if isinstance(model, GridClassifier):
-        header.update(kind="classifier", grid={"x_bins": model.grid_shape.x_bins,
-                                               "y_levels": model.grid_shape.y_levels})
+        header.update(kind="classifier", grid=asdict(model.grid_shape))
     else:
         header.update(kind="latent_classifier", latent_dim=model.latent_dim)
     save_checkpoint(path, header, model.net.params)
@@ -227,10 +226,15 @@ def load_classifier(path):
     """Load either classifier kind; returns (model, header)."""
     header, arrays = load_checkpoint(path)
     kind = header.get("kind")
-    net, _ = restore_net(header["layers"], arrays, 0)
+    if kind not in ("classifier", "latent_classifier"):
+        raise ValueError(f"{path}: not a classifier checkpoint")
+    net, _ = restore_net(header, "layers", arrays)
     if kind == "classifier":
-        grid = GridShape(int(header["grid"]["x_bins"]), int(header["grid"]["y_levels"]))
-        return GridClassifier(net, grid), header
-    if kind == "latent_classifier":
-        return LatentClassifier(net, int(header["latent_dim"])), header
-    raise ValueError(f"{path}: not a classifier checkpoint")
+        grid = header_field(header, "grid", GridShape.from_json)
+        model, expected = GridClassifier(net, grid), grid_classifier_layers(grid.n_cells)
+    else:
+        latent_dim = header_field(header, "latent_dim", int)
+        model, expected = LatentClassifier(net, latent_dim), latent_classifier_layers(latent_dim)
+    if net.layers != expected:
+        raise ValueError(f"{path}: unexpected classifier architecture")
+    return model, header

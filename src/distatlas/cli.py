@@ -19,6 +19,7 @@ import datetime
 import hashlib
 import json
 import sys
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +112,10 @@ def _write_csv(path: Path, header, rows) -> None:
             writer.writerow([str(v) for v in row])
 
 
+def _write_history(path: Path, history) -> None:
+    _write_csv(path, [f.name for f in fields(history[0])], map(astuple, history))
+
+
 def _parse_grid(text: str) -> GridShape:
     try:
         xs, ys = text.lower().split("x")
@@ -119,34 +124,28 @@ def _parse_grid(text: str) -> GridShape:
         raise CliError(EXIT_BAD_SPEC, f"bad --grid {text!r}; expected like 26x25") from exc
 
 
-def _load_dataset(path: str) -> distgen.LabeledDataset:
+def _load(loader, what: str, path: str):
+    """loader(path), with a missing or unreadable artifact exiting 3."""
     p = Path(path)
     if not p.exists():
-        raise CliError(EXIT_MISSING_ARTIFACT, f"dataset cache not found: {p}")
+        raise CliError(EXIT_MISSING_ARTIFACT, f"{what} not found: {p}")
     try:
-        return distgen.load_cache(p)
-    except ValueError as exc:
-        raise CliError(EXIT_MISSING_ARTIFACT, f"unreadable dataset cache: {exc}") from exc
+        return loader(p)
+    except (OSError, ValueError) as exc:
+        raise CliError(EXIT_MISSING_ARTIFACT, f"unreadable {what}: {exc}") from exc
 
 
-def _load_vae(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise CliError(EXIT_MISSING_ARTIFACT, f"autoencoder checkpoint not found: {p}")
-    try:
-        return betavae.load_vae(p)
-    except ValueError as exc:
-        raise CliError(EXIT_MISSING_ARTIFACT, str(exc)) from exc
+def _load_grid_classifier(path: str):
+    model, header = _load(classifier.load_classifier, "classifier checkpoint", path)
+    if not isinstance(model, classifier.GridClassifier):
+        raise CliError(EXIT_MISMATCH, "--classifier must be a grid-input checkpoint")
+    return model, header
 
 
-def _load_classifier(path: str):
-    p = Path(path)
-    if not p.exists():
-        raise CliError(EXIT_MISSING_ARTIFACT, f"classifier checkpoint not found: {p}")
-    try:
-        return classifier.load_classifier(p)
-    except ValueError as exc:
-        raise CliError(EXIT_MISSING_ARTIFACT, str(exc)) from exc
+def _require_same_grid(model, other, other_name: str = "dataset") -> None:
+    if model.grid_shape != other.grid_shape:
+        raise CliError(EXIT_MISMATCH, f"checkpoint grid {model.grid_shape} != "
+                                      f"{other_name} grid {other.grid_shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,8 +175,7 @@ def cmd_generate(args, argv) -> int:
     cache_path = out / "dataset.bin"
     distgen.save_cache(dataset, cache_path)
 
-    spec_obj = {"master_seed": master_seed, "per_family_count": per_family,
-                "grid": {"x_bins": grid.x_bins, "y_levels": grid.y_levels}}
+    spec_obj = {"master_seed": master_seed, "per_family_count": per_family, "grid": asdict(grid)}
     _write_json(out / "dataset_spec.json", spec_obj)
 
     digest = hashlib.sha256(cache_path.read_bytes()).hexdigest()
@@ -200,7 +198,7 @@ def cmd_generate(args, argv) -> int:
         "n_families": distgen.N_FAMILIES,
         "per_family_count": per_family,
         "master_seed": master_seed,
-        "grid": {"x_bins": grid.x_bins, "y_levels": grid.y_levels},
+        "grid": asdict(grid),
         "sample_size_range": [distgen.MIN_SAMPLE_SIZE, distgen.MAX_SAMPLE_SIZE],
         "cache_file": cache_path.name,
         "cache_bytes": cache_path.stat().st_size,
@@ -231,7 +229,7 @@ def _train_config_from_args(args, default_epochs: int) -> TrainConfig:
 
 
 def cmd_train(args, argv) -> int:
-    dataset = _load_dataset(args.dataset)
+    dataset = _load(distgen.load_cache, "dataset cache", args.dataset)
     out = _out_dir(args)
     _log_invocation(out, "train", argv)
     if args.model == "classifier":
@@ -239,9 +237,7 @@ def cmd_train(args, argv) -> int:
         model, history = classifier.train_classifier(dataset, config)
         ckpt = out / "classifier.ckpt"
         classifier.save_classifier(ckpt, model, config)
-        _write_csv(out / "classifier_history.csv",
-                   ["epoch", "train_loss", "test_accuracy"],
-                   [(h.epoch, h.train_loss, h.test_accuracy) for h in history])
+        _write_history(out / "classifier_history.csv", history)
         print(f"classifier test accuracy {history[-1].test_accuracy:.4f} -> {ckpt}")
     else:
         config = _train_config_from_args(args, default_epochs=100)
@@ -251,10 +247,7 @@ def cmd_train(args, argv) -> int:
                                             latent_dim=args.latent_dim, config=config)
         ckpt = out / "bvae.ckpt"
         betavae.save_vae(ckpt, model, config)
-        _write_csv(out / "bvae_history.csv",
-                   ["epoch", "train_loss", "train_bce", "train_kl", "test_bce", "test_kl"],
-                   [(h.epoch, h.train_loss, h.train_bce, h.train_kl, h.test_bce, h.test_kl)
-                    for h in history])
+        _write_history(out / "bvae_history.csv", history)
         print(f"autoencoder test bce {history[-1].test_bce:.3f} "
               f"(epoch 0: {history[0].test_bce:.3f}) -> {ckpt}")
     return 0
@@ -263,29 +256,20 @@ def cmd_train(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # map
 
-def _lattice_rows(field, values, extra_cols=()):
-    """Yield CSV rows over a 1D or 2D lattice of cell centers."""
-    if field.density.ndim == 1:
-        cx = field.centers(0)
-        for i in range(cx.shape[0]):
-            yield (i, cx[i], *(col[i] for col in (values, *extra_cols)))
-    else:
-        cx = field.centers(0)
-        cy = field.centers(1)
-        for i in range(cx.shape[0]):
-            for j in range(cy.shape[0]):
-                yield (i, j, cx[i], cy[j], *(col[i, j] for col in (values, *extra_cols)))
+def _lattice_rows(shape, points, *columns):
+    """CSV rows over a lattice in row-major order: index, point, then each column's value."""
+    for index, point, *values in zip(np.ndindex(shape), points.tolist(),
+                                     *(np.ravel(c).tolist() for c in columns)):
+        yield (*index, *point, *values)
 
 
 def cmd_map(args, argv) -> int:
     for flag in ("density_resolution", "class_map_resolution", "curve_resolution", "latent_epochs"):
         if getattr(args, flag) < 1:
             raise CliError(EXIT_BAD_SPEC, f"--{flag.replace('_', '-')} must be >= 1")
-    model, _header = _load_vae(args.vae)
-    dataset = _load_dataset(args.dataset)
-    if dataset.grid_shape != model.grid_shape:
-        raise CliError(EXIT_MISMATCH,
-                       f"checkpoint grid {model.grid_shape} != dataset grid {dataset.grid_shape}")
+    model, _header = _load(betavae.load_vae, "autoencoder checkpoint", args.vae)
+    dataset = _load(distgen.load_cache, "dataset cache", args.dataset)
+    _require_same_grid(model, dataset)
     out = _out_dir(args)
     _log_invocation(out, "map", argv)
 
@@ -305,20 +289,16 @@ def cmd_map(args, argv) -> int:
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"{args.dataset}: {exc}") from exc
     woe = latentlab.segment(latentlab.woe_map(field), w_star=args.w_star, p_min=args.p_min)
-    if d == 1:
-        lattice_header = ["x_index", "x_center"]
-    else:
-        lattice_header = ["x_index", "y_index", "x_center", "y_center"]
+    index_cols = ["x_index", "y_index"][:d]
+    lattice_header = index_cols + ["x_center", "y_center"][:d]
+    lattice_shape, centers = field.density.shape, field.lattice()
     _write_csv(out / "density.csv", lattice_header + ["density"],
-               _lattice_rows(field, field.density))
+               _lattice_rows(lattice_shape, centers, field.density))
     _write_csv(out / "woe.csv", lattice_header + ["density", "woe"],
-               _lattice_rows(woe, woe.density, (woe.woe,)))
-    seg_names = np.empty(woe.segments.shape, dtype=object)
-    it = np.nditer(woe.segments, flags=["multi_index"])
-    for _ in it:
-        seg_names[it.multi_index] = woe.segment_name(it.multi_index)
+               _lattice_rows(lattice_shape, centers, woe.density, woe.woe))
+    seg_names = [woe.segment_name(index) for index in np.ndindex(lattice_shape)]
     _write_csv(out / "segments.csv", lattice_header + ["density", "woe", "segment"],
-               _lattice_rows(woe, woe.density, (woe.woe, seg_names)))
+               _lattice_rows(lattice_shape, centers, woe.density, woe.woe, seg_names))
 
     trajs = latentlab.trajectories(points, n_entropy_bins=args.trajectory_bins,
                                    min_count=args.trajectory_min_count)
@@ -341,22 +321,9 @@ def cmd_map(args, argv) -> int:
     latent_model, latent_history = classifier.train_latent_classifier(points, latent_config)
     classifier.save_classifier(out / "latent_classifier.ckpt", latent_model, latent_config)
     cmap = latentlab.class_map(latent_model, bounds, resolution=args.class_map_resolution)
-    lattice = betavae.latent_lattice(bounds, args.class_map_resolution)
-    rows = []
-    if d == 1:
-        for i in range(args.class_map_resolution):
-            fid = int(cmap[i])
-            rows.append((i, lattice[i, 0], fid, distgen.FAMILY_NAMES[fid]))
-        _write_csv(out / "class_map.csv", ["x_index", "z1", "family_id", "family"], rows)
-    else:
-        r = args.class_map_resolution
-        for i in range(r):
-            for j in range(r):
-                fid = int(cmap[i, j])
-                rows.append((i, j, lattice[i * r + j, 0], lattice[i * r + j, 1],
-                             fid, distgen.FAMILY_NAMES[fid]))
-        _write_csv(out / "class_map.csv",
-                   ["x_index", "y_index", "z1", "z2", "family_id", "family"], rows)
+    _write_csv(out / "class_map.csv", index_cols + z_cols + ["family_id", "family"],
+               _lattice_rows(cmap.shape, betavae.latent_lattice(bounds, args.class_map_resolution),
+                             cmap, np.asarray(distgen.FAMILY_NAMES)[cmap]))
 
     overlap = latentlab.overlap_matrix(points)
     _write_csv(out / "overlap_matrix.csv", ["family"] + distgen.FAMILY_NAMES,
@@ -423,20 +390,24 @@ def _read_numeric_columns(path: Path):
     return parsed
 
 
-def _segments_lookup(path: Path):
-    """Load a segments.csv lattice into a cell-label lookup function."""
+def _segments_lookup(path: Path, latent_dim: int):
+    """Load a segments.csv lattice into a function from a latent point to its cell label.
+
+    A point outside the lattice, by more than half a step past an edge
+    cell, is ``common``.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if not rows:
         raise CliError(EXIT_MISSING_ARTIFACT, f"{path}: empty segments file")
+    axes = ["x", "y"][:2 if "y_index" in rows[0] else 1]
+    if len(axes) != latent_dim:
+        raise CliError(EXIT_MISMATCH, f"{path}: {len(axes)}-D segments for a {latent_dim}-D latent")
     try:
-        x_centers = np.array(sorted({float(r["x_center"]) for r in rows}))
-        if "y_index" in rows[0]:
-            y_centers = np.array(sorted({float(r["y_center"]) for r in rows}))
-            labels = {(int(r["x_index"]), int(r["y_index"])): r["segment"] for r in rows}
-        else:
-            y_centers = None
-            labels = {int(r["x_index"]): r["segment"] for r in rows}
+        centers = [np.array(sorted({float(r[key]) for r in rows}))
+                   for key in (f"{a}_center" for a in axes)]
+        indices = zip(*([int(r[key]) for r in rows] for key in (f"{a}_index" for a in axes)))
+        labels = dict(zip(indices, (r["segment"] for r in rows)))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliError(EXIT_MISSING_ARTIFACT, f"{path}: malformed segments file ({exc!r})") from exc
 
@@ -447,27 +418,16 @@ def _segments_lookup(path: Path):
         return int(np.argmin(np.abs(centers - value)))
 
     def lookup(z: np.ndarray) -> str:
-        i = nearest(x_centers, float(z[0]))
-        if i is None:
-            return "common"
-        if y_centers is None:
-            return labels.get(i, "common")
-        j = nearest(y_centers, float(z[1]))
-        if j is None:
-            return "common"
-        return labels.get((i, j), "common")
+        return labels.get(tuple(nearest(c, float(v)) for c, v in zip(centers, z)), "common")
 
     return lookup
 
 
 def cmd_describe(args, argv) -> int:
-    grid_model, _ = _load_classifier(args.classifier)
-    if not isinstance(grid_model, classifier.GridClassifier):
-        raise CliError(EXIT_MISMATCH, "--classifier must be a grid-input checkpoint")
-    vae_model, _ = _load_vae(args.vae)
-    if grid_model.grid_shape != vae_model.grid_shape:
-        raise CliError(EXIT_MISMATCH, "classifier and autoencoder grids differ")
-    lookup = _segments_lookup(Path(args.segments)) if args.segments else None
+    grid_model, _ = _load_grid_classifier(args.classifier)
+    vae_model, _ = _load(betavae.load_vae, "autoencoder checkpoint", args.vae)
+    _require_same_grid(grid_model, vae_model, "autoencoder")
+    lookup = _segments_lookup(Path(args.segments), vae_model.latent_dim) if args.segments else None
     data_path = Path(args.data)
     if not data_path.exists():
         raise CliError(EXIT_BAD_INPUT, f"input csv not found: {data_path}")
@@ -512,17 +472,16 @@ def cmd_describe(args, argv) -> int:
 # eval
 
 def cmd_eval(args, argv) -> int:
-    model, header = _load_classifier(args.classifier)
-    if not isinstance(model, classifier.GridClassifier):
-        raise CliError(EXIT_MISMATCH, "--classifier must be a grid-input checkpoint")
-    dataset = _load_dataset(args.dataset)
-    if dataset.grid_shape != model.grid_shape:
-        raise CliError(EXIT_MISMATCH,
-                       f"checkpoint grid {model.grid_shape} != dataset grid {dataset.grid_shape}")
+    model, header = _load_grid_classifier(args.classifier)
+    dataset = _load(distgen.load_cache, "dataset cache", args.dataset)
+    _require_same_grid(model, dataset)
+    try:
+        split_seed = int((header.get("train_config") or {}).get("rng_seed", args.seed))
+    except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+        raise CliError(EXIT_MISSING_ARTIFACT,
+                       f"{args.classifier}: malformed train_config ({exc!r})") from exc
     out = _out_dir(args)
     _log_invocation(out, "eval", argv)
-    config = header.get("train_config") or {}
-    split_seed = int(config.get("rng_seed", args.seed))
     _, test_idx = split_indices(len(dataset), split_seed)
     matrix = classifier.evaluate(model, dataset.grids[test_idx], dataset.labels[test_idx])
     report = {

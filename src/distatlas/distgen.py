@@ -10,8 +10,9 @@ and a whole corpus is a pure function of one master seed.
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -410,7 +411,11 @@ def save_cache(dataset: LabeledDataset, path) -> None:
 
 
 def load_cache(path) -> LabeledDataset:
-    """Read a binary cache written by save_cache."""
+    """Read a binary cache written by save_cache, checking what it holds.
+
+    The body must end where the header says it does, labels must be
+    family ids, sample sizes at least 1 and grid cells finite in [0, 1].
+    """
     with open(path, "rb") as fh:
         head = fh.read(_CACHE_HEADER.size)
         if len(head) < _CACHE_HEADER.size:
@@ -421,12 +426,14 @@ def load_cache(path) -> LabeledDataset:
         if version != _CACHE_VERSION:
             raise ValueError(f"{path}: unsupported cache version {version}")
         shape = GridShape(x_bins, y_levels)
+        # five per-entry blocks and the grid block, every item 4 bytes wide
+        body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
+        expected = 4 * n * (5 + shape.n_cells)
+        if body != expected:
+            raise ValueError(f"{path}: cache body is {body} bytes; its header implies {expected}")
 
         def block(dtype, count):
-            raw = fh.read(np.dtype(dtype).itemsize * count)
-            if len(raw) != np.dtype(dtype).itemsize * count:
-                raise ValueError(f"{path}: truncated cache body")
-            return np.frombuffer(raw, dtype=dtype).copy()
+            return np.frombuffer(fh.read(4 * count), dtype=dtype).copy()
 
         labels = block("<i4", n)
         sizes = block("<i4", n)
@@ -434,6 +441,13 @@ def load_cache(path) -> LabeledDataset:
         skw = block("<f4", n)
         ks = block("<f4", n)
         grids = block("<f4", n * shape.n_cells).reshape(n, shape.n_cells)
+    if np.any((labels < 0) | (labels >= N_FAMILIES)):
+        raise ValueError(f"{path}: cache labels outside 0..{N_FAMILIES - 1}")
+    if np.any(sizes < 1):
+        raise ValueError(f"{path}: cache sample sizes below 1")
+    # min and max are NaN when any cell is, so this also rejects NaN
+    if n and not (grids.min() >= 0.0 and grids.max() <= 1.0):
+        raise ValueError(f"{path}: cache grid cells not finite in [0, 1]")
     return LabeledDataset(
         grid_shape=shape, grids=grids, labels=labels, entropy=ent, skewness=skw,
         ks_uniform=ks, sample_sizes=sizes, master_seed=int(master_seed),
@@ -448,10 +462,8 @@ def parse_dataset_spec(obj: dict) -> tuple[int, int, GridShape]:
     try:
         master_seed = int(obj["master_seed"])
         per_family = int(obj["per_family_count"])
-        grid = obj.get("grid", {})
-        shape = GridShape(int(grid.get("x_bins", DEFAULT_GRID.x_bins)),
-                          int(grid.get("y_levels", DEFAULT_GRID.y_levels)))
-    except (KeyError, TypeError, ValueError) as exc:
+        shape = GridShape.from_json({**asdict(DEFAULT_GRID), **obj.get("grid", {})})
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed dataset spec: {exc}") from exc
     if per_family < 1:
         raise ValueError("per_family_count must be >= 1")

@@ -17,6 +17,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
+from .betavae import axes_lattice, latent_lattice
 from .distgen import N_FAMILIES
 from .neuralcore import _map_batches
 
@@ -44,6 +45,10 @@ class DensityField:
         step = (hi - lo) / n
         return lo + (np.arange(n) + 0.5) * step
 
+    def lattice(self) -> np.ndarray:
+        """Cell centers in the row-major order of ``density``; shape (cells, ndim)."""
+        return axes_lattice([self.centers(axis) for axis in range(self.ndim)])
+
     @property
     def cell_volume(self) -> float:
         vol = 1.0
@@ -67,8 +72,6 @@ class WoeField(DensityField):
     woe: np.ndarray
     valid: np.ndarray
     segments: np.ndarray | None = None
-    w_star: float | None = None
-    p_min: float | None = None
 
     def segment_name(self, index) -> str:
         if self.segments is None:
@@ -143,14 +146,8 @@ def estimate_density(points, resolution: int = DEFAULT_DENSITY_RESOLUTION,
 
 def standard_normal_logpdf(field: DensityField) -> np.ndarray:
     """Log density of the standard isotropic normal at the lattice centers."""
-    d = field.ndim
-    if d == 1:
-        r2 = field.centers(0) ** 2
-    else:
-        cx = field.centers(0)[:, None]
-        cy = field.centers(1)[None, :]
-        r2 = cx ** 2 + cy ** 2
-    return -0.5 * d * np.log(2.0 * np.pi) - 0.5 * r2
+    r2 = sum(c ** 2 for c in np.ix_(*(field.centers(j) for j in range(field.ndim))))
+    return -0.5 * field.ndim * np.log(2.0 * np.pi) - 0.5 * r2
 
 
 def woe_map(field: DensityField, density_floor: float = DENSITY_FLOOR) -> WoeField:
@@ -179,8 +176,7 @@ def segment(woe_field: WoeField, w_star: float = DEFAULT_W_STAR,
         exceptional = woe_field.valid & (np.abs(woe_field.woe) > w_star) \
             & (woe_field.density >= p_min)
     labels, _ = ndimage.label(exceptional)
-    return replace(woe_field, segments=labels.astype(np.int32),
-                   w_star=float(w_star), p_min=float(p_min))
+    return replace(woe_field, segments=labels.astype(np.int32))
 
 
 @dataclass(frozen=True)
@@ -251,19 +247,14 @@ def trajectories(points, n_entropy_bins: int = 20, min_count: int = 20,
 def class_map(latent_model, bounds, resolution: int = 75) -> np.ndarray:
     """Arg-max family id on an inclusive lattice over the bounds.
 
-    Returns an array of shape (resolution,) in 1D or
-    (resolution, resolution) in 2D, indexed [i] or [i, j] along the
-    latent axes.
+    Returns an array of shape (resolution,) * d, indexed [i] or [i, j]
+    along the latent axes.
     """
-    from .betavae import latent_lattice
-
     lattice = latent_lattice(bounds, resolution)
     preds = np.concatenate(_map_batches(
         lambda rows: np.argmax(latent_model.predict_proba(lattice[rows]), axis=1),
         lattice.shape[0], 4096))
-    if len(bounds) == 1:
-        return preds
-    return preds.reshape(resolution, resolution)
+    return preds.reshape((resolution,) * len(bounds))
 
 
 def overlap_matrix(points, n_families: int = N_FAMILIES) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -371,10 +371,6 @@ def layer_specs_from_json(obj) -> list:
     return [LayerSpec(int(d["in"]), int(d["out"]), str(d["activation"])) for d in obj]
 
 
-def train_config_to_json(config: TrainConfig) -> dict:
-    return asdict(config)
-
-
 def save_checkpoint(path, header: dict, arrays) -> None:
     """Write a versioned JSON header plus the parameter block.
 
@@ -391,6 +387,18 @@ def save_checkpoint(path, header: dict, arrays) -> None:
         fh.write(blob)
 
 
+def header_field(header: dict, key: str, convert):
+    """``convert(header[key])`` for a checkpoint header.
+
+    The one reader of header fields: a missing key or a value that
+    ``convert`` rejects raises ValueError, never KeyError or TypeError.
+    """
+    try:
+        return convert(header[key])
+    except (KeyError, OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint header field {key!r} missing or malformed ({exc!r})") from exc
+
+
 def load_checkpoint(path):
     """Read (header, arrays) from a checkpoint written by save_checkpoint."""
     with open(path, "rb") as fh:
@@ -403,8 +411,10 @@ def load_checkpoint(path):
         if version != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
         header = json.loads(fh.read(header_len).decode("utf-8"))
+        shapes = header_field(header, "param_shapes",
+                              lambda v: [[int(n) for n in shape] for shape in v])
         arrays = []
-        for shape in header["param_shapes"]:
+        for shape in shapes:
             count = int(np.prod(shape)) if shape else 1
             raw = fh.read(8 * count)
             if len(raw) != 8 * count:
@@ -413,13 +423,15 @@ def load_checkpoint(path):
     return header, arrays
 
 
-def restore_net(layers_json, arrays, offset: int = 0) -> tuple[DenseNet, int]:
-    """Rebuild a DenseNet from header layers and checkpoint arrays.
+def restore_net(header: dict, key: str, arrays, offset: int = 0) -> tuple[DenseNet, int]:
+    """Rebuild a DenseNet from the layer list ``header[key]`` and checkpoint arrays.
 
     Returns the net and the index just past its parameters, so several
     nets can share one parameter block.
     """
-    layers = layer_specs_from_json(layers_json)
+    layers = header_field(header, key, layer_specs_from_json)
+    if len(arrays) < offset + 2 * len(layers):
+        raise ValueError("checkpoint holds fewer parameter arrays than its layers need")
     net = DenseNet(layers, seed=0)
     for i in range(len(layers)):
         w = arrays[offset + 2 * i]

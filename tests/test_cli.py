@@ -1,5 +1,6 @@
 import csv
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ from distatlas.cli import (
     EXIT_MISMATCH,
     EXIT_MISSING_ARTIFACT,
     METADATA_SCHEMA,
+    CliError,
+    _segments_lookup,
     main,
 )
 
@@ -116,7 +119,28 @@ class TestTrain:
                      "--trajectory-min-count", "3"]) == 0
         rows = list(csv.DictReader(open(out / "class_map.csv")))
         assert len(rows) == 6
-        assert "y_index" not in rows[0]
+        headers = {name: next(csv.reader(open(out / name)))
+                   for name in ("density.csv", "woe.csv", "segments.csv", "class_map.csv")}
+        assert headers == {
+            "density.csv": ["x_index", "x_center", "density"],
+            "woe.csv": ["x_index", "x_center", "density", "woe"],
+            "segments.csv": ["x_index", "x_center", "density", "woe", "segment"],
+            "class_map.csv": ["x_index", "z1", "family_id", "family"],
+        }
+
+        import jsonschema
+
+        data = out / "data.csv"
+        TestDescribe().write_csv(data)
+        assert main(["describe", "--data", str(data),
+                     "--classifier", str(workspace / "classifier.ckpt"),
+                     "--vae", str(out / "bvae.ckpt"), "--segments", str(out / "segments.csv"),
+                     "--out-dir", str(out)]) == 0
+        records = [json.loads(line) for line in (out / "metadata.jsonl").read_text().splitlines()]
+        assert len(records) == 4
+        for r in records:
+            jsonschema.validate(r, METADATA_SCHEMA)
+            assert len(r["z"]) == 1
 
 
 @pytest.mark.parametrize("command, flags", [
@@ -198,6 +222,89 @@ class TestMap:
         assert main(["map", "--vae", str(workspace / "bvae.ckpt"),
                      "--dataset", str(out / "dataset.bin"),
                      "--out-dir", str(out)]) == EXIT_MISMATCH
+
+
+def _rewrite_header(src: Path, dst: Path, edit) -> Path:
+    """Copy a checkpoint with its JSON header passed through edit()."""
+    blob = src.read_bytes()
+    magic, version, size = struct.unpack("<4sII", blob[:12])
+    header = json.loads(blob[12:12 + size])
+    edit(header)
+    encoded = json.dumps(header).encode("utf-8")
+    dst.write_bytes(struct.pack("<4sII", magic, version, len(encoded)) + encoded + blob[12 + size:])
+    return dst
+
+
+def _corrupt_cache(src: Path, dst: Path, how: str) -> Path:
+    blob = bytearray(src.read_bytes())
+    if how == "label 99":
+        blob[36:40] = struct.pack("<i", 99)  # first label, just past the 36-byte header
+    else:
+        blob += b"\0\0\0\0"
+    dst.write_bytes(bytes(blob))
+    return dst
+
+
+@pytest.mark.parametrize("command, artifact, edit", [
+    ("map", "bvae.ckpt", lambda h: h.pop("grid")),
+    ("map", "bvae.ckpt", lambda h: h.update(param_shapes="x")),
+    ("map", "bvae.ckpt", lambda h: h.update(latent_dim=float("inf"))),
+    ("eval", "classifier.ckpt", lambda h: h.pop("layers")),
+    ("describe", "classifier.ckpt", lambda h: h.pop("layers")),
+    ("eval", "classifier.ckpt", lambda h: h.update(train_config="x")),
+    ("eval", "classifier.ckpt", lambda h: h.update(layers=[
+        *h["layers"][:-1], {**h["layers"][-1], "activation": "relu"},
+        {"in": 13, "out": 13, "activation": "softmax"}])),
+    ("eval", "dataset.bin", "label 99"),
+    ("map", "dataset.bin", "label 99"),
+    ("eval", "dataset.bin", "trailing bytes"),
+], ids=["map-no-grid", "map-param-shapes", "map-latent-dim-inf", "eval-no-layers",
+        "describe-no-layers", "eval-train-config", "eval-extra-layer", "eval-label-99",
+        "map-label-99", "eval-trailing-bytes"])
+def test_malformed_artifact_exits_3(workspace, tmp_path, capsys, command, artifact, edit):
+    paths = {name: workspace / name for name in ("bvae.ckpt", "classifier.ckpt", "dataset.bin")}
+    bad = tmp_path / artifact
+    if artifact == "dataset.bin":
+        paths[artifact] = _corrupt_cache(paths[artifact], bad, edit)
+    else:
+        paths[artifact] = _rewrite_header(paths[artifact], bad, edit)
+    data = tmp_path / "data.csv"
+    TestDescribe().write_csv(data)
+    flags = {
+        "map": ["--vae", paths["bvae.ckpt"], "--dataset", paths["dataset.bin"]],
+        "eval": ["--classifier", paths["classifier.ckpt"], "--dataset", paths["dataset.bin"]],
+        "describe": ["--data", data, "--classifier", paths["classifier.ckpt"],
+                     "--vae", paths["bvae.ckpt"]],
+    }[command]
+    out = tmp_path / "out"
+    assert main([command, *map(str, flags), "--out-dir", str(out)]) == EXIT_MISSING_ARTIFACT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not any(p.suffix in (".ckpt", ".csv", ".json", ".jsonl") for p in out.glob("*"))
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_segments_lookup_labels_points_by_nearest_cell(tmp_path, dims):
+    # centers 0.5, 1.5, 2.5 on each axis (step 1); cell 2 (or (2, 1)) is exceptional
+    path = tmp_path / "segments.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x_index", "y_index"][:dims] + ["x_center", "y_center"][:dims]
+                        + ["density", "woe", "segment"])
+        for index in np.ndindex((3,) * dims):
+            label = "exceptional-1" if index == (2, 1)[:dims] else "common"
+            writer.writerow([*index, *(i + 0.5 for i in index), 0.1, 0.0, label])
+    lookup = _segments_lookup(path, dims)
+    inside = np.array([2.4, 1.3])[:dims]
+    past_edge = np.array([2.9, 1.6])[:dims]    # within half a step past the last x cell
+    beyond = np.array([3.1, 1.5])[:dims]       # more than half a step past it
+    assert lookup(inside) == "exceptional-1"
+    assert lookup(past_edge) == "exceptional-1"
+    assert lookup(beyond) == "common"
+    assert lookup(np.array([0.2, 1.5])[:dims]) == "common"
+    with pytest.raises(CliError) as info:
+        _segments_lookup(path, 3 - dims)
+    assert info.value.exit_code == EXIT_MISMATCH
 
 
 class TestDescribe:

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -303,6 +304,26 @@ class TestCache:
         with pytest.raises(ValueError):
             load_cache(path)
 
+    @pytest.mark.parametrize("offset, packed", [
+        (0, struct.pack("<i", 99)),           # first label
+        (0, struct.pack("<i", -1)),
+        (1, struct.pack("<i", 0)),            # first sample size
+        (5, struct.pack("<f", float("nan"))),  # first grid cell
+        (5, struct.pack("<f", 1.5)),
+        (None, b"\0\0\0\0"),                # trailing bytes
+    ], ids=["label-99", "label-negative", "sample-size-0", "cell-nan", "cell-above-1",
+            "trailing-bytes"])
+    def test_rejects_bad_contents(self, tmp_path, offset, packed):
+        ds = build_doe(1, master_seed=9)
+        path = tmp_path / "corpus.bin"
+        save_cache(ds, path)
+        blob = path.read_bytes()
+        # blocks after the 36-byte header: labels, sizes, entropy, skewness, K-S, grids
+        at = len(blob) if offset is None else 36 + 4 * len(ds) * offset
+        path.write_bytes(blob[:at] + packed + blob[at + (0 if offset is None else 4):])
+        with pytest.raises(ValueError):
+            load_cache(path)
+
 
 class TestDatasetSpec:
     def test_parse(self):
@@ -319,6 +340,8 @@ class TestDatasetSpec:
         {"master_seed": 0, "per_family_count": 0},
         {"master_seed": -1, "per_family_count": 1},
         {"master_seed": 0, "per_family_count": 1, "grid": {"x_bins": 1}},
+        {"master_seed": 0, "per_family_count": 1, "grid": []},
+        {"master_seed": float("inf"), "per_family_count": 1},
     ])
     def test_rejects_malformed(self, obj):
         with pytest.raises(ValueError):

@@ -301,7 +301,7 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, {"layers": layer_specs_to_json(net.layers)}, net.params)
         header, arrays = load_checkpoint(path)
-        clone, _ = restore_net(header["layers"], arrays)
+        clone, _ = restore_net(header, "layers", arrays)
         np.testing.assert_array_equal(clone(x), expected)
 
     def test_rejects_garbage(self, tmp_path):

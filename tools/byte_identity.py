@@ -1,0 +1,139 @@
+"""Check that every CLI output of the working tree matches a base revision, byte for byte.
+
+    python3 tools/byte_identity.py [--base REV]
+
+Exports REV (default HEAD) with `git archive` into a temporary directory, then
+runs the same seeded command list on the base and on the working tree, each in
+its own subprocess with one BLAS thread:
+
+    generate -> train classifier -> eval -> train bvae -> map -> describe --segments
+
+once with a 2-D latent and once with `train bvae --latent-dim 1` (which reuses
+the 2-D run's corpus and classifier). Prints one line per output file and
+exits 1 when a command fails or any file differs or exists on one side only.
+`run_log.jsonl` is skipped: it records the wall-clock time of each run.
+Needs only numpy and scipy, and runs in well under a minute on 2 cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+IGNORED = {"run_log.jsonl"}
+
+# (output directory, argv); {data} is the describe input CSV
+COMMANDS = [
+    ("two_d", ["generate", "--per-family", "30", "--seed", "7"]),
+    ("two_d", ["train", "classifier", "--dataset", "two_d/dataset.bin",
+               "--epochs", "3", "--seed", "7"]),
+    ("two_d", ["eval", "--classifier", "two_d/classifier.ckpt",
+               "--dataset", "two_d/dataset.bin"]),
+    ("two_d", ["train", "bvae", "--dataset", "two_d/dataset.bin", "--epochs", "3",
+               "--seed", "7"]),
+    ("two_d", ["map", "--vae", "two_d/bvae.ckpt", "--dataset", "two_d/dataset.bin",
+               "--latent-epochs", "5", "--seed", "7"]),
+    ("two_d", ["describe", "--data", "{data}", "--classifier", "two_d/classifier.ckpt",
+               "--vae", "two_d/bvae.ckpt", "--segments", "two_d/segments.csv"]),
+    ("one_d", ["train", "bvae", "--dataset", "two_d/dataset.bin", "--epochs", "3",
+               "--latent-dim", "1", "--seed", "7"]),
+    # a lower WOE threshold than the default, so that 1-D describe meets labelled cells
+    ("one_d", ["map", "--vae", "one_d/bvae.ckpt", "--dataset", "two_d/dataset.bin",
+               "--latent-epochs", "5", "--seed", "7", "--w-star", "1.0", "--p-min", "0.01"]),
+    ("one_d", ["describe", "--data", "{data}", "--classifier", "two_d/classifier.ckpt",
+               "--vae", "one_d/bvae.ckpt", "--segments", "one_d/segments.csv"]),
+]
+
+# runs inside the subprocess: argv[1] is the src directory, argv[2] the JSON command list
+DRIVER = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import distatlas
+from distatlas.cli import main
+assert distatlas.__file__.startswith(sys.argv[1]), distatlas.__file__
+for argv in json.loads(sys.argv[2]):
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"exit {code}: distatlas {' '.join(argv)}")
+"""
+
+
+def write_describe_input(path: Path) -> None:
+    """A seeded wide CSV: skewed, flat, heavy-tailed, two-valued and sparse columns."""
+    import numpy as np
+
+    rng = np.random.default_rng(11)
+    n = 200
+    columns = {
+        "lognormal": rng.lognormal(0.0, 1.0, n),
+        "uniform": rng.random(n),
+        "cauchy": rng.standard_cauchy(n),
+        "coin": rng.integers(0, 2, n).astype(float),
+        "sparse_normal": np.where(rng.random(n) < 0.3, np.nan, rng.normal(size=n)),
+    }
+    lines = [",".join(columns)]
+    for i in range(n):
+        lines.append(",".join("" if np.isnan(c[i]) else repr(float(c[i]))
+                              for c in columns.values()))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def export_base(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", "--format=tar", rev, "src"], cwd=ROOT,
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run_side(src: Path, work: Path, data: Path) -> None:
+    argvs = [[*(str(data) if a == "{data}" else a for a in argv), "--out-dir", out]
+             for out, argv in COMMANDS]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH="")
+    work.mkdir(parents=True)
+    done = subprocess.run([sys.executable, "-c", DRIVER, str(src), json.dumps(argvs)],
+                          cwd=work, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{work.name}: {done.stderr.strip().splitlines()[-1]}")
+
+
+def digests(work: Path) -> dict:
+    return {p.relative_to(work).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(work.rglob("*")) if p.is_file() and p.name not in IGNORED}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="git revision to compare against")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
+        tmp = Path(tmp)
+        export_base(args.base, tmp / "base_tree")
+        data = tmp / "describe_input.csv"
+        write_describe_input(data)
+        run_side(tmp / "base_tree" / "src", tmp / "base", data)
+        run_side(ROOT / "src", tmp / "head", data)
+        base, head = digests(tmp / "base"), digests(tmp / "head")
+    mismatches = 0
+    for name in sorted(base.keys() | head.keys()):
+        a, b = base.get(name), head.get(name)
+        if a == b:
+            print(f"identical  {name}  {a[:16]}")
+        else:
+            mismatches += 1
+            print(f"DIFFERS    {name}  base={a and a[:16]} head={b and b[:16]}")
+    print(f"{len(base.keys() | head.keys()) - mismatches} identical, {mismatches} differ "
+          f"(base {args.base}, run_log.jsonl ignored)")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
