@@ -287,9 +287,14 @@ def axes_lattice(axes) -> np.ndarray:
     return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
+def latent_axes(bounds, resolution: int) -> list:
+    """Per dimension, resolution evenly spaced values from lo to hi inclusive."""
+    return [np.linspace(lo, hi, resolution) for lo, hi in bounds]
+
+
 def latent_lattice(bounds, resolution: int) -> np.ndarray:
     """Row-major inclusive lattice over the bounds; shape (res^d, d)."""
-    return axes_lattice([np.linspace(lo, hi, resolution) for lo, hi in bounds])
+    return axes_lattice(latent_axes(bounds, resolution))
 
 
 def generate_latent_grid(model: VaeModel, bounds, resolution: int = 50):

@@ -55,8 +55,8 @@ def isotonic_fit(values: np.ndarray) -> np.ndarray:
         raise ValueError("isotonic fit expects finite values")
     block_val: list[float] = []
     block_len: list[int] = []
-    for v in x:
-        block_val.append(float(v))
+    for v in x.tolist():
+        block_val.append(v)
         block_len.append(1)
         while len(block_val) > 1 and block_val[-2] > block_val[-1]:
             v2 = block_val.pop()

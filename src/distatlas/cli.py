@@ -18,8 +18,9 @@ import csv
 import datetime
 import hashlib
 import json
+import math
 import sys
-from dataclasses import asdict, astuple, fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,9 @@ EXIT_MISMATCH = 5
 EXIT_BAD_INPUT = 6
 
 GRAD_CHECK_TOLERANCE = 1e-4
+
+# rows formatted per write of a CSV export; bounds the strings held at once
+CSV_CHUNK_ROWS = 8192
 
 METADATA_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -104,16 +108,38 @@ def _write_json(path: Path, obj) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv_lines(columns, n_rows: int) -> str:
+    """The columns' n_rows rows as CSV lines; each cell is str() of its Python value."""
+    cells = [map(str, c.tolist() if isinstance(c, np.ndarray) else c) for c in columns]
+    text = "\r\n".join(map(",".join, zip(*cells))) + "\r\n"
+    # a cell holding ',', '"', '\r' or '\n' adds to one of these counts
+    if ('"' in text or text.count(",") != n_rows * (len(columns) - 1)
+            or text.count("\r") != n_rows or text.count("\n") != n_rows
+            or (len(columns) == 1 and "\r\n\r\n" in "\r\n" + text)):
+        raise ValueError("a CSV cell would need quoting; cells must be plain names or numbers")
+    return text
+
+
+def _write_csv(path: Path, header, columns) -> None:
+    """Write the header and the columns as CSV, CSV_CHUNK_ROWS rows at a time.
+
+    The bytes are those that csv.writer's excel dialect writes for rows
+    of str() cells. That dialect would quote a cell holding a comma, a
+    double quote or a line break, or a lone empty field; such a cell
+    raises ValueError here instead, since every string the CLI writes
+    is a name it defines.
+    """
+    n_rows = len(columns[0])
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([str(v) for v in row])
+        fh.write(_csv_lines([[name] for name in header], 1))
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            stop = min(start + CSV_CHUNK_ROWS, n_rows)
+            fh.write(_csv_lines([c[start:stop] for c in columns], stop - start))
 
 
 def _write_history(path: Path, history) -> None:
-    _write_csv(path, [f.name for f in fields(history[0])], map(astuple, history))
+    names = [f.name for f in fields(history[0])]
+    _write_csv(path, names, [[getattr(epoch, name) for epoch in history] for name in names])
 
 
 def _parse_grid(text: str) -> GridShape:
@@ -178,7 +204,8 @@ def cmd_generate(args, argv) -> int:
     spec_obj = {"master_seed": master_seed, "per_family_count": per_family, "grid": asdict(grid)}
     _write_json(out / "dataset_spec.json", spec_obj)
 
-    digest = hashlib.sha256(cache_path.read_bytes()).hexdigest()
+    with open(cache_path, "rb") as fh:
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
     per_family_stats = []
     for fid in range(distgen.N_FAMILIES):
         mask = dataset.labels == fid
@@ -256,11 +283,17 @@ def cmd_train(args, argv) -> int:
 # ---------------------------------------------------------------------------
 # map
 
-def _lattice_rows(shape, points, *columns):
-    """CSV rows over a lattice in row-major order: index, point, then each column's value."""
-    for index, point, *values in zip(np.ndindex(shape), points.tolist(),
-                                     *(np.ravel(c).tolist() for c in columns)):
-        yield (*index, *point, *values)
+def _lattice_columns(axes):
+    """Index and coordinate columns of the row-major lattice over the axes.
+
+    Each index and each axis value is formatted once; the columns are
+    object arrays of those strings, picked by the lattice's indices.
+    """
+    indices = np.indices([len(axis) for axis in axes]).reshape(len(axes), -1)
+    index_strings = np.array([str(i) for i in range(max(map(len, axes)))], dtype=object)
+    coordinates = [np.array([str(v) for v in axis.tolist()], dtype=object)[i]
+                   for axis, i in zip(axes, indices)]
+    return [index_strings[i] for i in indices], coordinates
 
 
 def cmd_map(args, argv) -> int:
@@ -279,8 +312,8 @@ def cmd_map(args, argv) -> int:
     s_cols = [f"sigma{j + 1}" for j in range(d)]
     _write_csv(out / "latent_points.csv",
                z_cols + s_cols + ["family_id", "entropy", "skewness", "ks_uniform"],
-               ((*points.z[i], *points.sigma[i], points.labels[i], points.entropy[i],
-                 points.skewness[i], points.ks_uniform[i]) for i in range(len(points))))
+               [*points.z.T, *points.sigma.T, points.labels, points.entropy,
+                points.skewness, points.ks_uniform])
 
     bounds = betavae.default_latent_bounds(points.z)
     try:
@@ -291,14 +324,14 @@ def cmd_map(args, argv) -> int:
     woe = latentlab.segment(latentlab.woe_map(field), w_star=args.w_star, p_min=args.p_min)
     index_cols = ["x_index", "y_index"][:d]
     lattice_header = index_cols + ["x_center", "y_center"][:d]
-    lattice_shape, centers = field.density.shape, field.lattice()
+    indices, centers = _lattice_columns([field.centers(axis) for axis in range(d)])
+    lattice = [*indices, *centers]
     _write_csv(out / "density.csv", lattice_header + ["density"],
-               _lattice_rows(lattice_shape, centers, field.density))
+               [*lattice, field.density.ravel()])
     _write_csv(out / "woe.csv", lattice_header + ["density", "woe"],
-               _lattice_rows(lattice_shape, centers, woe.density, woe.woe))
-    seg_names = [woe.segment_name(index) for index in np.ndindex(lattice_shape)]
+               [*lattice, woe.density.ravel(), woe.woe.ravel()])
     _write_csv(out / "segments.csv", lattice_header + ["density", "woe", "segment"],
-               _lattice_rows(lattice_shape, centers, woe.density, woe.woe, seg_names))
+               [*lattice, woe.density.ravel(), woe.woe.ravel(), woe.segment_names()])
 
     trajs = latentlab.trajectories(points, n_entropy_bins=args.trajectory_bins,
                                    min_count=args.trajectory_min_count)
@@ -320,30 +353,33 @@ def cmd_map(args, argv) -> int:
         epochs=args.latent_epochs, seed=distgen.mix64(args.seed, 21))
     latent_model, latent_history = classifier.train_latent_classifier(points, latent_config)
     classifier.save_classifier(out / "latent_classifier.ckpt", latent_model, latent_config)
-    cmap = latentlab.class_map(latent_model, bounds, resolution=args.class_map_resolution)
+    cmap = latentlab.class_map(latent_model, bounds, resolution=args.class_map_resolution).ravel()
+    indices, coordinates = _lattice_columns(betavae.latent_axes(bounds, args.class_map_resolution))
     _write_csv(out / "class_map.csv", index_cols + z_cols + ["family_id", "family"],
-               _lattice_rows(cmap.shape, betavae.latent_lattice(bounds, args.class_map_resolution),
-                             cmap, np.asarray(distgen.FAMILY_NAMES)[cmap]))
+               [*indices, *coordinates, cmap, np.asarray(distgen.FAMILY_NAMES)[cmap]])
 
     overlap = latentlab.overlap_matrix(points)
     _write_csv(out / "overlap_matrix.csv", ["family"] + distgen.FAMILY_NAMES,
-               [(distgen.FAMILY_NAMES[i], *overlap[i]) for i in range(distgen.N_FAMILIES)])
+               [distgen.FAMILY_NAMES, *overlap.T])
 
-    lattice_z, decoded = betavae.generate_latent_grid(model, bounds,
-                                                      resolution=args.curve_resolution)
+    _, decoded = betavae.generate_latent_grid(model, bounds, resolution=args.curve_resolution)
     shape = model.grid_shape
-    curve_rows = []
-    for k in range(lattice_z.shape[0]):
-        cells = decoded[k].reshape(shape.x_bins, shape.y_levels)
-        raw = cdfrepair.grid_to_curve(cells)
-        fixed = cdfrepair.monotone_repair(raw)
-        coords = lattice_z[k]
-        for b in range(shape.x_bins):
-            center = (b + 0.5) / shape.x_bins
-            curve_rows.append((k, *coords, b, center, raw[b], fixed[b]))
+    n_points = decoded.shape[0]
+    raw = np.empty((n_points, shape.x_bins))
+    repaired = np.empty_like(raw)
+    for k, cells in enumerate(decoded.reshape(n_points, shape.x_bins, shape.y_levels)):
+        raw[k] = cdfrepair.grid_to_curve(cells)
+        repaired[k] = cdfrepair.monotone_repair(raw[k])
+    _, coordinates = _lattice_columns(betavae.latent_axes(bounds, args.curve_resolution))
+    point_index = np.array([str(k) for k in range(n_points)], dtype=object)
+    bins = range(shape.x_bins)
+    bin_columns = (np.array([str(b) for b in bins], dtype=object),
+                   np.array([str((b + 0.5) / shape.x_bins) for b in bins], dtype=object))
     _write_csv(out / "generated_curves.csv",
                ["point_index"] + z_cols + ["bin", "bin_center", "raw_level", "repaired_level"],
-               curve_rows)
+               [np.repeat(column, shape.x_bins) for column in (point_index, *coordinates)]
+               + [np.tile(column, n_points) for column in bin_columns]
+               + [raw.ravel(), repaired.ravel()])
 
     print(f"mapped {len(points)} points; latent classifier test accuracy "
           f"{latent_history[-1].test_accuracy:.4f}; exports in {out}")
@@ -354,22 +390,25 @@ def cmd_map(args, argv) -> int:
 # describe
 
 def _read_numeric_columns(path: Path):
-    """Parse a wide CSV into {column: float array}; count missing cells."""
+    """Parse a wide CSV into {column: float array}; count missing cells.
+
+    Short rows are padded with missing cells and long rows cut to the
+    header. A column is numeric when every non-missing cell parses and
+    at least two finite values remain; infinities count as missing.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise CliError(EXIT_BAD_INPUT, f"{path}: empty file") from None
-        columns = [[] for _ in header]
-        for row in reader:
-            for i in range(len(header)):
-                columns[i].append(row[i] if i < len(row) else "")
+        width = len(header)
+        pad = [""] * width
+        rows = [(row + pad)[:width] for row in reader]
     parsed = {}
-    for name, raw in zip(header, columns):
+    for name, raw in zip(header, zip(*rows)):
         values = []
         missing = 0
-        numeric_failures = 0
         for cell in raw:
             text = cell.strip()
             if text.lower() in MISSING_TOKENS:
@@ -378,15 +417,14 @@ def _read_numeric_columns(path: Path):
             try:
                 value = float(text)
             except ValueError:
-                numeric_failures += 1
-                continue
-            if np.isfinite(value):
+                break
+            if math.isfinite(value):
                 values.append(value)
             else:
                 missing += 1
-        # a column is numeric when every non-missing cell parses
-        if numeric_failures == 0 and len(values) >= 2:
-            parsed[name] = (np.array(values, dtype=np.float64), missing)
+        else:
+            if len(values) >= 2:
+                parsed[name] = (np.array(values, dtype=np.float64), missing)
     return parsed
 
 
@@ -397,18 +435,21 @@ def _segments_lookup(path: Path, latent_dim: int):
     cell, is ``common``.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.reader(fh)
+        position = {name: i for i, name in enumerate(next(reader, []))}
+        rows = [row for row in reader if row]
     if not rows:
         raise CliError(EXIT_MISSING_ARTIFACT, f"{path}: empty segments file")
-    axes = ["x", "y"][:2 if "y_index" in rows[0] else 1]
+    axes = ["x", "y"][:2 if "y_index" in position else 1]
     if len(axes) != latent_dim:
         raise CliError(EXIT_MISMATCH, f"{path}: {len(axes)}-D segments for a {latent_dim}-D latent")
     try:
-        centers = [np.array(sorted({float(r[key]) for r in rows}))
-                   for key in (f"{a}_center" for a in axes)]
-        indices = zip(*([int(r[key]) for r in rows] for key in (f"{a}_index" for a in axes)))
-        labels = dict(zip(indices, (r["segment"] for r in rows)))
-    except (KeyError, TypeError, ValueError) as exc:
+        centers = [np.array(sorted({float(r[i]) for r in rows}))
+                   for i in (position[f"{a}_center"] for a in axes)]
+        indices = zip(*([int(r[i]) for r in rows] for i in (position[f"{a}_index"] for a in axes)))
+        segment = position["segment"]
+        labels = dict(zip(indices, (r[segment] for r in rows)))
+    except (IndexError, KeyError, ValueError) as exc:
         raise CliError(EXIT_MISSING_ARTIFACT, f"{path}: malformed segments file ({exc!r})") from exc
 
     def nearest(centers: np.ndarray, value: float):
@@ -501,7 +542,7 @@ def cmd_eval(args, argv) -> int:
     }
     _write_json(out / "eval_report.json", report)
     _write_csv(out / "confusion_matrix.csv", ["family"] + distgen.FAMILY_NAMES,
-               [(distgen.FAMILY_NAMES[i], *matrix.counts[i]) for i in range(distgen.N_FAMILIES)])
+               [distgen.FAMILY_NAMES, *matrix.counts.T])
     print(f"test accuracy {matrix.overall_accuracy:.4f} over {test_idx.shape[0]} entries")
     return 0
 

@@ -402,12 +402,12 @@ def save_cache(dataset: LabeledDataset, path) -> None:
             dataset.grid_shape.x_bins, dataset.grid_shape.y_levels,
             dataset.master_seed & M64, dataset.per_family_count,
         ))
-        fh.write(np.ascontiguousarray(dataset.labels, dtype="<i4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.sample_sizes, dtype="<i4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.entropy, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.skewness, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.ks_uniform, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(dataset.grids, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(dataset.labels, dtype="<i4"))
+        fh.write(np.ascontiguousarray(dataset.sample_sizes, dtype="<i4"))
+        fh.write(np.ascontiguousarray(dataset.entropy, dtype="<f4"))
+        fh.write(np.ascontiguousarray(dataset.skewness, dtype="<f4"))
+        fh.write(np.ascontiguousarray(dataset.ks_uniform, dtype="<f4"))
+        fh.write(np.ascontiguousarray(dataset.grids, dtype="<f4"))
 
 
 def load_cache(path) -> LabeledDataset:
@@ -464,7 +464,7 @@ def parse_dataset_spec(obj: dict) -> tuple[int, int, GridShape]:
         per_family = int(obj["per_family_count"])
         shape = GridShape.from_json({**asdict(DEFAULT_GRID), **obj.get("grid", {})})
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed dataset spec: {exc}") from exc
+        raise ValueError(str(exc)) from exc
     if per_family < 1:
         raise ValueError("per_family_count must be >= 1")
     if master_seed < 0:

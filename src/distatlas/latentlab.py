@@ -14,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
-from .betavae import axes_lattice, latent_lattice
+from .betavae import latent_lattice
 from .distgen import N_FAMILIES
 from .neuralcore import _map_batches
 
@@ -45,10 +43,6 @@ class DensityField:
         step = (hi - lo) / n
         return lo + (np.arange(n) + 0.5) * step
 
-    def lattice(self) -> np.ndarray:
-        """Cell centers in the row-major order of ``density``; shape (cells, ndim)."""
-        return axes_lattice([self.centers(axis) for axis in range(self.ndim)])
-
     @property
     def cell_volume(self) -> float:
         vol = 1.0
@@ -73,11 +67,13 @@ class WoeField(DensityField):
     valid: np.ndarray
     segments: np.ndarray | None = None
 
-    def segment_name(self, index) -> str:
+    def segment_names(self) -> np.ndarray:
+        """Each cell's ``common`` or ``exceptional-k`` in row-major order; each named once."""
         if self.segments is None:
             raise ValueError("segments not computed; call segment() first")
-        label = int(self.segments[index])
-        return "common" if label == 0 else f"exceptional-{label}"
+        labels = self.segments.ravel()
+        names = ["common"] + [f"exceptional-{k}" for k in range(1, int(labels.max(initial=0)) + 1)]
+        return np.array(names, dtype=object)[labels]
 
 
 def silverman_bandwidth(z: np.ndarray) -> tuple:
@@ -175,6 +171,8 @@ def segment(woe_field: WoeField, w_star: float = DEFAULT_W_STAR,
     with np.errstate(invalid="ignore"):
         exceptional = woe_field.valid & (np.abs(woe_field.woe) > w_star) \
             & (woe_field.density >= p_min)
+    from scipy import ndimage
+
     labels, _ = ndimage.label(exceptional)
     return replace(woe_field, segments=labels.astype(np.int32))
 
@@ -264,6 +262,8 @@ def overlap_matrix(points, n_families: int = N_FAMILIES) -> np.ndarray:
     neighbor among all points of other families belongs to family j.
     Rows of present families sum to 1; absent families leave zero rows.
     """
+    from scipy.spatial import cKDTree
+
     z = _as_points(points)
     labels = np.asarray(points.labels, dtype=np.int64)
     scores = np.zeros((n_families, n_families), dtype=np.float64)

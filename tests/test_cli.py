@@ -1,20 +1,27 @@
 import csv
+import io
 import json
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distatlas import distgen
+from distatlas.betavae import axes_lattice
 from distatlas.cli import (
+    CSV_CHUNK_ROWS,
     EXIT_BAD_INPUT,
     EXIT_BAD_SPEC,
     EXIT_MISMATCH,
     EXIT_MISSING_ARTIFACT,
     METADATA_SCHEMA,
     CliError,
+    _lattice_columns,
+    _read_numeric_columns,
     _segments_lookup,
+    _write_csv,
     main,
 )
 
@@ -73,6 +80,15 @@ class TestGenerate:
         spec.write_text(json.dumps({"master_seed": 1}))
         assert main(["generate", "--spec", str(spec),
                      "--out-dir", str(tmp_path / "x")]) == EXIT_BAD_SPEC
+
+    def test_malformed_spec_message_has_one_prefix(self, tmp_path, capsys):
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({"master_seed": 1, "per_family_count": 2, "grid": []}))
+        assert main(["generate", "--spec", str(spec),
+                     "--out-dir", str(tmp_path / "x")]) == EXIT_BAD_SPEC
+        err = capsys.readouterr().err
+        assert err.count("malformed dataset spec") == 1
+        assert err == "error: malformed dataset spec: 'list' object is not a mapping\n"
 
     def test_bad_grid_flag_exits_2(self, tmp_path):
         assert main(["generate", "--per-family", "2", "--grid", "26by25",
@@ -281,6 +297,102 @@ def test_malformed_artifact_exits_3(workspace, tmp_path, capsys, command, artifa
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not any(p.suffix in (".ckpt", ".csv", ".json", ".jsonl") for p in out.glob("*"))
+
+
+EDGE_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), float("-inf"), 5e-324, 1e16, 1e-5,
+               0.1, -2.5e-7, 1.7976931348623157e308]
+NAMES = st.sampled_from(["common", "exceptional-12", "gumbel_l", "x_center", "z1"])
+
+
+@st.composite
+def csv_tables(draw):
+    """A header and columns of float64, int64 and name strings, all of one length."""
+    n = draw(st.integers(0, 40))
+    kinds = draw(st.lists(st.sampled_from(["float", "int", "name"]), min_size=1, max_size=5))
+    columns = []
+    for kind in kinds:
+        if kind == "float":
+            values = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=True))
+            columns.append(np.array(draw(st.lists(values, min_size=n, max_size=n)),
+                                    dtype=np.float64))
+        elif kind == "int":
+            ints = st.integers(-2 ** 63, 2 ** 63 - 1)
+            columns.append(np.array(draw(st.lists(ints, min_size=n, max_size=n)),
+                                    dtype=np.int64))
+        else:
+            columns.append(draw(st.lists(NAMES, min_size=n, max_size=n)))
+    header = [f"c{j}" for j in range(len(columns))]
+    return header, columns
+
+
+def csv_writer_bytes(header, columns) -> bytes:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns)))
+    return buffer.getvalue().encode("utf-8")
+
+
+class TestCsvExport:
+    @settings(max_examples=200, deadline=None)
+    @given(csv_tables())
+    def test_write_csv_matches_csv_writer(self, tmp_path_factory, table):
+        header, columns = table
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        _write_csv(path, header, columns)
+        assert path.read_bytes() == csv_writer_bytes(header, columns)
+
+    def test_write_csv_across_chunks(self, tmp_path):
+        n = 2 * CSV_CHUNK_ROWS + 3
+        columns = [np.arange(n), np.linspace(-1.0, 1.0, n), ["common"] * n]
+        _write_csv(tmp_path / "t.csv", ["i", "x", "name"], columns)
+        assert (tmp_path / "t.csv").read_bytes() == csv_writer_bytes(["i", "x", "name"], columns)
+
+    @pytest.mark.parametrize("header, columns", [
+        (["a,b"], [[1.0]]),
+        (['a"b'], [[1.0]]),
+        (["a\nb"], [[1.0]]),
+        (["a", "b"], [["x,y"], [1.0]]),
+        (["a", "b"], [['say "x"'], [1.0]]),
+        (["a"], [["x", ""]]),                 # csv.writer writes a lone empty field as ""
+    ])
+    def test_write_csv_rejects_cells_that_need_quoting(self, tmp_path, header, columns):
+        with pytest.raises(ValueError, match="quoting"):
+            _write_csv(tmp_path / "t.csv", header, columns)
+
+    @pytest.mark.parametrize("axes", [
+        [np.linspace(-1.3, 2.9, 7)],
+        [np.linspace(-1.3, 2.9, 4), np.linspace(0.1, 1e-5, 3)],
+    ])
+    def test_lattice_columns_match_the_lattice_walk(self, axes):
+        shape = tuple(len(a) for a in axes)
+        walk = [(*map(str, index), *map(str, point))
+                for index, point in zip(np.ndindex(shape), axes_lattice(axes))]
+        indices, coordinates = _lattice_columns(axes)
+        assert list(zip(*(c.tolist() for c in (*indices, *coordinates)))) == walk
+
+
+def test_read_numeric_columns_pins_values_and_missing_counts(tmp_path):
+    path = tmp_path / "wide.csv"
+    path.write_text(
+        "a,b,text,c,few\n"
+        "1.5,inf,x,1,2\n"
+        "NA,-inf,y, N/A ,\n"
+        " null ,nan,z,None\n"
+        "2.5,4\n"
+        "NaN,5,w,2,,extra\n"
+        "\n"
+        "  ,6\n"
+        "none,\n"
+        "-3e2\n", encoding="utf-8")
+    parsed = _read_numeric_columns(path)
+    assert sorted(parsed) == ["a", "b", "c"]
+    values = {name: (column.tolist(), missing) for name, (column, missing) in parsed.items()}
+    assert values == {
+        "a": ([1.5, 2.5, -300.0], 6),
+        "b": ([4.0, 5.0, 6.0], 6),
+        "c": ([1.0, 2.0], 7),
+    }
 
 
 @pytest.mark.parametrize("dims", [1, 2])

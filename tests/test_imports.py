@@ -1,6 +1,9 @@
 """Every name a package module imports is used in that module."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +33,12 @@ def test_no_unused_imports(path):
 def test_checker_flags_an_unused_name():
     source = "import os\nfrom json import dumps, loads\nprint(loads)\n"
     assert unused_imports(source) == ["dumps (line 2)", "os (line 1)"]
+
+
+def test_cli_import_leaves_scipy_submodules_unloaded():
+    code = ("import sys, distatlas.cli; "
+            "print(sorted(m for m in ('scipy.ndimage', 'scipy.spatial') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "[]"

@@ -120,8 +120,9 @@ class TestSegment:
         assert n_components == 1
         spike = seg.segments[86, 86]
         assert spike == 1
-        assert seg.segment_name((86, 86)) == "exceptional-1"
-        assert seg.segment_name((50, 50)) == "common"
+        names = seg.segment_names().reshape(seg.segments.shape)
+        assert names[86, 86] == "exceptional-1"
+        assert names[50, 50] == "common"
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(6)
@@ -139,7 +140,7 @@ class TestSegment:
     def test_requires_segments_for_names(self):
         woe = woe_map(analytic_normal_field())
         with pytest.raises(ValueError):
-            woe.segment_name((0, 0))
+            woe.segment_names()
 
 
 class TestTrajectories:

@@ -68,22 +68,30 @@ for argv in json.loads(sys.argv[2]):
 
 
 def write_describe_input(path: Path) -> None:
-    """A seeded wide CSV: skewed, flat, heavy-tailed, two-valued and sparse columns."""
+    """A seeded wide CSV: skewed, flat, heavy-tailed, two-valued and sparse columns.
+
+    The sparse column's gaps cycle through the missing-cell tokens, the
+    uniform column holds some `inf` cells, a text column is never numeric,
+    and the last rows are shorter than the header.
+    """
     import numpy as np
 
     rng = np.random.default_rng(11)
     n = 200
     columns = {
         "lognormal": rng.lognormal(0.0, 1.0, n),
-        "uniform": rng.random(n),
+        "uniform": np.where(np.arange(n) % 37 == 5, np.inf, rng.random(n)),
         "cauchy": rng.standard_cauchy(n),
         "coin": rng.integers(0, 2, n).astype(float),
         "sparse_normal": np.where(rng.random(n) < 0.3, np.nan, rng.normal(size=n)),
     }
-    lines = [",".join(columns)]
+    gaps = ["", "NA", "null", " n/a ", "None"]
+    lines = [",".join([*columns, "site"])]
     for i in range(n):
-        lines.append(",".join("" if np.isnan(c[i]) else repr(float(c[i]))
-                              for c in columns.values()))
+        cells = [gaps[i % len(gaps)] if np.isnan(c[i]) else repr(float(c[i]))
+                 for c in columns.values()]
+        cells.append(f"site-{i % 3}")
+        lines.append(",".join(cells[:2 + i % 4] if i >= n - 20 else cells))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
