@@ -21,7 +21,6 @@ from .neuralcore import (
     LayerSpec,
     ShapeMismatchError,
     TrainConfig,
-    TrainingDivergedError,
     _map_batches,
     audit_gradients,
     binary_cross_entropy,
@@ -29,10 +28,10 @@ from .neuralcore import (
     header_field,
     layer_specs_to_json,
     load_checkpoint,
-    make_optimizer,
     restore_net,
     save_checkpoint,
     split_indices,
+    train_epochs,
 )
 
 LOGVAR_LIMIT = 10.0
@@ -220,10 +219,12 @@ def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
     train_idx, test_idx = split_indices(len(dataset), config.rng_seed)
     x_train = dataset.grids[train_idx].astype(np.float64)
     x_test = dataset.grids[test_idx].astype(np.float64)
-    params = model.params
-    optimizer = make_optimizer(params, config)
-    shuffle_rng = np.random.default_rng(mix64(config.rng_seed, 12))
     eps_rng = np.random.default_rng(mix64(config.rng_seed, 13))
+
+    def batch_step(rows):
+        eps = eps_rng.standard_normal((rows.shape[0], model.latent_dim))
+        grads, bce, kl = model.loss_gradients(x_train[rows], eps)
+        return grads, (bce + model.beta * kl, bce, kl)
 
     def snapshot(epoch: int, loss: float, bce: float, kl: float) -> VaeEpoch:
         test_bce, test_kl = _dataset_eval(model, x_test)
@@ -231,25 +232,8 @@ def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
 
     bce0, kl0 = _dataset_eval(model, x_train)
     history = [snapshot(0, bce0 + model.beta * kl0, bce0, kl0)]
-    n = x_train.shape[0]
-    for epoch in range(1, config.epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        losses = []
-        bces = []
-        kls = []
-        for start in range(0, n, config.batch_size):
-            batch = x_train[perm[start:start + config.batch_size]]
-            eps = eps_rng.standard_normal((batch.shape[0], model.latent_dim))
-            grads, bce, kl = model.loss_gradients(batch, eps)
-            loss = bce + model.beta * kl
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            optimizer.step(params, grads)
-            losses.append(loss)
-            bces.append(bce)
-            kls.append(kl)
-        history.append(snapshot(epoch, float(np.mean(losses)),
-                                float(np.mean(bces)), float(np.mean(kls))))
+    history += [snapshot(epoch, *parts) for epoch, parts in train_epochs(
+        model.params, config, x_train.shape[0], mix64(config.rng_seed, 12), batch_step)]
     return model, history
 
 

@@ -26,11 +26,11 @@ from .neuralcore import (
     header_field,
     layer_specs_to_json,
     load_checkpoint,
-    make_optimizer,
     one_hot,
     restore_net,
     save_checkpoint,
     split_indices,
+    train_epochs,
 )
 
 # varying-parameter count per family id; errors toward a smaller count
@@ -129,12 +129,12 @@ def _batched_argmax(net: DenseNet, x: np.ndarray) -> np.ndarray:
                                        x.shape[0], 2048))
 
 
-def _train_softmax_net(net: DenseNet, x_train, y_train, x_test, y_test,
-                       config: TrainConfig):
-    params = net.params
-    optimizer = make_optimizer(params, config)
-    shuffle_rng = np.random.default_rng(mix64(config.rng_seed, 2))
-    onehot = one_hot(y_train, net.out_dim)
+def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig):
+    """Train a fresh softmax net on a 67/33 split of (x, y); returns (net, history)."""
+    train_idx, test_idx = split_indices(x.shape[0], config.rng_seed)
+    x_train, x_test, y_test = x[train_idx], x[test_idx], y[test_idx]
+    net = DenseNet(layers, seed=mix64(config.rng_seed, 1))
+    onehot = one_hot(y[train_idx], net.out_dim)
 
     def test_accuracy() -> float:
         if x_test.shape[0] == 0:
@@ -146,20 +146,16 @@ def _train_softmax_net(net: DenseNet, x_train, y_train, x_test, y_test,
             lambda rows: categorical_cross_entropy(net(x_train[rows]), onehot[rows])
             * onehot[rows].shape[0], x_train.shape[0], 2048)) / x_train.shape[0]
 
+    def batch_step(rows):
+        cache, target = net.forward(x_train[rows]), onehot[rows]
+        loss = categorical_cross_entropy(cache.output, target)
+        grads, _ = net.backward(cache, categorical_cross_entropy_grad(cache.output, target))
+        return grads, (loss,)
+
     history = [ClassifierEpoch(0, full_loss(), test_accuracy())]
-    n = x_train.shape[0]
-    for epoch in range(1, config.epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        losses = []
-        for start in range(0, n, config.batch_size):
-            take = perm[start:start + config.batch_size]
-            cache = net.forward(x_train[take])
-            probs = cache.output
-            losses.append(categorical_cross_entropy(probs, onehot[take]))
-            grads, _ = net.backward(cache, categorical_cross_entropy_grad(probs, onehot[take]))
-            optimizer.step(params, grads)
-        history.append(ClassifierEpoch(epoch, float(np.mean(losses)), test_accuracy()))
-    return history
+    history += [ClassifierEpoch(epoch, loss, test_accuracy()) for epoch, (loss,) in train_epochs(
+        net.params, config, x_train.shape[0], mix64(config.rng_seed, 2), batch_step)]
+    return net, history
 
 
 def grid_classifier_layers(n_cells: int) -> list:
@@ -179,13 +175,9 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig | None = None)
     config = config or TrainConfig(epochs=50)
     if len(dataset) == 0:
         raise ValueError("empty dataset")
-    train_idx, test_idx = split_indices(len(dataset), config.rng_seed)
-    x = dataset.grids.astype(np.float64)
-    y = dataset.labels.astype(np.int64)
-    net = DenseNet(grid_classifier_layers(dataset.grid_shape.n_cells),
-                   seed=mix64(config.rng_seed, 1))
-    history = _train_softmax_net(net, x[train_idx], y[train_idx],
-                                 x[test_idx], y[test_idx], config)
+    net, history = _train_softmax_net(grid_classifier_layers(dataset.grid_shape.n_cells),
+                                      dataset.grids.astype(np.float64),
+                                      dataset.labels.astype(np.int64), config)
     return GridClassifier(net, dataset.grid_shape), history
 
 
@@ -196,10 +188,7 @@ def train_latent_classifier(points, config: TrainConfig | None = None):
     if z.shape[0] == 0:
         raise ValueError("no latent points")
     config = config or default_latent_train_config()
-    train_idx, test_idx = split_indices(z.shape[0], config.rng_seed)
-    net = DenseNet(latent_classifier_layers(z.shape[1]), seed=mix64(config.rng_seed, 1))
-    history = _train_softmax_net(net, z[train_idx], labels[train_idx],
-                                 z[test_idx], labels[test_idx], config)
+    net, history = _train_softmax_net(latent_classifier_layers(z.shape[1]), z, labels, config)
     return LatentClassifier(net, z.shape[1]), history
 
 

@@ -256,20 +256,19 @@ def _train_config_from_args(args, default_epochs: int) -> TrainConfig:
 
 
 def cmd_train(args, argv) -> int:
+    config = _train_config_from_args(args, default_epochs=50 if args.model == "classifier" else 100)
+    if args.model == "bvae" and not 0 <= args.beta < math.inf:
+        raise CliError(EXIT_BAD_SPEC, f"--beta must be finite and >= 0, got {args.beta}")
     dataset = _load(distgen.load_cache, "dataset cache", args.dataset)
     out = _out_dir(args)
     _log_invocation(out, "train", argv)
     if args.model == "classifier":
-        config = _train_config_from_args(args, default_epochs=50)
         model, history = classifier.train_classifier(dataset, config)
         ckpt = out / "classifier.ckpt"
         classifier.save_classifier(ckpt, model, config)
         _write_history(out / "classifier_history.csv", history)
         print(f"classifier test accuracy {history[-1].test_accuracy:.4f} -> {ckpt}")
     else:
-        config = _train_config_from_args(args, default_epochs=100)
-        if not args.beta >= 0:
-            raise CliError(EXIT_BAD_SPEC, f"--beta must be >= 0, got {args.beta}")
         model, history = betavae.train_bvae(dataset, beta=args.beta,
                                             latent_dim=args.latent_dim, config=config)
         ckpt = out / "bvae.ckpt"
@@ -300,6 +299,9 @@ def cmd_map(args, argv) -> int:
     for flag in ("density_resolution", "class_map_resolution", "curve_resolution", "latent_epochs"):
         if getattr(args, flag) < 1:
             raise CliError(EXIT_BAD_SPEC, f"--{flag.replace('_', '-')} must be >= 1")
+    for flag in ("w_star", "p_min"):
+        if not math.isfinite(getattr(args, flag)):
+            raise CliError(EXIT_BAD_SPEC, f"--{flag.replace('_', '-')} must be finite")
     model, _header = _load(betavae.load_vae, "autoencoder checkpoint", args.vae)
     dataset = _load(distgen.load_cache, "dataset cache", args.dataset)
     _require_same_grid(model, dataset)

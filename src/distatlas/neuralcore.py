@@ -1,10 +1,12 @@
 """Dense feedforward networks with exact backprop, trained in float64.
 
-A deliberately small engine sized for the grid-image models: explicit
-forward caches, analytic gradients for every activation and loss,
-RMSprop and Adadelta updates, finite-difference auditing of the whole
-gradient path, and bit-exact checkpoints. Everything is deterministic
-given (seed, data, config).
+A deliberately small engine sized for the grid-image models: forward
+caches that keep each layer's activation only (the ReLU and sigmoid
+backward read their masks and slopes from it), analytic gradients for
+every activation and loss, RMSprop and Adadelta updates, the one
+shuffled minibatch loop every trainer runs, finite-difference auditing
+of the whole gradient path, and bit-exact checkpoints. Everything is
+deterministic given (seed, data, config).
 """
 
 from __future__ import annotations
@@ -57,8 +59,10 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ValueError("epsilon must be positive and finite")
         if not 0.0 < self.rho < 1.0:
             raise ValueError("rho must lie in (0, 1)")
         if self.optimizer not in ("rmsprop", "adadelta"):
@@ -66,12 +70,9 @@ class TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|) without abs, which would flip a NaN's sign bit
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -81,7 +82,8 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
+        # in place: z is the fresh pre-activation of DenseNet.forward, held nowhere else
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
         return _sigmoid(z)
     if name == "softmax":
@@ -89,11 +91,13 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_backward(name: str, z: np.ndarray, a: np.ndarray,
-                         grad_a: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the pre-activation given the post-activation one."""
+def _activation_backward(name: str, a: np.ndarray, grad_a: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the pre-activation given the post-activation one.
+
+    ReLU masks with a > 0, which is z > 0 bit for bit, NaN included.
+    """
     if name == "relu":
-        return grad_a * (z > 0)
+        return grad_a * (a > 0)
     if name == "sigmoid":
         return grad_a * a * (1.0 - a)
     if name == "softmax":
@@ -104,10 +108,9 @@ def _activation_backward(name: str, z: np.ndarray, a: np.ndarray,
 
 @dataclass
 class ForwardCache:
-    """Input plus per-layer pre-activations and activations."""
+    """Input plus per-layer activations."""
 
     x: np.ndarray
-    preacts: list = field(default_factory=list)
     acts: list = field(default_factory=list)
 
     @property
@@ -167,9 +170,7 @@ class DenseNet:
         cache = ForwardCache(x=x)
         a = x
         for spec, w, b in zip(self.layers, self.weights, self.biases):
-            z = a @ w + b
-            a = _activate(spec.activation, z)
-            cache.preacts.append(z)
+            a = _activate(spec.activation, a @ w + b)
             cache.acts.append(a)
         return cache
 
@@ -187,11 +188,8 @@ class DenseNet:
         grad_a = np.asarray(grad_output, dtype=np.float64)
         grads: list = [None] * (2 * len(self.layers))
         for i in range(len(self.layers) - 1, -1, -1):
-            spec = self.layers[i]
-            z = cache.preacts[i]
-            a = cache.acts[i]
             a_prev = cache.x if i == 0 else cache.acts[i - 1]
-            grad_z = _activation_backward(spec.activation, z, a, grad_a)
+            grad_z = _activation_backward(self.layers[i].activation, cache.acts[i], grad_a)
             grads[2 * i] = a_prev.T @ grad_z
             grads[2 * i + 1] = grad_z.sum(axis=0)
             grad_a = grad_z @ self.weights[i].T
@@ -284,6 +282,29 @@ def make_optimizer(params, config: TrainConfig):
     if config.optimizer == "rmsprop":
         return RMSprop(params, config)
     return Adadelta(params, config)
+
+
+def train_epochs(params, config: TrainConfig, n: int, shuffle_seed: int, batch_step):
+    """Minibatch training over rows 0..n-1; yields (epoch, mean of each loss part).
+
+    Each of config.epochs epochs walks a fresh permutation of the rows,
+    drawn from one generator seeded by shuffle_seed, in batch_size
+    slices. ``batch_step(rows)`` returns (grads, parts) for those rows,
+    grads ordered like ``params`` and parts[0] the loss; a non-finite
+    loss raises TrainingDivergedError before the step that would use it.
+    """
+    optimizer = make_optimizer(params, config)
+    shuffle_rng = np.random.default_rng(shuffle_seed)
+    for epoch in range(1, config.epochs + 1):
+        perm = shuffle_rng.permutation(n)
+        parts_seen = []
+        for start in range(0, n, config.batch_size):
+            grads, parts = batch_step(perm[start:start + config.batch_size])
+            if not np.isfinite(parts[0]):
+                raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
+            optimizer.step(params, grads)
+            parts_seen.append(parts)
+        yield epoch, [float(np.mean(column)) for column in zip(*parts_seen)]
 
 
 # ---------------------------------------------------------------------------

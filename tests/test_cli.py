@@ -14,6 +14,7 @@ from distatlas.cli import (
     CSV_CHUNK_ROWS,
     EXIT_BAD_INPUT,
     EXIT_BAD_SPEC,
+    EXIT_DIVERGED,
     EXIT_MISMATCH,
     EXIT_MISSING_ARTIFACT,
     METADATA_SCHEMA,
@@ -166,12 +167,33 @@ class TestTrain:
     ("map", ["--class-map-resolution", "0"]),
     ("map", ["--curve-resolution", "0"]),
     ("map", ["--latent-epochs", "0"]),
+    ("train bvae", ["--beta", "inf"]),
+    ("train classifier", ["--learning-rate", "nan"]),
+    ("train bvae", ["--learning-rate", "inf"]),
+    ("train bvae", ["--epsilon", "-1"]),
+    ("train bvae", ["--epsilon", "0"]),
+    ("train classifier", ["--epsilon", "nan"]),
+    ("map", ["--w-star", "nan"]),
+    ("map", ["--w-star", "inf"]),
+    ("map", ["--p-min", "nan"]),
+    ("map", ["--p-min=-inf"]),
 ])
 def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
     out = tmp_path / "bad"
     models = ["--vae", str(workspace / "bvae.ckpt")] if command == "map" else []
     assert main([*command.split(), "--dataset", str(workspace / "dataset.bin"), *models,
                  *flags, "--out-dir", str(out)]) == EXIT_BAD_SPEC
+    assert not any(p.suffix in (".ckpt", ".csv") for p in out.glob("*"))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+@pytest.mark.parametrize("model", ["classifier", "bvae"])
+def test_diverged_training_exits_4_and_writes_no_model(workspace, tmp_path, capsys, model):
+    out = tmp_path / "diverged"
+    assert main(["train", model, "--dataset", str(workspace / "dataset.bin"),
+                 "--learning-rate", "1e300", "--epochs", "2", "--out-dir", str(out)]) == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
     assert not any(p.suffix in (".ckpt", ".csv") for p in out.glob("*"))
 
 

@@ -10,6 +10,8 @@ from distatlas.neuralcore import (
     ShapeMismatchError,
     TrainConfig,
     TrainingDivergedError,
+    _activation_backward,
+    _sigmoid,
     audit_gradients,
     binary_cross_entropy,
     binary_cross_entropy_grad,
@@ -23,6 +25,7 @@ from distatlas.neuralcore import (
     save_checkpoint,
     split_indices,
     layer_specs_to_json,
+    train_epochs,
 )
 
 
@@ -72,7 +75,7 @@ class TestForward:
     def test_cache_has_all_layers(self):
         net = small_net()
         cache = net.forward(np.random.default_rng(0).random((4, 5)))
-        assert len(cache.preacts) == 3 and len(cache.acts) == 3
+        assert len(cache.acts) == 3
         assert cache.output.shape == (4, 4)
 
     def test_shape_mismatch(self):
@@ -95,6 +98,22 @@ class TestForward:
         assert np.all(np.isfinite(out))
         assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert out[1, 0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_sigmoid_matches_the_masked_branches_bit_for_bit(self):
+        z = np.concatenate([[0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e4, -1e4, 5e-324],
+                            np.random.default_rng(2).normal(scale=20.0, size=997)])
+        pos = z >= 0
+        expected = np.empty_like(z)
+        expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+        np.testing.assert_array_equal(_sigmoid(z).view(np.int64), expected.view(np.int64))
+
+    def test_relu_backward_masks_like_the_preactivation(self):
+        z = np.array([[-1.0, -0.0, 0.0, 2.0, np.nan, -np.inf, np.inf]])
+        grad_a = np.full_like(z, 3.0)
+        expected = grad_a * (z > 0)
+        a = np.maximum(z, 0.0)
+        np.testing.assert_array_equal(_activation_backward("relu", a, grad_a), expected)
 
 
 class TestBackward:
@@ -207,6 +226,32 @@ class TestOptimizers:
             opt.step(net.params, grads)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
+    def test_train_epochs_nan_loss_diverges_before_the_step(self):
+        params = [np.array([1.0, -2.0])]
+
+        def batch_step(rows):
+            return [np.ones(2)], (float("nan"),)
+
+        with pytest.raises(TrainingDivergedError):
+            list(train_epochs(params, TrainConfig(epochs=2), 5, 0, batch_step))
+        np.testing.assert_array_equal(params[0], [1.0, -2.0])
+
+    def test_train_epochs_walks_each_row_once_per_epoch(self):
+        seen = []
+
+        def batch_step(rows):
+            seen.append(rows)
+            return [np.zeros(1)], (float(rows.shape[0]), 1.0)
+
+        config = TrainConfig(epochs=3, batch_size=4)
+        epochs = list(train_epochs([np.zeros(1)], config, 10, 7, batch_step))
+        assert epochs == [(e, [10.0 / 3.0, 1.0]) for e in (1, 2, 3)]
+        assert [r.shape[0] for r in seen] == [4, 4, 2] * 3
+        rng = np.random.default_rng(7)
+        for e in range(3):
+            np.testing.assert_array_equal(np.concatenate(seen[3 * e:3 * e + 3]),
+                                          rng.permutation(10))
+
     def test_training_is_bitwise_deterministic(self):
         def run():
             rng = np.random.default_rng(9)
@@ -314,7 +359,9 @@ class TestCheckpoint:
 class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"batch_size": 0}, {"learning_rate": 0.0}, {"rho": 1.0}, {"rho": 0.0},
-        {"optimizer": "sgd"},
+        {"optimizer": "sgd"}, {"learning_rate": float("nan")}, {"learning_rate": float("inf")},
+        {"epsilon": 0.0}, {"epsilon": -1.0}, {"epsilon": float("nan")},
+        {"epsilon": float("inf")},
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
