@@ -25,19 +25,29 @@ from .neuralcore import (
     audit_gradients,
     binary_cross_entropy,
     binary_cross_entropy_grad,
+    check_architecture,
     header_field,
     layer_specs_to_json,
     load_checkpoint,
-    restore_net,
     save_checkpoint,
     split_indices,
     train_epochs,
 )
 
 LOGVAR_LIMIT = 10.0
+BOUNDS_MARGIN = 0.10
 
-ENCODER_WIDTHS = (512, 64)
-DECODER_WIDTHS = (64, 512)
+
+def vae_layers(grid_shape: GridShape, latent_dim: int) -> dict:
+    """The autoencoder's four nets as LayerSpec lists, in parameter order."""
+    d = grid_shape.n_cells
+    return {
+        "trunk": [LayerSpec(d, 512, "relu"), LayerSpec(512, 64, "relu")],
+        "mu_head": [LayerSpec(64, latent_dim, "identity")],
+        "logvar_head": [LayerSpec(64, latent_dim, "identity")],
+        "decoder": [LayerSpec(latent_dim, 64, "relu"), LayerSpec(64, 512, "relu"),
+                    LayerSpec(512, d, "sigmoid")],
+    }
 
 
 def kl_per_example(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
@@ -85,21 +95,14 @@ class VaeModel:
                  seed: int = 0):
         if latent_dim not in (1, 2):
             raise ValueError("latent_dim must be 1 or 2")
-        if beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0 <= beta < np.inf:
+            raise ValueError("beta must be finite and >= 0")
         self.grid_shape = grid_shape
         self.beta = float(beta)
         self.latent_dim = int(latent_dim)
-        d = grid_shape.n_cells
-        w1, w2 = ENCODER_WIDTHS
-        self.trunk = DenseNet(
-            [LayerSpec(d, w1, "relu"), LayerSpec(w1, w2, "relu")], seed=mix64(seed, 1))
-        self.mu_head = DenseNet([LayerSpec(w2, latent_dim, "identity")], seed=mix64(seed, 2))
-        self.logvar_head = DenseNet([LayerSpec(w2, latent_dim, "identity")], seed=mix64(seed, 3))
-        self.decoder = DenseNet(
-            [LayerSpec(latent_dim, DECODER_WIDTHS[0], "relu"),
-             LayerSpec(DECODER_WIDTHS[0], DECODER_WIDTHS[1], "relu"),
-             LayerSpec(DECODER_WIDTHS[1], d, "sigmoid")], seed=mix64(seed, 4))
+        self.trunk, self.mu_head, self.logvar_head, self.decoder = (
+            DenseNet(layers, seed=mix64(seed, i))
+            for i, layers in enumerate(vae_layers(grid_shape, latent_dim).values(), 1))
 
     @property
     def params(self) -> list:
@@ -255,13 +258,13 @@ def encode_dataset(model: VaeModel, dataset: LabeledDataset,
     )
 
 
-def default_latent_bounds(z: np.ndarray, expand: float = 0.10) -> list:
-    """Per-dimension 1st..99th percentile box expanded by a margin."""
+def default_latent_bounds(z: np.ndarray) -> list:
+    """Per-dimension 1st..99th percentile box, each side padded by BOUNDS_MARGIN of its span."""
     z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     bounds = []
     for j in range(z.shape[1]):
         lo, hi = np.percentile(z[:, j], [1.0, 99.0])
-        pad = (hi - lo) * expand if hi > lo else 1.0
+        pad = (hi - lo) * BOUNDS_MARGIN if hi > lo else 1.0
         bounds.append((float(lo - pad), float(hi + pad)))
     return bounds
 
@@ -290,11 +293,11 @@ def generate_latent_grid(model: VaeModel, bounds, resolution: int = 50):
 
 
 def vae_grad_check(model: VaeModel, batch: np.ndarray, eps: np.ndarray,
-                   h: float = 1e-5, n_samples: int = 200, seed: int = 0) -> float:
+                   h: float = 1e-5, seed: int = 0) -> float:
     """Finite-difference audit of the full loss, reparameterization included."""
     grads, _, _ = model.loss_gradients(batch, eps)
     return audit_gradients(model.params, lambda: model.loss(batch, eps), grads,
-                           h, n_samples, seed)
+                           h, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +309,9 @@ def save_vae(path, model: VaeModel, config: TrainConfig | None = None) -> None:
         "beta": model.beta,
         "latent_dim": model.latent_dim,
         "grid": asdict(model.grid_shape),
-        "trunk": layer_specs_to_json(model.trunk.layers),
-        "mu_head": layer_specs_to_json(model.mu_head.layers),
-        "logvar_head": layer_specs_to_json(model.logvar_head.layers),
-        "decoder": layer_specs_to_json(model.decoder.layers),
         "train_config": asdict(config) if config else None,
+        **{key: layer_specs_to_json(specs)
+           for key, specs in vae_layers(model.grid_shape, model.latent_dim).items()},
     }
     save_checkpoint(path, header, model.params)
 
@@ -319,14 +320,11 @@ def load_vae(path) -> tuple[VaeModel, dict]:
     header, arrays = load_checkpoint(path)
     if header.get("kind") != "bvae":
         raise ValueError(f"{path}: not an autoencoder checkpoint")
-    model = VaeModel(header_field(header, "grid", GridShape.from_json),
-                     beta=header_field(header, "beta", float),
-                     latent_dim=header_field(header, "latent_dim", int), seed=0)
-    offset = 0
-    for attr in ("trunk", "mu_head", "logvar_head", "decoder"):
-        net, offset = restore_net(header, attr, arrays, offset)
-        if net.layers != getattr(model, attr).layers:
-            raise ValueError(f"{path}: unexpected {attr} architecture")
-        setattr(model, attr, net)
+    grid = header_field(header, "grid", GridShape.from_json)
+    latent_dim = header_field(header, "latent_dim", int)
+    check_architecture(header, arrays, vae_layers(grid, latent_dim))
+    model = VaeModel(grid, beta=header_field(header, "beta", float), latent_dim=latent_dim)
+    for param, array in zip(model.params, arrays):
+        param[...] = array
     return model, header
 

@@ -101,10 +101,10 @@ def _bin_indices(u: np.ndarray, n_bins: int) -> np.ndarray:
     return np.minimum(idx, n_bins - 1)
 
 
-def _normalized_entropy(counts: np.ndarray, n_bins: int) -> float:
-    """Shannon entropy of a bin histogram, divided by log2(n_bins)."""
+def _normalized_entropy(counts: np.ndarray) -> float:
+    """Shannon entropy of a bin histogram, divided by log2 of its bin count."""
     p = counts[counts > 0] / counts.sum()
-    return float(-(p @ np.log2(p)) / np.log2(n_bins))
+    return float(-(p @ np.log2(p)) / np.log2(counts.size))
 
 
 def _d_above(u_sorted: np.ndarray) -> float:
@@ -147,7 +147,7 @@ def describe_series(values: np.ndarray,
     counts = np.zeros((shape.x_bins, shape.y_levels), dtype=np.float64)
     np.add.at(counts, (_bin_indices(u, shape.x_bins), levels - 1), 1.0)
     grid = CdfGrid(shape, counts / counts.max())
-    ent = _normalized_entropy(counts.sum(axis=1), shape.x_bins)
+    ent = _normalized_entropy(counts.sum(axis=1))
     if degenerate:
         return grid, SeriesStats(entropy=ent, skewness=0.0, ks_uniform=0.0, d_pos=0.0, d_neg=0.0)
     lo = float(values.min())
@@ -168,16 +168,16 @@ def encode_cdf(values: np.ndarray, shape: GridShape | None = None) -> CdfGrid:
     return describe_series(values, shape)[0]
 
 
-def signed_ks(values: np.ndarray, n_bins: int = DEFAULT_X_BINS) -> SeriesStats:
+def signed_ks(values: np.ndarray) -> SeriesStats:
     """Entropy and signed K-S deviation from uniform (see describe_series)."""
-    return describe_series(values, GridShape(n_bins, DEFAULT_Y_LEVELS))[1]
+    return describe_series(values)[1]
 
 
-def entropy(values: np.ndarray, n_bins: int = DEFAULT_X_BINS) -> float:
+def entropy(values: np.ndarray) -> float:
     """Normalized Shannon entropy of the scaled series' bin histogram.
 
     Bin probabilities come from the same x-binning the grid uses;
-    the log2 sum is divided by log2(n_bins) so the result lies in
+    the log2 sum is divided by log2(DEFAULT_X_BINS) so the result lies in
     [0, 1], with 1.0 for an exactly equal split and 0.0 when all
     mass falls in one bin.
     """
@@ -185,4 +185,5 @@ def entropy(values: np.ndarray, n_bins: int = DEFAULT_X_BINS) -> float:
     if values.shape[0] < 1:
         raise ValueError("entropy needs at least one observation")
     u, _ = scale_to_unit(values)
-    return _normalized_entropy(np.bincount(_bin_indices(u, n_bins), minlength=n_bins), n_bins)
+    counts = np.bincount(_bin_indices(u, DEFAULT_X_BINS), minlength=DEFAULT_X_BINS)
+    return _normalized_entropy(counts)

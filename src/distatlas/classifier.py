@@ -23,11 +23,11 @@ from .neuralcore import (
     _map_batches,
     categorical_cross_entropy,
     categorical_cross_entropy_grad,
+    check_architecture,
     header_field,
     layer_specs_to_json,
     load_checkpoint,
     one_hot,
-    restore_net,
     save_checkpoint,
     split_indices,
     train_epochs,
@@ -36,9 +36,6 @@ from .neuralcore import (
 # varying-parameter count per family id; errors toward a smaller count
 # are "simpler" confusions
 PARAM_COUNTS = np.array([FAMILIES[i].varying_params for i in range(N_FAMILIES)])
-
-GRID_HIDDEN = (128, 64)
-LATENT_HIDDEN = (1024, 64)
 
 
 def default_latent_train_config(epochs: int = 50, seed: int = 0) -> TrainConfig:
@@ -159,15 +156,13 @@ def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig
 
 
 def grid_classifier_layers(n_cells: int) -> list:
-    return [LayerSpec(n_cells, GRID_HIDDEN[0], "relu"),
-            LayerSpec(GRID_HIDDEN[0], GRID_HIDDEN[1], "relu"),
-            LayerSpec(GRID_HIDDEN[1], N_FAMILIES, "softmax")]
+    return [LayerSpec(n_cells, 128, "relu"), LayerSpec(128, 64, "relu"),
+            LayerSpec(64, N_FAMILIES, "softmax")]
 
 
 def latent_classifier_layers(latent_dim: int) -> list:
-    return [LayerSpec(latent_dim, LATENT_HIDDEN[0], "relu"),
-            LayerSpec(LATENT_HIDDEN[0], LATENT_HIDDEN[1], "relu"),
-            LayerSpec(LATENT_HIDDEN[1], N_FAMILIES, "softmax")]
+    return [LayerSpec(latent_dim, 1024, "relu"), LayerSpec(1024, 64, "relu"),
+            LayerSpec(64, N_FAMILIES, "softmax")]
 
 
 def train_classifier(dataset: LabeledDataset, config: TrainConfig | None = None):
@@ -217,13 +212,15 @@ def load_classifier(path):
     kind = header.get("kind")
     if kind not in ("classifier", "latent_classifier"):
         raise ValueError(f"{path}: not a classifier checkpoint")
-    net, _ = restore_net(header, "layers", arrays)
     if kind == "classifier":
         grid = header_field(header, "grid", GridShape.from_json)
-        model, expected = GridClassifier(net, grid), grid_classifier_layers(grid.n_cells)
+        layers = grid_classifier_layers(grid.n_cells)
     else:
         latent_dim = header_field(header, "latent_dim", int)
-        model, expected = LatentClassifier(net, latent_dim), latent_classifier_layers(latent_dim)
-    if net.layers != expected:
-        raise ValueError(f"{path}: unexpected classifier architecture")
+        layers = latent_classifier_layers(latent_dim)
+    check_architecture(header, arrays, {"layers": layers})
+    net = DenseNet(layers)
+    for param, array in zip(net.params, arrays):
+        param[...] = array
+    model = GridClassifier(net, grid) if kind == "classifier" else LatentClassifier(net, latent_dim)
     return model, header

@@ -520,6 +520,8 @@ def cmd_eval(args, argv) -> int:
     _require_same_grid(model, dataset)
     try:
         split_seed = int((header.get("train_config") or {}).get("rng_seed", args.seed))
+        if split_seed < 0:
+            raise ValueError(f"negative rng_seed {split_seed}")
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise CliError(EXIT_MISSING_ARTIFACT,
                        f"{args.classifier}: malformed train_config ({exc!r})") from exc
@@ -654,6 +656,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise CliError(EXIT_BAD_SPEC, f"--seed must be >= 0, got {args.seed}")
         return args.func(args, argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

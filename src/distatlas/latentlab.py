@@ -23,6 +23,7 @@ DEFAULT_DENSITY_RESOLUTION = 100
 DEFAULT_W_STAR = 2.5
 DEFAULT_P_MIN = 0.025
 DENSITY_FLOOR = 1e-12
+MINOR_BRANCH_FRAC = 0.10
 
 
 @dataclass
@@ -95,12 +96,12 @@ def _as_points(points) -> np.ndarray:
 
 
 def estimate_density(points, resolution: int = DEFAULT_DENSITY_RESOLUTION,
-                     bandwidth: tuple | None = None, bounds=None) -> DensityField:
+                     bounds=None) -> DensityField:
     """Gaussian-kernel density of the points on a lattice of cell centers.
 
     The estimate is renormalized so it integrates to exactly 1 over the
-    lattice. Default bounds are the data range padded by 5 percent, and
-    the default bandwidth is the normal-reference rule.
+    lattice. Default bounds are the data range padded by 5 percent; the
+    bandwidth is the normal-reference rule.
     """
     z = _as_points(points)
     n, d = z.shape
@@ -115,10 +116,9 @@ def estimate_density(points, resolution: int = DEFAULT_DENSITY_RESOLUTION,
             pad = 0.05 * (hi - lo) if hi > lo else 1.0
             bounds.append((lo - pad, hi + pad))
     bounds = [tuple(map(float, b)) for b in bounds]
-    if bandwidth is None:
-        bandwidth = silverman_bandwidth(z)
+    bandwidth = silverman_bandwidth(z)
     field = DensityField(bounds=bounds, density=np.zeros((resolution,) * d),
-                         bandwidth=tuple(bandwidth))
+                         bandwidth=bandwidth)
     axes = [field.centers(j) for j in range(d)]
 
     def kernel(j: int, rows: slice) -> np.ndarray:
@@ -146,13 +146,13 @@ def standard_normal_logpdf(field: DensityField) -> np.ndarray:
     return -0.5 * field.ndim * np.log(2.0 * np.pi) - 0.5 * r2
 
 
-def woe_map(field: DensityField, density_floor: float = DENSITY_FLOOR) -> WoeField:
+def woe_map(field: DensityField) -> WoeField:
     """Weight of evidence: log of estimated density over the standard normal.
 
     Cells below the density floor are flagged invalid and carry NaN
     rather than a diverging log.
     """
-    valid = field.density >= density_floor
+    valid = field.density >= DENSITY_FLOOR
     woe = np.full(field.density.shape, np.nan)
     with np.errstate(divide="ignore"):
         woe[valid] = np.log(field.density[valid]) - standard_normal_logpdf(field)[valid]
@@ -192,12 +192,11 @@ class Trajectory:
     waypoints: list
 
 
-def trajectories(points, n_entropy_bins: int = 20, min_count: int = 20,
-                 minor_branch_frac: float = 0.10) -> list:
+def trajectories(points, n_entropy_bins: int = 20, min_count: int = 20) -> list:
     """Per-family latent paths ordered by increasing information entropy.
 
     Points split into branches by skewness sign; a branch holding less
-    than minor_branch_frac of the family folds into the dominant one.
+    than MINOR_BRANCH_FRAC of the family folds into the dominant one.
     Within a branch, points are entropy-sorted and grouped into
     equal-count bins (at most n_entropy_bins, each at least min_count
     when possible); waypoints carry the bin's mean entropy, mean latent
@@ -213,7 +212,7 @@ def trajectories(points, n_entropy_bins: int = 20, min_count: int = 20,
         fam = np.flatnonzero(labels == family_id)
         neg = fam[skw[fam] < 0]
         pos = fam[skw[fam] >= 0]
-        if min(neg.size, pos.size) < minor_branch_frac * fam.size:
+        if min(neg.size, pos.size) < MINOR_BRANCH_FRAC * fam.size:
             dominant = "skew_pos" if pos.size >= neg.size else "skew_neg"
             branches = [(dominant, fam)]
         else:
@@ -255,7 +254,7 @@ def class_map(latent_model, bounds, resolution: int = 75) -> np.ndarray:
     return preds.reshape((resolution,) * len(bounds))
 
 
-def overlap_matrix(points, n_families: int = N_FAMILIES) -> np.ndarray:
+def overlap_matrix(points) -> np.ndarray:
     """Nearest-foreign-neighbor association rates between families.
 
     Entry (i, j) is the fraction of family-i points whose nearest
@@ -266,7 +265,7 @@ def overlap_matrix(points, n_families: int = N_FAMILIES) -> np.ndarray:
 
     z = _as_points(points)
     labels = np.asarray(points.labels, dtype=np.int64)
-    scores = np.zeros((n_families, n_families), dtype=np.float64)
+    scores = np.zeros((N_FAMILIES, N_FAMILIES), dtype=np.float64)
     for family_id in np.unique(labels):
         own = labels == family_id
         other_idx = np.flatnonzero(~own)
@@ -275,6 +274,6 @@ def overlap_matrix(points, n_families: int = N_FAMILIES) -> np.ndarray:
         tree = cKDTree(z[other_idx])
         _, nearest = tree.query(z[own], k=1)
         neighbor_labels = labels[other_idx[nearest]]
-        counts = np.bincount(neighbor_labels, minlength=n_families)
+        counts = np.bincount(neighbor_labels, minlength=N_FAMILIES)
         scores[family_id] = counts / own.sum()
     return scores

@@ -12,6 +12,8 @@ deterministic given (seed, data, config).
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -19,6 +21,8 @@ from typing import Sequence
 import numpy as np
 
 LOSS_EPS = 1e-7
+AUDIT_SAMPLES = 200
+TRAIN_FRAC = 0.67
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
 
@@ -310,20 +314,19 @@ def train_epochs(params, config: TrainConfig, n: int, shuffle_seed: int, batch_s
 # ---------------------------------------------------------------------------
 # auditing and utilities
 
-def audit_gradients(params, loss, analytic, h: float = 1e-5, n_samples: int = 200,
-                    seed: int = 0) -> float:
+def audit_gradients(params, loss, analytic, h: float = 1e-5, seed: int = 0) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
     ``loss`` is a closure that recomputes the scalar loss from the
     current ``params``; ``analytic`` holds their gradients in the same
-    order. Samples n_samples parameter entries (at least 200, all of
-    them when there are fewer) and perturbs each by +-h around its value.
+    order. Samples AUDIT_SAMPLES parameter entries (all of them when
+    there are fewer) and perturbs each by +-h around its value.
     """
     sizes = [p.size for p in params]
     total = int(np.sum(sizes))
     offsets = np.cumsum([0] + sizes)
     rng = np.random.default_rng(seed)
-    count = min(total, max(n_samples, 200))
+    count = min(total, AUDIT_SAMPLES)
     worst = 0.0
     for flat in rng.choice(total, size=count, replace=False):
         which = int(np.searchsorted(offsets, flat, side="right") - 1)
@@ -342,14 +345,13 @@ def audit_gradients(params, loss, analytic, h: float = 1e-5, n_samples: int = 20
 
 
 def grad_check(net: DenseNet, batch: np.ndarray, targets: np.ndarray,
-               loss: str = "cce", h: float = 1e-5, n_samples: int = 200,
-               seed: int = 0) -> float:
+               loss: str = "cce", h: float = 1e-5, seed: int = 0) -> float:
     """audit_gradients of a network's backprop under one of LOSSES."""
     loss_fn, grad_fn = LOSSES[loss]
     cache = net.forward(batch)
     analytic, _ = net.backward(cache, grad_fn(cache.output, targets))
     return audit_gradients(net.params, lambda: loss_fn(net(batch), targets), analytic,
-                           h, n_samples, seed)
+                           h, seed)
 
 
 def _map_batches(fn, n: int, rows: int) -> list:
@@ -360,12 +362,12 @@ def _map_batches(fn, n: int, rows: int) -> list:
     return [fn(slice(start, start + rows)) for start in range(0, max(n, 1), rows)]
 
 
-def split_indices(n: int, seed: int, train_frac: float = 0.67):
-    """Deterministic shuffled train/test split; disjoint and exhaustive."""
+def split_indices(n: int, seed: int):
+    """Deterministic shuffled TRAIN_FRAC/rest split; disjoint and exhaustive."""
     if n < 2:
         raise ValueError("need at least 2 entries to split")
     perm = np.random.default_rng(seed).permutation(n)
-    cut = int(round(n * train_frac))
+    cut = int(round(n * TRAIN_FRAC))
     cut = min(max(cut, 1), n - 1)
     return perm[:cut], perm[cut:]
 
@@ -386,10 +388,6 @@ _CKPT_PRELUDE = struct.Struct("<4sII")
 
 def layer_specs_to_json(layers: Sequence[LayerSpec]) -> list:
     return [{"in": s.in_dim, "out": s.out_dim, "activation": s.activation} for s in layers]
-
-
-def layer_specs_from_json(obj) -> list:
-    return [LayerSpec(int(d["in"]), int(d["out"]), str(d["activation"])) for d in obj]
 
 
 def save_checkpoint(path, header: dict, arrays) -> None:
@@ -421,8 +419,13 @@ def header_field(header: dict, key: str, convert):
 
 
 def load_checkpoint(path):
-    """Read (header, arrays) from a checkpoint written by save_checkpoint."""
+    """Read (header, arrays) from a checkpoint written by save_checkpoint.
+
+    The header must fit in the file, and the non-negative ``param_shapes``
+    must account for exactly the bytes after it before any array is read.
+    """
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         prelude = fh.read(_CKPT_PRELUDE.size)
         if len(prelude) < _CKPT_PRELUDE.size:
             raise ValueError(f"{path}: truncated checkpoint")
@@ -431,34 +434,30 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: not a checkpoint file")
         if version != _CKPT_VERSION:
             raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        if header_len > size - _CKPT_PRELUDE.size:
+            raise ValueError(f"{path}: truncated checkpoint header")
         header = json.loads(fh.read(header_len).decode("utf-8"))
         shapes = header_field(header, "param_shapes",
                               lambda v: [[int(n) for n in shape] for shape in v])
-        arrays = []
-        for shape in shapes:
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise ValueError(f"{path}: truncated parameter block")
-            arrays.append(np.frombuffer(raw, dtype="<f8").reshape(shape).copy())
-    return header, arrays
+        counts = [math.prod(shape) for shape in shapes]
+        body = size - fh.tell()
+        if any(n < 0 for shape in shapes for n in shape) or body != 8 * sum(counts):
+            raise ValueError(f"{path}: param_shapes do not match the {body}-byte parameter block")
+        block = np.fromfile(fh, dtype="<f8", count=sum(counts))
+    arrays = np.split(block, np.cumsum(counts[:-1], dtype=np.int64))
+    return header, [array.reshape(shape) for array, shape in zip(arrays, shapes)]
 
 
-def restore_net(header: dict, key: str, arrays, offset: int = 0) -> tuple[DenseNet, int]:
-    """Rebuild a DenseNet from the layer list ``header[key]`` and checkpoint arrays.
+def check_architecture(header: dict, arrays, layers: dict) -> None:
+    """Raise ValueError unless a checkpoint holds exactly the given nets.
 
-    Returns the net and the index just past its parameters, so several
-    nets can share one parameter block.
+    ``layers`` maps header keys to LayerSpec lists in parameter order;
+    each header list and each array shape must match them, and no array
+    may be left over. No parameter array is allocated.
     """
-    layers = header_field(header, key, layer_specs_from_json)
-    if len(arrays) < offset + 2 * len(layers):
-        raise ValueError("checkpoint holds fewer parameter arrays than its layers need")
-    net = DenseNet(layers, seed=0)
-    for i in range(len(layers)):
-        w = arrays[offset + 2 * i]
-        b = arrays[offset + 2 * i + 1]
-        if w.shape != net.weights[i].shape or b.shape != net.biases[i].shape:
-            raise ValueError("checkpoint parameter shapes do not match architecture")
-        net.weights[i] = w.astype(np.float64, copy=True)
-        net.biases[i] = b.astype(np.float64, copy=True)
-    return net, offset + 2 * len(layers)
+    if any(header.get(key) != layer_specs_to_json(specs) for key, specs in layers.items()):
+        raise ValueError("checkpoint layer lists do not match the architecture")
+    expected = [shape for specs in layers.values() for s in specs
+                for shape in ((s.in_dim, s.out_dim), (s.out_dim,))]
+    if [a.shape for a in arrays] != expected:
+        raise ValueError("checkpoint parameter shapes do not match the architecture")

@@ -88,6 +88,11 @@ class TestModel:
         with pytest.raises(ValueError):
             VaeModel(GridShape(), latent_dim=3)
 
+    @pytest.mark.parametrize("beta", [-1.0, float("nan"), float("inf")])
+    def test_rejects_beta_outside_zero_to_inf(self, beta):
+        with pytest.raises(ValueError):
+            VaeModel(GridShape(8, 6), beta=beta)
+
     def test_encode_decode_shapes(self):
         model = VaeModel(GridShape(), seed=1)
         grids = np.random.default_rng(0).random((5, 650))

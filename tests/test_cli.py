@@ -177,13 +177,21 @@ class TestTrain:
     ("map", ["--w-star", "inf"]),
     ("map", ["--p-min", "nan"]),
     ("map", ["--p-min=-inf"]),
+    ("generate", ["--seed", "-1"]),
+    ("train classifier", ["--seed", "-1"]),
+    ("train bvae", ["--seed", "-1"]),
+    ("map", ["--seed", "-1"]),
+    ("eval", ["--seed", "-1"]),
+    ("grad-check", ["--seed", "-1"]),
 ])
 def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
     out = tmp_path / "bad"
-    models = ["--vae", str(workspace / "bvae.ckpt")] if command == "map" else []
-    assert main([*command.split(), "--dataset", str(workspace / "dataset.bin"), *models,
+    dataset = ["--dataset", str(workspace / "dataset.bin")]
+    inputs = {"train": dataset, "map": [*dataset, "--vae", str(workspace / "bvae.ckpt")],
+              "eval": [*dataset, "--classifier", str(workspace / "classifier.ckpt")]}
+    assert main([*command.split(), *inputs.get(command.split()[0], []),
                  *flags, "--out-dir", str(out)]) == EXIT_BAD_SPEC
-    assert not any(p.suffix in (".ckpt", ".csv") for p in out.glob("*"))
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -273,12 +281,14 @@ def _rewrite_header(src: Path, dst: Path, edit) -> Path:
     return dst
 
 
-def _corrupt_cache(src: Path, dst: Path, how: str) -> Path:
+def _corrupt(src: Path, dst: Path, how: str) -> Path:
     blob = bytearray(src.read_bytes())
     if how == "label 99":
-        blob[36:40] = struct.pack("<i", 99)  # first label, just past the 36-byte header
-    else:
+        blob[36:40] = struct.pack("<i", 99)  # first label, just past the cache's 36-byte header
+    elif how == "trailing bytes":
         blob += b"\0\0\0\0"
+    else:  # one extra float64
+        blob += b"\0" * 8
     dst.write_bytes(bytes(blob))
     return dst
 
@@ -296,14 +306,22 @@ def _corrupt_cache(src: Path, dst: Path, how: str) -> Path:
     ("eval", "dataset.bin", "label 99"),
     ("map", "dataset.bin", "label 99"),
     ("eval", "dataset.bin", "trailing bytes"),
+    ("map", "bvae.ckpt", lambda h: h.update(grid={"x_bins": 10 ** 6, "y_levels": 10 ** 6})),
+    ("map", "bvae.ckpt", lambda h: h["param_shapes"].__setitem__(0, [10 ** 15])),
+    ("map", "bvae.ckpt", "trailing float"),
+    ("eval", "classifier.ckpt", "trailing float"),
+    ("map", "bvae.ckpt", lambda h: h.update(beta=float("nan"))),
+    ("eval", "classifier.ckpt", lambda h: h["train_config"].update(rng_seed=-1)),
 ], ids=["map-no-grid", "map-param-shapes", "map-latent-dim-inf", "eval-no-layers",
         "describe-no-layers", "eval-train-config", "eval-extra-layer", "eval-label-99",
-        "map-label-99", "eval-trailing-bytes"])
+        "map-label-99", "eval-trailing-bytes", "map-huge-grid", "map-huge-param-shape",
+        "map-ckpt-trailing-float", "eval-ckpt-trailing-float", "map-beta-nan",
+        "eval-negative-split-seed"])
 def test_malformed_artifact_exits_3(workspace, tmp_path, capsys, command, artifact, edit):
     paths = {name: workspace / name for name in ("bvae.ckpt", "classifier.ckpt", "dataset.bin")}
     bad = tmp_path / artifact
-    if artifact == "dataset.bin":
-        paths[artifact] = _corrupt_cache(paths[artifact], bad, edit)
+    if isinstance(edit, str):
+        paths[artifact] = _corrupt(paths[artifact], bad, edit)
     else:
         paths[artifact] = _rewrite_header(paths[artifact], bad, edit)
     data = tmp_path / "data.csv"

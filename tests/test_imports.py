@@ -1,16 +1,18 @@
-"""Every name a package module imports is used in that module, and every
-module-level private function or class is used somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+module-level private function or class is used somewhere in the package,
+and every default of a public function is overridden by some caller."""
 
 import ast
 import os
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "distatlas"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "distatlas"
 
 
 def unused_imports(source: str) -> list:
@@ -63,6 +65,55 @@ def test_checker_flags_an_unreferenced_private():
                        "class _Dead:\n    pass\n",
                "b.py": "from a import _used\n_used()\n"}
     assert unreferenced_privates(sources) == ["a.py:_Dead", "a.py:_recursive"]
+
+
+def unset_defaults(sources: dict, callers) -> list:
+    """Defaulted parameters of public module-level functions that no call sets.
+
+    A call sets a parameter when it names it as a keyword, passes enough
+    positional arguments to reach it, or unpacks ``*args`` or ``**kwargs``.
+    Calls are matched by the function's name, bare or as an attribute.
+    """
+    defaults = {}
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args
+                positional = args.posonlyargs + args.args
+                first = len(positional) - len(args.defaults)
+                defaults[node.name] = (module, [(i, p.arg) for i, p in enumerate(positional)
+                                                if i >= first]
+                                       + [(None, p.arg) for p, d in zip(args.kwonlyargs,
+                                                                        args.kw_defaults)
+                                          if d is not None])
+    calls = defaultdict(list)
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if isinstance(call, ast.Call):
+                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                unpacks = (any(isinstance(a, ast.Starred) for a in call.args)
+                           or any(k.arg is None for k in call.keywords))
+                calls[name].append((unpacks, len(call.args), {k.arg for k in call.keywords}))
+    return sorted(f"{module}:{name}({param})" for name, (module, params) in defaults.items()
+                  for i, param in params
+                  if not any(unpacks or (i is not None and n_args > i) or param in keywords
+                             for unpacks, n_args, keywords in calls[name]))
+
+
+def test_every_public_default_is_set_by_some_caller():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text(encoding="utf-8") for folder in ("src", "tests", "bench", "tools")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert unset_defaults(sources, callers) == []
+
+
+def test_checker_flags_an_unset_default():
+    sources = {"a.py": "def f(x, by_position=1, by_keyword=2, never=3, *, kw_never=4):\n"
+                       "    pass\n\n"
+                       "def g(spread=0):\n    pass\n\n"
+                       "def _private(unset=0):\n    pass\n"}
+    callers = ["import a\na.f(0, 1)\nf(0, by_keyword=5)\ng(*[])\n"]
+    assert unset_defaults(sources, callers) == ["a.py:f(kw_never)", "a.py:f(never)"]
 
 
 def test_cli_import_leaves_scipy_submodules_unloaded():

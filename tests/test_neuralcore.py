@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,11 +20,11 @@ from distatlas.neuralcore import (
     binary_cross_entropy_grad,
     categorical_cross_entropy,
     categorical_cross_entropy_grad,
+    check_architecture,
     grad_check,
     load_checkpoint,
     make_optimizer,
     one_hot,
-    restore_net,
     save_checkpoint,
     split_indices,
     layer_specs_to_json,
@@ -339,21 +342,42 @@ class TestCheckpoint:
             assert original.dtype == restored.dtype == np.float64
             np.testing.assert_array_equal(original, restored)
 
-    def test_restore_net_runs_identically(self, tmp_path):
-        net = small_net(seed=12)
-        x = np.random.default_rng(13).random((4, 5))
-        expected = net(x)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"layers": layer_specs_to_json(net.layers)}, net.params)
-        header, arrays = load_checkpoint(path)
-        clone, _ = restore_net(header, "layers", arrays)
-        np.testing.assert_array_equal(clone(x), expected)
-
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"garbage bytes that are not a checkpoint")
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    def test_header_must_fit_in_the_file(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(struct.pack("<4sII", b"NNCP", 1, 2 ** 32 - 1) + b"{}")
+        with pytest.raises(ValueError, match="truncated checkpoint header"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("shapes, body_bytes", [
+        ([[2, 3], [3]], 72 + 1), ([[2, 3], [3]], 72 + 8), ([[2, 3], [3]], 72 - 8),
+        ([[10 ** 15], [3]], 72), ([[-2, 3], [4, 3]], 48)])
+    def test_block_must_be_exactly_the_rest_of_the_file(self, tmp_path, shapes, body_bytes):
+        encoded = json.dumps({"param_shapes": shapes}).encode("utf-8")
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(struct.pack("<4sII", b"NNCP", 1, len(encoded)) + encoded
+                         + bytes(body_bytes))
+        with pytest.raises(ValueError):
+            load_checkpoint(path)
+
+    def test_check_architecture_accepts_only_the_same_nets(self):
+        net = small_net()
+        layers = {"layers": net.layers}
+        header = {"layers": layer_specs_to_json(net.layers)}
+        check_architecture(header, net.params, layers)
+        wider = [LayerSpec(5, 9, "relu"), *net.layers[1:]]
+        for bad_header, arrays in [({"layers": layer_specs_to_json(wider)}, net.params),
+                                   ({}, net.params),
+                                   (header, net.params[:-1]),
+                                   (header, [*net.params, net.params[-1]]),
+                                   (header, [*net.params[:-1], net.params[-1][:, None]])]:
+            with pytest.raises(ValueError):
+                check_architecture(bad_header, arrays, layers)
 
 
 class TestTrainConfig:
