@@ -30,6 +30,7 @@ from .neuralcore import (
     layer_specs_to_json,
     load_checkpoint,
     save_checkpoint,
+    share_flat,
     split_indices,
     train_epochs,
 )
@@ -100,14 +101,12 @@ class VaeModel:
         self.grid_shape = grid_shape
         self.beta = float(beta)
         self.latent_dim = int(latent_dim)
-        self.trunk, self.mu_head, self.logvar_head, self.decoder = (
-            DenseNet(layers, seed=mix64(seed, i))
-            for i, layers in enumerate(vae_layers(grid_shape, latent_dim).values(), 1))
-
-    @property
-    def params(self) -> list:
-        return (self.trunk.params + self.mu_head.params
-                + self.logvar_head.params + self.decoder.params)
+        nets = [DenseNet(layers, seed=mix64(seed, i))
+                for i, layers in enumerate(vae_layers(grid_shape, latent_dim).values(), 1)]
+        self.trunk, self.mu_head, self.logvar_head, self.decoder = nets
+        # one vector for all four nets, laid out in params order
+        self.flat, self.grad = share_flat(nets)
+        self.params = [p for net in nets for p in net.params]
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
@@ -158,9 +157,10 @@ class VaeModel:
     def loss_gradients(self, x: np.ndarray, eps: np.ndarray):
         """Analytic parameter gradients of loss() at fixed eps.
 
-        Returns (grads, bce, kl) with grads ordered like ``params``.
-        The clip on the log-variance head is flat outside its band, so
-        its gradient mask is applied exactly.
+        Returns (grad, bce, kl) with grad the model's gradient vector,
+        laid out like ``flat``; the next call overwrites it. The clip
+        on the log-variance head is flat outside its band, so its
+        gradient mask is applied exactly.
         """
         x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache = self._forward(x, eps)
         n = x.shape[0]
@@ -172,15 +172,14 @@ class VaeModel:
         bce = binary_cross_entropy(decoded, x)
         kl = float(np.mean(kl_per_example(mu, logvar)))
 
-        dec_grads, dz = self.decoder.backward(dec_cache, binary_cross_entropy_grad(decoded, x))
+        dz = self.decoder.backward(dec_cache, binary_cross_entropy_grad(decoded, x))
         dmu = dz + self.beta * mu / n
         dlogvar = dz * eps * 0.5 * sigma + self.beta * 0.5 * (np.exp(logvar) - 1.0) / n
         dlogvar_raw = dlogvar * ((logvar_raw > -LOGVAR_LIMIT) & (logvar_raw < LOGVAR_LIMIT))
-        mu_grads, dh_mu = self.mu_head.backward(mu_cache, dmu)
-        logvar_grads, dh_logvar = self.logvar_head.backward(logvar_cache, dlogvar_raw)
-        trunk_grads, _ = self.trunk.backward(trunk_cache, dh_mu + dh_logvar)
-        grads = trunk_grads + mu_grads + logvar_grads + dec_grads
-        return grads, bce, kl
+        dh_mu = self.mu_head.backward(mu_cache, dmu)
+        dh_logvar = self.logvar_head.backward(logvar_cache, dlogvar_raw)
+        self.trunk.backward(trunk_cache, dh_mu + dh_logvar)
+        return self.grad, bce, kl
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,8 @@ def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
 
     def batch_step(rows):
         eps = eps_rng.standard_normal((rows.shape[0], model.latent_dim))
-        grads, bce, kl = model.loss_gradients(x_train[rows], eps)
-        return grads, (bce + model.beta * kl, bce, kl)
+        grad, bce, kl = model.loss_gradients(x_train[rows], eps)
+        return grad, (bce + model.beta * kl, bce, kl)
 
     def snapshot(epoch: int, loss: float, bce: float, kl: float) -> VaeEpoch:
         test_bce, test_kl = _dataset_eval(model, x_test)
@@ -236,7 +235,7 @@ def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
     bce0, kl0 = _dataset_eval(model, x_train)
     history = [snapshot(0, bce0 + model.beta * kl0, bce0, kl0)]
     history += [snapshot(epoch, *parts) for epoch, parts in train_epochs(
-        model.params, config, x_train.shape[0], mix64(config.rng_seed, 12), batch_step)]
+        model.flat, config, x_train.shape[0], mix64(config.rng_seed, 12), batch_step)]
     return model, history
 
 
@@ -295,9 +294,8 @@ def generate_latent_grid(model: VaeModel, bounds, resolution: int = 50):
 def vae_grad_check(model: VaeModel, batch: np.ndarray, eps: np.ndarray,
                    h: float = 1e-5, seed: int = 0) -> float:
     """Finite-difference audit of the full loss, reparameterization included."""
-    grads, _, _ = model.loss_gradients(batch, eps)
-    return audit_gradients(model.params, lambda: model.loss(batch, eps), grads,
-                           h, seed)
+    grad, _, _ = model.loss_gradients(batch, eps)
+    return audit_gradients(model.flat, lambda: model.loss(batch, eps), grad, h, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -317,14 +315,13 @@ def save_vae(path, model: VaeModel, config: TrainConfig | None = None) -> None:
 
 
 def load_vae(path) -> tuple[VaeModel, dict]:
-    header, arrays = load_checkpoint(path)
+    header, block = load_checkpoint(path)
     if header.get("kind") != "bvae":
         raise ValueError(f"{path}: not an autoencoder checkpoint")
     grid = header_field(header, "grid", GridShape.from_json)
     latent_dim = header_field(header, "latent_dim", int)
-    check_architecture(header, arrays, vae_layers(grid, latent_dim))
+    check_architecture(header, vae_layers(grid, latent_dim))
     model = VaeModel(grid, beta=header_field(header, "beta", float), latent_dim=latent_dim)
-    for param, array in zip(model.params, arrays):
-        param[...] = array
+    model.flat[...] = block
     return model, header
 

@@ -146,12 +146,12 @@ def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig
     def batch_step(rows):
         cache, target = net.forward(x_train[rows]), onehot[rows]
         loss = categorical_cross_entropy(cache.output, target)
-        grads, _ = net.backward(cache, categorical_cross_entropy_grad(cache.output, target))
-        return grads, (loss,)
+        net.backward(cache, categorical_cross_entropy_grad(cache.output, target))
+        return net.grad, (loss,)
 
     history = [ClassifierEpoch(0, full_loss(), test_accuracy())]
     history += [ClassifierEpoch(epoch, loss, test_accuracy()) for epoch, (loss,) in train_epochs(
-        net.params, config, x_train.shape[0], mix64(config.rng_seed, 2), batch_step)]
+        net.flat, config, x_train.shape[0], mix64(config.rng_seed, 2), batch_step)]
     return net, history
 
 
@@ -208,7 +208,7 @@ def save_classifier(path, model, config: TrainConfig | None = None) -> None:
 
 def load_classifier(path):
     """Load either classifier kind; returns (model, header)."""
-    header, arrays = load_checkpoint(path)
+    header, block = load_checkpoint(path)
     kind = header.get("kind")
     if kind not in ("classifier", "latent_classifier"):
         raise ValueError(f"{path}: not a classifier checkpoint")
@@ -218,9 +218,8 @@ def load_classifier(path):
     else:
         latent_dim = header_field(header, "latent_dim", int)
         layers = latent_classifier_layers(latent_dim)
-    check_architecture(header, arrays, {"layers": layers})
+    check_architecture(header, {"layers": layers})
     net = DenseNet(layers)
-    for param, array in zip(net.params, arrays):
-        param[...] = array
+    net.flat[...] = block
     model = GridClassifier(net, grid) if kind == "classifier" else LatentClassifier(net, latent_dim)
     return model, header

@@ -296,7 +296,8 @@ def _lattice_columns(axes):
 
 
 def cmd_map(args, argv) -> int:
-    for flag in ("density_resolution", "class_map_resolution", "curve_resolution", "latent_epochs"):
+    for flag in ("density_resolution", "class_map_resolution", "curve_resolution", "latent_epochs",
+                 "trajectory_bins", "trajectory_min_count"):
         if getattr(args, flag) < 1:
             raise CliError(EXIT_BAD_SPEC, f"--{flag.replace('_', '-')} must be >= 1")
     for flag in ("w_star", "p_min"):
@@ -590,11 +591,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    common.add_argument("--grid", default="26x25", help="grid as XxY (default 26x25)")
     common.add_argument("--out-dir", default="out", help="output directory (default ./out)")
+    # only generate and grad-check build a grid of their own
+    gridded = argparse.ArgumentParser(add_help=False)
+    gridded.add_argument("--grid", default="26x25", help="grid as XxY (default 26x25)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="build the corpus cache")
+    p = sub.add_parser("generate", parents=[common, gridded], help="build the corpus cache")
     p.add_argument("--spec", help="dataset spec JSON (overrides the flags)")
     p.add_argument("--per-family", type=int, default=1000,
                    help="variables per family (default 1000)")
@@ -643,7 +646,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", default="out/dataset.bin")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("grad-check", parents=[common],
+    p = sub.add_parser("grad-check", parents=[common, gridded],
                        help="finite-difference audit of the gradients")
     p.add_argument("--arch", choices=["classifier", "bvae", "both"], default="both")
     p.add_argument("--latent-dim", type=int, choices=[1, 2], default=2)

@@ -3,9 +3,10 @@
 A deliberately small engine sized for the grid-image models: forward
 caches that keep each layer's activation only (the ReLU and sigmoid
 backward read their masks and slopes from it), analytic gradients for
-every activation and loss, RMSprop and Adadelta updates, the one
-shuffled minibatch loop every trainer runs, finite-difference auditing
-of the whole gradient path, and bit-exact checkpoints. Everything is
+every activation and loss, one parameter and one gradient vector per
+model (share_flat) that RMSprop and Adadelta update, the one shuffled
+minibatch loop every trainer runs, finite-difference auditing of the
+whole gradient path, and bit-exact checkpoints. Everything is
 deterministic given (seed, data, config).
 """
 
@@ -122,13 +123,36 @@ class ForwardCache:
         return self.acts[-1]
 
 
+def share_flat(nets) -> tuple[np.ndarray, np.ndarray]:
+    """Move the nets' parameters into one contiguous float64 vector, in order.
+
+    Returns (flat, grad): ``flat`` holds every net's ``params`` end to end
+    with the same values, and ``grad`` has the same layout. Each net's
+    ``params`` and ``grads`` become reshaped views into them, and its
+    ``flat``/``grad`` the slices it covers. ``grad`` is left uninitialized:
+    every backward writes all of its net's entries.
+    """
+    flat = np.concatenate([p.ravel() for net in nets for p in net.params])
+    grad = np.empty_like(flat)
+    stop = 0
+    for net in nets:
+        start, spans = stop, []
+        for p in net.params:
+            spans.append((stop, stop + p.size, p.shape))
+            stop += p.size
+        net.flat, net.grad = flat[start:stop], grad[start:stop]
+        net.params = [flat[lo:hi].reshape(shape) for lo, hi, shape in spans]
+        net.grads = [grad[lo:hi].reshape(shape) for lo, hi, shape in spans]
+    return flat, grad
+
+
 class DenseNet:
     """A stack of affine layers with elementwise or softmax activations.
 
     Weights initialize to U(-sqrt(6/in_dim), +sqrt(6/in_dim)) and
-    biases to zero, from the given seed. Parameters are float64 and
-    exposed as the flat list [W0, b0, W1, b1, ...] that optimizers
-    update in place.
+    biases to zero, from the given seed. Parameters are float64 views
+    [W0, b0, W1, b1, ...] into the one vector ``flat`` that optimizers
+    update in place; ``grads``/``grad`` hold their gradients the same way.
     """
 
     def __init__(self, layers: Sequence[LayerSpec], seed: int = 0):
@@ -143,12 +167,12 @@ class DenseNet:
                 raise ValueError("softmax is only valid as the final activation")
         self.layers = layers
         rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
+        self.params = []
         for spec in layers:
             limit = np.sqrt(6.0 / spec.in_dim)
-            self.weights.append(rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)))
-            self.biases.append(np.zeros(spec.out_dim, dtype=np.float64))
+            self.params += [rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)),
+                            np.zeros(spec.out_dim, dtype=np.float64)]
+        share_flat([self])
 
     @property
     def in_dim(self) -> int:
@@ -158,14 +182,6 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    @property
-    def params(self) -> list:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
-
     def forward(self, x: np.ndarray) -> ForwardCache:
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
@@ -173,7 +189,7 @@ class DenseNet:
                 f"expected input of width {self.in_dim}, got shape {x.shape}")
         cache = ForwardCache(x=x)
         a = x
-        for spec, w, b in zip(self.layers, self.weights, self.biases):
+        for spec, w, b in zip(self.layers, self.params[0::2], self.params[1::2]):
             a = _activate(spec.activation, a @ w + b)
             cache.acts.append(a)
         return cache
@@ -181,23 +197,23 @@ class DenseNet:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x).output
 
-    def backward(self, cache: ForwardCache, grad_output: np.ndarray):
-        """Exact gradients for every parameter plus the input gradient.
+    def backward(self, cache: ForwardCache, grad_output: np.ndarray) -> np.ndarray:
+        """Exact gradients for every parameter; returns the input gradient.
 
         grad_output is the loss gradient w.r.t. the network output
         (post-activation); whatever batch reduction the loss applies is
-        already baked into it. Returns (grads, grad_input) with grads
-        ordered like ``params``.
+        already baked into it. The parameter gradients are written into
+        ``grad`` (views ``grads``, ordered like ``params``), which the
+        next call overwrites.
         """
         grad_a = np.asarray(grad_output, dtype=np.float64)
-        grads: list = [None] * (2 * len(self.layers))
         for i in range(len(self.layers) - 1, -1, -1):
             a_prev = cache.x if i == 0 else cache.acts[i - 1]
             grad_z = _activation_backward(self.layers[i].activation, cache.acts[i], grad_a)
-            grads[2 * i] = a_prev.T @ grad_z
-            grads[2 * i + 1] = grad_z.sum(axis=0)
-            grad_a = grad_z @ self.weights[i].T
-        return grads, grad_a
+            np.matmul(a_prev.T, grad_z, out=self.grads[2 * i])
+            np.sum(grad_z, axis=0, out=self.grads[2 * i + 1])
+            grad_a = grad_z @ self.params[2 * i].T
+        return grad_a
 
 
 # ---------------------------------------------------------------------------
@@ -240,73 +256,66 @@ LOSSES = {
 # ---------------------------------------------------------------------------
 # optimizers
 
-def _require_finite(grads) -> None:
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError("non-finite gradient; training aborted")
-
-
 class RMSprop:
     """a <- rho*a + (1-rho)*g^2;  p <- p - lr * g / (sqrt(a) + eps)."""
 
-    def __init__(self, params, config: TrainConfig):
+    def __init__(self, flat: np.ndarray, config: TrainConfig):
         self.config = config
-        self.acc = [np.zeros_like(p) for p in params]
+        self.acc = np.zeros_like(flat)
 
-    def step(self, params, grads) -> None:
-        _require_finite(grads)
-        c = self.config
-        for p, g, a in zip(params, grads, self.acc):
-            a *= c.rho
-            a += (1.0 - c.rho) * g * g
-            p -= c.learning_rate * g / (np.sqrt(a) + c.epsilon)
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        c, a = self.config, self.acc
+        a *= c.rho
+        a += (1.0 - c.rho) * grad * grad
+        flat -= c.learning_rate * grad / (np.sqrt(a) + c.epsilon)
 
 
 class Adadelta:
     """Accumulates squared gradients and squared updates; steps by their ratio."""
 
-    def __init__(self, params, config: TrainConfig):
+    def __init__(self, flat: np.ndarray, config: TrainConfig):
         self.config = config
-        self.acc = [np.zeros_like(p) for p in params]
-        self.delta_acc = [np.zeros_like(p) for p in params]
+        self.acc = np.zeros_like(flat)
+        self.delta_acc = np.zeros_like(flat)
 
-    def step(self, params, grads) -> None:
-        _require_finite(grads)
-        c = self.config
-        for p, g, a, d in zip(params, grads, self.acc, self.delta_acc):
-            a *= c.rho
-            a += (1.0 - c.rho) * g * g
-            update = g * np.sqrt(d + c.epsilon) / np.sqrt(a + c.epsilon)
-            p -= c.learning_rate * update
-            d *= c.rho
-            d += (1.0 - c.rho) * update * update
+    def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
+        c, a, d = self.config, self.acc, self.delta_acc
+        a *= c.rho
+        a += (1.0 - c.rho) * grad * grad
+        update = grad * np.sqrt(d + c.epsilon) / np.sqrt(a + c.epsilon)
+        flat -= c.learning_rate * update
+        d *= c.rho
+        d += (1.0 - c.rho) * update * update
 
 
-def make_optimizer(params, config: TrainConfig):
+def make_optimizer(flat: np.ndarray, config: TrainConfig):
     if config.optimizer == "rmsprop":
-        return RMSprop(params, config)
-    return Adadelta(params, config)
+        return RMSprop(flat, config)
+    return Adadelta(flat, config)
 
 
-def train_epochs(params, config: TrainConfig, n: int, shuffle_seed: int, batch_step):
+def train_epochs(flat: np.ndarray, config: TrainConfig, n: int, shuffle_seed: int, batch_step):
     """Minibatch training over rows 0..n-1; yields (epoch, mean of each loss part).
 
     Each of config.epochs epochs walks a fresh permutation of the rows,
     drawn from one generator seeded by shuffle_seed, in batch_size
-    slices. ``batch_step(rows)`` returns (grads, parts) for those rows,
-    grads ordered like ``params`` and parts[0] the loss; a non-finite
-    loss raises TrainingDivergedError before the step that would use it.
+    slices. ``batch_step(rows)`` returns (grad, parts) for those rows,
+    grad laid out like ``flat`` and parts[0] the loss; a non-finite loss
+    or gradient raises TrainingDivergedError before the step that would
+    use it.
     """
-    optimizer = make_optimizer(params, config)
+    optimizer = make_optimizer(flat, config)
     shuffle_rng = np.random.default_rng(shuffle_seed)
     for epoch in range(1, config.epochs + 1):
         perm = shuffle_rng.permutation(n)
         parts_seen = []
         for start in range(0, n, config.batch_size):
-            grads, parts = batch_step(perm[start:start + config.batch_size])
+            grad, parts = batch_step(perm[start:start + config.batch_size])
             if not np.isfinite(parts[0]):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            optimizer.step(params, grads)
+            if not np.isfinite(grad).all():
+                raise TrainingDivergedError(f"non-finite gradient at epoch {epoch}")
+            optimizer.step(flat, grad)
             parts_seen.append(parts)
         yield epoch, [float(np.mean(column)) for column in zip(*parts_seen)]
 
@@ -314,32 +323,26 @@ def train_epochs(params, config: TrainConfig, n: int, shuffle_seed: int, batch_s
 # ---------------------------------------------------------------------------
 # auditing and utilities
 
-def audit_gradients(params, loss, analytic, h: float = 1e-5, seed: int = 0) -> float:
+def audit_gradients(flat: np.ndarray, loss, analytic: np.ndarray, h: float = 1e-5,
+                    seed: int = 0) -> float:
     """Max relative error of analytic gradients vs central finite differences.
 
     ``loss`` is a closure that recomputes the scalar loss from the
-    current ``params``; ``analytic`` holds their gradients in the same
-    order. Samples AUDIT_SAMPLES parameter entries (all of them when
+    current parameter vector ``flat``; ``analytic`` holds its gradient
+    in the same layout. Samples AUDIT_SAMPLES entries (all of them when
     there are fewer) and perturbs each by +-h around its value.
     """
-    sizes = [p.size for p in params]
-    total = int(np.sum(sizes))
-    offsets = np.cumsum([0] + sizes)
     rng = np.random.default_rng(seed)
-    count = min(total, AUDIT_SAMPLES)
     worst = 0.0
-    for flat in rng.choice(total, size=count, replace=False):
-        which = int(np.searchsorted(offsets, flat, side="right") - 1)
-        inner = int(flat - offsets[which])
-        p = params[which]
-        orig = p.flat[inner]
-        p.flat[inner] = orig + h
+    for i in rng.choice(flat.size, size=min(flat.size, AUDIT_SAMPLES), replace=False):
+        orig = flat[i]
+        flat[i] = orig + h
         up = loss()
-        p.flat[inner] = orig - h
+        flat[i] = orig - h
         down = loss()
-        p.flat[inner] = orig
+        flat[i] = orig
         numeric = (up - down) / (2.0 * h)
-        a = analytic[which].flat[inner]
+        a = analytic[i]
         worst = max(worst, abs(a - numeric) / max(abs(a), abs(numeric), 1e-6))
     return worst
 
@@ -349,9 +352,8 @@ def grad_check(net: DenseNet, batch: np.ndarray, targets: np.ndarray,
     """audit_gradients of a network's backprop under one of LOSSES."""
     loss_fn, grad_fn = LOSSES[loss]
     cache = net.forward(batch)
-    analytic, _ = net.backward(cache, grad_fn(cache.output, targets))
-    return audit_gradients(net.params, lambda: loss_fn(net(batch), targets), analytic,
-                           h, seed)
+    net.backward(cache, grad_fn(cache.output, targets))
+    return audit_gradients(net.flat, lambda: loss_fn(net(batch), targets), net.grad, h, seed)
 
 
 def _map_batches(fn, n: int, rows: int) -> list:
@@ -419,10 +421,11 @@ def header_field(header: dict, key: str, convert):
 
 
 def load_checkpoint(path):
-    """Read (header, arrays) from a checkpoint written by save_checkpoint.
+    """Read (header, block) from a checkpoint written by save_checkpoint.
 
-    The header must fit in the file, and the non-negative ``param_shapes``
-    must account for exactly the bytes after it before any array is read.
+    ``block`` is the flat float64 parameter vector. The header must fit
+    in the file, and the non-negative ``param_shapes`` must account for
+    exactly the bytes after it before the block is read.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -439,25 +442,22 @@ def load_checkpoint(path):
         header = json.loads(fh.read(header_len).decode("utf-8"))
         shapes = header_field(header, "param_shapes",
                               lambda v: [[int(n) for n in shape] for shape in v])
-        counts = [math.prod(shape) for shape in shapes]
+        count = sum(math.prod(shape) for shape in shapes)
         body = size - fh.tell()
-        if any(n < 0 for shape in shapes for n in shape) or body != 8 * sum(counts):
+        if any(n < 0 for shape in shapes for n in shape) or body != 8 * count:
             raise ValueError(f"{path}: param_shapes do not match the {body}-byte parameter block")
-        block = np.fromfile(fh, dtype="<f8", count=sum(counts))
-    arrays = np.split(block, np.cumsum(counts[:-1], dtype=np.int64))
-    return header, [array.reshape(shape) for array, shape in zip(arrays, shapes)]
+        return header, np.fromfile(fh, dtype="<f8", count=count)
 
 
-def check_architecture(header: dict, arrays, layers: dict) -> None:
-    """Raise ValueError unless a checkpoint holds exactly the given nets.
+def check_architecture(header: dict, layers: dict) -> None:
+    """Raise ValueError unless a checkpoint header describes exactly the given nets.
 
     ``layers`` maps header keys to LayerSpec lists in parameter order;
-    each header list and each array shape must match them, and no array
-    may be left over. No parameter array is allocated.
+    each header list and the header's ``param_shapes`` must match them.
     """
     if any(header.get(key) != layer_specs_to_json(specs) for key, specs in layers.items()):
         raise ValueError("checkpoint layer lists do not match the architecture")
     expected = [shape for specs in layers.values() for s in specs
-                for shape in ((s.in_dim, s.out_dim), (s.out_dim,))]
-    if [a.shape for a in arrays] != expected:
+                for shape in ([s.in_dim, s.out_dim], [s.out_dim])]
+    if header.get("param_shapes") != expected:
         raise ValueError("checkpoint parameter shapes do not match the architecture")

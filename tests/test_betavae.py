@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from distatlas.betavae import (
     vae_grad_check,
 )
 from distatlas.cdfcodec import GridShape
-from distatlas.neuralcore import ShapeMismatchError, TrainConfig
+from distatlas.neuralcore import DenseNet, ShapeMismatchError, TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +126,42 @@ class TestModel:
         batch = rng.random((6, 48))
         eps = rng.standard_normal((6, 2))
         assert vae_grad_check(model, batch, eps, h=1e-5, seed=6) < 1e-4
+
+    def test_params_and_grads_are_views_of_one_vector(self):
+        def assert_laid_out(vector, views, layers):
+            # each view covers exactly the next slice of vector, in param_shapes order
+            assert [v.shape for v in views] == [
+                shape for s in layers for shape in ((s.in_dim, s.out_dim), (s.out_dim,))]
+            offset = 0
+            for view in views:
+                assert view.flags.c_contiguous
+                assert np.shares_memory(view, vector[offset:offset + view.size])
+                assert not np.shares_memory(view, vector[:offset])
+                assert not np.shares_memory(view, vector[offset + view.size:])
+                offset += view.size
+            assert offset == vector.size
+
+        model = VaeModel(GridShape(8, 6), seed=3)
+        nets = (model.trunk, model.mu_head, model.logvar_head, model.decoder)
+        layers = [s for net in nets for s in net.layers]
+        assert_laid_out(model.flat, model.params, layers)
+        assert_laid_out(model.grad, [g for net in nets for g in net.grads], layers)
+        net = DenseNet(model.decoder.layers)
+        assert_laid_out(net.flat, net.params, net.layers)
+        assert_laid_out(net.grad, net.grads, net.layers)
+
+        # backward writes every entry of the uninitialized gradient vector
+        model.grad[:] = np.nan
+        rng = np.random.default_rng(4)
+        model.loss_gradients(rng.random((5, 48)), rng.standard_normal((5, 2)))
+        assert np.all(np.isfinite(model.grad))
+
+        # SHA-256 of the concatenated initial params, pinned from before the flat layout
+        for seed, digest in [
+                (0, "31c6c0f5208c52e8fd14869129094b3e10a79250b62463da12732cf51decaf36"),
+                (1, "461c50876c9ddb230c5fbae877f9c4c6f309deaee3590652fcda4f1e12fa5883")]:
+            flat = VaeModel(GridShape(), seed=seed).flat
+            assert hashlib.sha256(flat.tobytes()).hexdigest() == digest
 
     def test_gradients_latent_dim_one(self):
         model = VaeModel(GridShape(8, 6), beta=3.0, latent_dim=1, seed=7)

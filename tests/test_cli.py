@@ -183,6 +183,8 @@ class TestTrain:
     ("map", ["--seed", "-1"]),
     ("eval", ["--seed", "-1"]),
     ("grad-check", ["--seed", "-1"]),
+    ("map", ["--trajectory-bins", "0"]),
+    ("map", ["--trajectory-min-count", "-5"]),
 ])
 def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
     out = tmp_path / "bad"
@@ -191,6 +193,19 @@ def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags
               "eval": [*dataset, "--classifier", str(workspace / "classifier.ckpt")]}
     assert main([*command.split(), *inputs.get(command.split()[0], []),
                  *flags, "--out-dir", str(out)]) == EXIT_BAD_SPEC
+    assert not out.exists()
+
+
+def test_grid_flag_is_rejected_where_no_grid_is_built(workspace, tmp_path, capsys):
+    # --grid belongs to generate and grad-check; eval reads its grid from the checkpoint
+    out = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "--classifier", str(workspace / "classifier.ckpt"),
+              "--dataset", str(workspace / "dataset.bin"), "--grid", "16x15",
+              "--out-dir", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --grid 16x15" in err and "Traceback" not in err
     assert not out.exists()
 
 

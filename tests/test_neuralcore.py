@@ -32,6 +32,28 @@ from distatlas.neuralcore import (
 )
 
 
+# the per-array optimizer loops that the one-vector steps replaced, kept as their reference
+def _reference_rmsprop(c, params, grads, accs):
+    for p, g, a in zip(params, grads, accs):
+        a *= c.rho
+        a += (1.0 - c.rho) * g * g
+        p -= c.learning_rate * g / (np.sqrt(a) + c.epsilon)
+
+
+def _reference_adadelta(c, params, grads, accs, delta_accs):
+    for p, g, a, d in zip(params, grads, accs, delta_accs):
+        a *= c.rho
+        a += (1.0 - c.rho) * g * g
+        update = g * np.sqrt(d + c.epsilon) / np.sqrt(a + c.epsilon)
+        p -= c.learning_rate * update
+        d *= c.rho
+        d += (1.0 - c.rho) * update * update
+
+
+def _accumulators(opt):
+    return [opt.acc] if isinstance(opt, RMSprop) else [opt.acc, opt.delta_acc]
+
+
 def small_net(seed=0):
     return DenseNet([LayerSpec(5, 8, "relu"), LayerSpec(8, 6, "relu"),
                      LayerSpec(6, 4, "softmax")], seed=seed)
@@ -58,21 +80,21 @@ class TestLayerSpec:
 class TestForward:
     def test_zero_weights_identity_gives_zeros(self):
         net = DenseNet([LayerSpec(4, 3, "identity")], seed=0)
-        net.weights[0][:] = 0.0
+        net.params[0][:] = 0.0
         out = net(np.ones((2, 4)))
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_softmax_of_equal_logits_is_uniform(self):
         net = DenseNet([LayerSpec(4, 13, "softmax")], seed=0)
-        net.weights[0][:] = 0.0
+        net.params[0][:] = 0.0
         out = net(np.random.default_rng(0).random((3, 4)))
         np.testing.assert_allclose(out, np.full((3, 13), 1.0 / 13.0), atol=1e-15)
 
     def test_single_layer_hand_example(self):
         # x = [3], W = [[2]], b = [1] -> preactivation 7 -> relu 7
         net = DenseNet([LayerSpec(1, 1, "relu")], seed=0)
-        net.weights[0][:] = 2.0
-        net.biases[0][:] = 1.0
+        net.params[0][:] = 2.0
+        net.params[1][:] = 1.0
         assert net(np.array([[3.0]]))[0, 0] == 7.0
 
     def test_cache_has_all_layers(self):
@@ -96,7 +118,7 @@ class TestForward:
 
     def test_sigmoid_extreme_inputs_stable(self):
         net = DenseNet([LayerSpec(1, 1, "sigmoid")], seed=0)
-        net.weights[0][:] = 1.0
+        net.params[0][:] = 1.0
         out = net(np.array([[-1e4], [1e4]]))
         assert np.all(np.isfinite(out))
         assert out[0, 0] == pytest.approx(0.0, abs=1e-12)
@@ -124,9 +146,9 @@ class TestBackward:
         net = small_net()
         x = np.random.default_rng(1).random((3, 5))
         cache = net.forward(x)
-        grads, grad_in = net.backward(cache, np.zeros((3, 4)))
-        for g in grads:
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        net.grad[:] = np.nan
+        grad_in = net.backward(cache, np.zeros((3, 4)))
+        np.testing.assert_array_equal(net.grad, np.zeros_like(net.grad))
         np.testing.assert_array_equal(grad_in, np.zeros((3, 5)))
 
     def test_matches_finite_differences(self):
@@ -148,13 +170,14 @@ class TestBackward:
         x = np.random.default_rng(8).random((1, 5))
         t = one_hot(np.array([2]), 4)
         cache1 = net.forward(x)
-        g1, _ = net.backward(cache1, categorical_cross_entropy_grad(cache1.output, t))
+        net.backward(cache1, categorical_cross_entropy_grad(cache1.output, t))
+        # the next backward overwrites net.grad in place
+        g1 = net.grad.copy()
         x2 = np.vstack([x, x])
         t2 = np.vstack([t, t])
         cache2 = net.forward(x2)
-        g2, _ = net.backward(cache2, categorical_cross_entropy_grad(cache2.output, t2))
-        for a, b in zip(g1, g2):
-            np.testing.assert_allclose(a, b, atol=1e-12)
+        net.backward(cache2, categorical_cross_entropy_grad(cache2.output, t2))
+        np.testing.assert_allclose(g1, net.grad, atol=1e-12)
 
 
 class TestLosses:
@@ -183,35 +206,58 @@ class TestLosses:
 class TestOptimizers:
     def test_zero_gradient_keeps_params(self):
         for cls in (RMSprop, Adadelta):
-            p = [np.array([1.0, -2.0])]
+            p = np.array([1.0, -2.0])
             opt = cls(p, TrainConfig(epochs=1))
-            opt.step(p, [np.zeros(2)])
-            np.testing.assert_array_equal(p[0], [1.0, -2.0])
+            opt.step(p, np.zeros(2))
+            np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_rmsprop_first_step_value(self):
         # fresh accumulator, g = 1: a = 0.1, step = -lr / (sqrt(0.1) + eps)
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         config = TrainConfig(epochs=1, learning_rate=1e-3, rho=0.9, epsilon=1e-8)
-        RMSprop(p, config).step(p, [np.array([1.0])])
+        RMSprop(p, config).step(p, np.array([1.0]))
         expected = -1e-3 / (np.sqrt(0.1) + 1e-8)
-        assert p[0][0] == pytest.approx(expected, rel=1e-12)
-        assert p[0][0] == pytest.approx(-0.0031623, abs=1e-7)
+        assert p[0] == pytest.approx(expected, rel=1e-12)
+        assert p[0] == pytest.approx(-0.0031623, abs=1e-7)
 
     def test_adadelta_first_step_value(self):
         # a = (1-rho) g^2; update = g sqrt(eps) / sqrt(a + eps)
-        p = [np.array([0.0])]
+        p = np.array([0.0])
         config = TrainConfig(epochs=1, learning_rate=1.0, rho=0.95, epsilon=1e-6,
                              optimizer="adadelta")
-        Adadelta(p, config).step(p, [np.array([2.0])])
+        Adadelta(p, config).step(p, np.array([2.0]))
         a = 0.05 * 4.0
         expected = -2.0 * np.sqrt(1e-6) / np.sqrt(a + 1e-6)
-        assert p[0][0] == pytest.approx(expected, rel=1e-12)
+        assert p[0] == pytest.approx(expected, rel=1e-12)
 
-    def test_nonfinite_gradient_aborts(self):
-        p = [np.array([0.0])]
-        opt = make_optimizer(p, TrainConfig(epochs=1))
-        with pytest.raises(TrainingDivergedError):
-            opt.step(p, [np.array([np.nan])])
+    def test_flat_step_matches_the_per_array_reference(self):
+        # five steps over the beta-VAE's parameter shapes, one flat vector vs one loop per array
+        shapes = [(650, 512), (512,), (512, 64), (64,), (64, 2), (2,), (64, 2), (2,),
+                  (2, 64), (64,), (64, 512), (512,), (512, 650), (650,)]
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        rng = np.random.default_rng(12)
+        start = rng.standard_normal(sum(sizes))
+        grads = [rng.standard_normal(sum(sizes)) for _ in range(5)]
+        cuts = np.cumsum(sizes)[:-1]
+
+        def arrays(vector):
+            return [part.reshape(shape) for part, shape in zip(np.array_split(vector, cuts), shapes)]
+
+        # the two trainers' settings: RMSprop defaults and the latent classifier's Adadelta
+        for config, reference in [
+                (TrainConfig(epochs=1), _reference_rmsprop),
+                (TrainConfig(epochs=1, learning_rate=1.0, rho=0.95, epsilon=1e-6,
+                             optimizer="adadelta"), _reference_adadelta)]:
+            flat = start.copy()
+            opt = make_optimizer(flat, config)
+            params = arrays(start.copy())
+            accs = [[np.zeros_like(p) for p in params] for _ in _accumulators(opt)]
+            for g in grads:
+                opt.step(flat, g)
+                reference(config, params, arrays(g), *accs)
+            for got, want in [(flat, params), *zip(_accumulators(opt), accs)]:
+                np.testing.assert_array_equal(
+                    got.view(np.int64), np.concatenate([w.ravel() for w in want]).view(np.int64))
 
     def test_descent_on_full_batch(self):
         # five full-batch steps with a small rate never increase the loss
@@ -220,34 +266,33 @@ class TestOptimizers:
         x = rng.random((32, 5))
         t = one_hot(rng.integers(0, 4, 32), 4)
         config = TrainConfig(epochs=1, learning_rate=1e-4)
-        opt = make_optimizer(net.params, config)
+        opt = make_optimizer(net.flat, config)
         losses = []
         for _ in range(6):
             cache = net.forward(x)
             losses.append(categorical_cross_entropy(cache.output, t))
-            grads, _ = net.backward(cache, categorical_cross_entropy_grad(cache.output, t))
-            opt.step(net.params, grads)
+            net.backward(cache, categorical_cross_entropy_grad(cache.output, t))
+            opt.step(net.flat, net.grad)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_train_epochs_nan_loss_diverges_before_the_step(self):
-        params = [np.array([1.0, -2.0])]
-
-        def batch_step(rows):
-            return [np.ones(2)], (float("nan"),)
-
-        with pytest.raises(TrainingDivergedError):
-            list(train_epochs(params, TrainConfig(epochs=2), 5, 0, batch_step))
-        np.testing.assert_array_equal(params[0], [1.0, -2.0])
+        # a non-finite loss, or a finite loss with a non-finite gradient
+        for grad, loss in [(np.ones(2), float("nan")), (np.array([1.0, np.nan]), 1.0)]:
+            flat = np.array([1.0, -2.0])
+            with pytest.raises(TrainingDivergedError):
+                list(train_epochs(flat, TrainConfig(epochs=2), 5, 0,
+                                  lambda rows: (grad, (loss,))))
+            np.testing.assert_array_equal(flat, [1.0, -2.0])
 
     def test_train_epochs_walks_each_row_once_per_epoch(self):
         seen = []
 
         def batch_step(rows):
             seen.append(rows)
-            return [np.zeros(1)], (float(rows.shape[0]), 1.0)
+            return np.zeros(1), (float(rows.shape[0]), 1.0)
 
         config = TrainConfig(epochs=3, batch_size=4)
-        epochs = list(train_epochs([np.zeros(1)], config, 10, 7, batch_step))
+        epochs = list(train_epochs(np.zeros(1), config, 10, 7, batch_step))
         assert epochs == [(e, [10.0 / 3.0, 1.0]) for e in (1, 2, 3)]
         assert [r.shape[0] for r in seen] == [4, 4, 2] * 3
         rng = np.random.default_rng(7)
@@ -261,15 +306,14 @@ class TestOptimizers:
             net = small_net(seed=10)
             x = rng.random((16, 5))
             t = one_hot(rng.integers(0, 4, 16), 4)
-            opt = make_optimizer(net.params, TrainConfig(epochs=1))
+            opt = make_optimizer(net.flat, TrainConfig(epochs=1))
             for _ in range(10):
                 cache = net.forward(x)
-                grads, _ = net.backward(cache, categorical_cross_entropy_grad(cache.output, t))
-                opt.step(net.params, grads)
-            return [p.copy() for p in net.params]
+                net.backward(cache, categorical_cross_entropy_grad(cache.output, t))
+                opt.step(net.flat, net.grad)
+            return net.flat.copy()
 
-        for a, b in zip(run(), run()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(run(), run())
 
 
 class TestGradCheck:
@@ -285,8 +329,8 @@ class TestGradCheck:
             return float(0.5 * (d * d).sum() / x.shape[0])
 
         cache = net.forward(x)
-        analytic, _ = net.backward(cache, (cache.output - t) / x.shape[0])
-        assert audit_gradients(net.params, loss, analytic, h=1e-5, seed=1) < 1e-8
+        net.backward(cache, (cache.output - t) / x.shape[0])
+        assert audit_gradients(net.flat, loss, net.grad, h=1e-5, seed=1) < 1e-8
 
     def test_wrong_gradient_is_caught(self):
         rng = np.random.default_rng(5)
@@ -297,8 +341,8 @@ class TestGradCheck:
             return float((net(x) ** 2).sum())
 
         cache = net.forward(x)
-        analytic, _ = net.backward(cache, cache.output)  # half the true gradient
-        assert audit_gradients(net.params, loss, analytic, seed=1) > 0.3
+        net.backward(cache, cache.output)  # half the true gradient
+        assert audit_gradients(net.flat, loss, net.grad, seed=1) > 0.3
 
     def test_coarse_step_is_worse(self):
         rng = np.random.default_rng(6)
@@ -335,12 +379,12 @@ class TestCheckpoint:
                   "note": "round trip"}
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, header, net.params)
-        loaded_header, arrays = load_checkpoint(path)
+        loaded_header, block = load_checkpoint(path)
         assert loaded_header["kind"] == "classifier"
         assert loaded_header["note"] == "round trip"
-        for original, restored in zip(net.params, arrays):
-            assert original.dtype == restored.dtype == np.float64
-            np.testing.assert_array_equal(original, restored)
+        assert loaded_header["param_shapes"] == [list(p.shape) for p in net.params]
+        assert block.dtype == np.float64
+        np.testing.assert_array_equal(block.view(np.int64), net.flat.view(np.int64))
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -368,16 +412,15 @@ class TestCheckpoint:
     def test_check_architecture_accepts_only_the_same_nets(self):
         net = small_net()
         layers = {"layers": net.layers}
-        header = {"layers": layer_specs_to_json(net.layers)}
-        check_architecture(header, net.params, layers)
+        shapes = [list(p.shape) for p in net.params]
+        header = {"layers": layer_specs_to_json(net.layers), "param_shapes": shapes}
+        check_architecture(header, layers)
         wider = [LayerSpec(5, 9, "relu"), *net.layers[1:]]
-        for bad_header, arrays in [({"layers": layer_specs_to_json(wider)}, net.params),
-                                   ({}, net.params),
-                                   (header, net.params[:-1]),
-                                   (header, [*net.params, net.params[-1]]),
-                                   (header, [*net.params[:-1], net.params[-1][:, None]])]:
+        for bad in [{"layers": layer_specs_to_json(wider)}, {"layers": None},
+                    {"param_shapes": shapes[:-1]}, {"param_shapes": [*shapes, shapes[-1]]},
+                    {"param_shapes": [*shapes[:-1], [*shapes[-1], 1]]}, {"param_shapes": None}]:
             with pytest.raises(ValueError):
-                check_architecture(bad_header, arrays, layers)
+                check_architecture({**header, **bad}, layers)
 
 
 class TestTrainConfig:
