@@ -17,7 +17,6 @@ import numpy as np
 from .cdfcodec import GridShape
 from .distgen import LabeledDataset, mix64
 from .neuralcore import (
-    DenseNet,
     LayerSpec,
     ShapeMismatchError,
     TrainConfig,
@@ -25,12 +24,12 @@ from .neuralcore import (
     audit_gradients,
     binary_cross_entropy,
     binary_cross_entropy_grad,
+    build_nets,
     check_architecture,
     header_field,
     layer_specs_to_json,
     load_checkpoint,
     save_checkpoint,
-    share_flat,
     split_indices,
     train_epochs,
 )
@@ -93,7 +92,7 @@ class VaeModel:
     """Encoder/decoder pair with the beta weight and latent size."""
 
     def __init__(self, grid_shape: GridShape, beta: float = 3.0, latent_dim: int = 2,
-                 seed: int = 0):
+                 seed: int = 0, block: np.ndarray | None = None):
         if latent_dim not in (1, 2):
             raise ValueError("latent_dim must be 1 or 2")
         if not 0 <= beta < np.inf:
@@ -101,11 +100,10 @@ class VaeModel:
         self.grid_shape = grid_shape
         self.beta = float(beta)
         self.latent_dim = int(latent_dim)
-        nets = [DenseNet(layers, seed=mix64(seed, i))
-                for i, layers in enumerate(vae_layers(grid_shape, latent_dim).values(), 1)]
+        # a checkpoint block becomes flat as it is; otherwise net i draws from mix64(seed, i)
+        init = [mix64(seed, i) for i in range(1, 5)] if block is None else block
+        nets, self.flat, self.grad = build_nets(vae_layers(grid_shape, latent_dim).values(), init)
         self.trunk, self.mu_head, self.logvar_head, self.decoder = nets
-        # one vector for all four nets, laid out in params order
-        self.flat, self.grad = share_flat(nets)
         self.params = [p for net in nets for p in net.params]
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
@@ -143,16 +141,11 @@ class VaeModel:
                 f"expected latent vectors of size {self.latent_dim}, got {z.shape[1]}")
         return self.decoder(z)
 
-    def loss_parts(self, x: np.ndarray, eps: np.ndarray) -> tuple[float, float]:
-        """(mean BCE, mean KL) of the batch at the given eps draw."""
-        x, _, mu_cache, _, logvar, dec_cache = self._forward(x, eps)
-        bce = binary_cross_entropy(dec_cache.output, x)
-        kl = float(np.mean(kl_per_example(mu_cache.output, logvar)))
-        return bce, kl
-
     def loss(self, x: np.ndarray, eps: np.ndarray) -> float:
-        bce, kl = self.loss_parts(x, eps)
-        return bce + self.beta * kl
+        """Mean BCE plus beta times mean KL of the batch at the given eps draw."""
+        x, _, mu_cache, _, logvar, dec_cache = self._forward(x, eps)
+        kl = float(np.mean(kl_per_example(mu_cache.output, logvar)))
+        return binary_cross_entropy(dec_cache.output, x) + self.beta * kl
 
     def loss_gradients(self, x: np.ndarray, eps: np.ndarray):
         """Analytic parameter gradients of loss() at fixed eps.
@@ -321,7 +314,6 @@ def load_vae(path) -> tuple[VaeModel, dict]:
     grid = header_field(header, "grid", GridShape.from_json)
     latent_dim = header_field(header, "latent_dim", int)
     check_architecture(header, vae_layers(grid, latent_dim))
-    model = VaeModel(grid, beta=header_field(header, "beta", float), latent_dim=latent_dim)
-    model.flat[...] = block
-    return model, header
+    beta = header_field(header, "beta", float)
+    return VaeModel(grid, beta=beta, latent_dim=latent_dim, block=block), header
 

@@ -21,6 +21,7 @@ from .neuralcore import (
     ShapeMismatchError,
     TrainConfig,
     _map_batches,
+    build_nets,
     categorical_cross_entropy,
     categorical_cross_entropy_grad,
     check_architecture,
@@ -130,7 +131,7 @@ def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig
     """Train a fresh softmax net on a 67/33 split of (x, y); returns (net, history)."""
     train_idx, test_idx = split_indices(x.shape[0], config.rng_seed)
     x_train, x_test, y_test = x[train_idx], x[test_idx], y[test_idx]
-    net = DenseNet(layers, seed=mix64(config.rng_seed, 1))
+    (net,), _, _ = build_nets([layers], [mix64(config.rng_seed, 1)])
     onehot = one_hot(y[train_idx], net.out_dim)
 
     def test_accuracy() -> float:
@@ -219,7 +220,6 @@ def load_classifier(path):
         latent_dim = header_field(header, "latent_dim", int)
         layers = latent_classifier_layers(latent_dim)
     check_architecture(header, {"layers": layers})
-    net = DenseNet(layers)
-    net.flat[...] = block
+    (net,), _, _ = build_nets([layers], block)
     model = GridClassifier(net, grid) if kind == "classifier" else LatentClassifier(net, latent_dim)
     return model, header

@@ -28,10 +28,10 @@ import numpy as np
 from . import __version__, betavae, cdfrepair, classifier, distgen, latentlab
 from .cdfcodec import GridShape, describe_series
 from .neuralcore import (
-    DenseNet,
     ShapeMismatchError,
     TrainConfig,
     TrainingDivergedError,
+    build_nets,
     grad_check,
     one_hot,
     split_indices,
@@ -563,8 +563,8 @@ def cmd_grad_check(args, argv) -> int:
     batch = rng.random((16, grid.n_cells))
     worst = {}
     if args.arch in ("classifier", "both"):
-        net = DenseNet(classifier.grid_classifier_layers(grid.n_cells),
-                       seed=distgen.mix64(args.seed, 1))
+        (net,), _, _ = build_nets([classifier.grid_classifier_layers(grid.n_cells)],
+                                  [distgen.mix64(args.seed, 1)])
         targets = one_hot(rng.integers(0, distgen.N_FAMILIES, size=16), distgen.N_FAMILIES)
         worst["classifier"] = grad_check(net, batch, targets, loss="cce", seed=args.seed)
     if args.arch in ("bvae", "both"):

@@ -3,11 +3,11 @@
 A deliberately small engine sized for the grid-image models: forward
 caches that keep each layer's activation only (the ReLU and sigmoid
 backward read their masks and slopes from it), analytic gradients for
-every activation and loss, one parameter and one gradient vector per
-model (share_flat) that RMSprop and Adadelta update, the one shuffled
-minibatch loop every trainer runs, finite-difference auditing of the
-whole gradient path, and bit-exact checkpoints. Everything is
-deterministic given (seed, data, config).
+every activation and loss, one allocation per model (build_nets) whose
+nets are views of its parameter and gradient vectors, RMSprop and
+Adadelta over those, the one shuffled minibatch loop every trainer
+runs, finite-difference auditing of the whole gradient path, and
+bit-exact checkpoints. Everything is deterministic given (seed, data, config).
 """
 
 from __future__ import annotations
@@ -123,56 +123,61 @@ class ForwardCache:
         return self.acts[-1]
 
 
-def share_flat(nets) -> tuple[np.ndarray, np.ndarray]:
-    """Move the nets' parameters into one contiguous float64 vector, in order.
+def param_shapes(nets_layers) -> list:
+    """The one parameter layout of a model: per net, [W, b] shapes per layer; nets in order."""
+    return [[shape for s in layers for shape in ((s.in_dim, s.out_dim), (s.out_dim,))]
+            for layers in nets_layers]
 
-    Returns (flat, grad): ``flat`` holds every net's ``params`` end to end
-    with the same values, and ``grad`` has the same layout. Each net's
-    ``params`` and ``grads`` become reshaped views into them, and its
-    ``flat``/``grad`` the slices it covers. ``grad`` is left uninitialized:
-    every backward writes all of its net's entries.
+
+def build_nets(nets_layers, init) -> tuple[list, np.ndarray, np.ndarray]:
+    """Allocate a model's two vectors once and bind its nets as views into them.
+
+    ``init`` is one seed per net, whose weights draw layer by layer from
+    default_rng(seed) as U(-sqrt(6/in_dim), +sqrt(6/in_dim)) over zero
+    biases, or a parameter block in the layout, as load_checkpoint returns
+    it, which becomes ``flat`` itself: no copy, no draw. Returns (nets,
+    flat, grad); ``grad`` is uninitialized until a backward writes it.
     """
-    flat = np.concatenate([p.ravel() for net in nets for p in net.params])
+    sizes = [sum(map(math.prod, shapes)) for shapes in param_shapes(nets_layers)]
+    fresh = not isinstance(init, np.ndarray)
+    flat = np.zeros(sum(sizes)) if fresh else init
     grad = np.empty_like(flat)
-    stop = 0
-    for net in nets:
-        start, spans = stop, []
-        for p in net.params:
-            spans.append((stop, stop + p.size, p.shape))
-            stop += p.size
-        net.flat, net.grad = flat[start:stop], grad[start:stop]
-        net.params = [flat[lo:hi].reshape(shape) for lo, hi, shape in spans]
-        net.grads = [grad[lo:hi].reshape(shape) for lo, hi, shape in spans]
-    return flat, grad
+    cuts = np.cumsum(sizes)[:-1]
+    nets = [DenseNet(*net) for net in zip(nets_layers, np.split(flat, cuts), np.split(grad, cuts))]
+    if fresh:
+        for net, seed in zip(nets, init, strict=True):
+            rng = np.random.default_rng(seed)
+            for spec, w in zip(net.layers, net.params[0::2]):
+                # rng.uniform(-limit, limit, w.shape) bit for bit: -limit + 2 * limit * u
+                limit = np.sqrt(6.0 / spec.in_dim)
+                rng.random(out=w)
+                w *= 2.0 * limit
+                w -= limit
+    return nets, flat, grad
 
 
 class DenseNet:
     """A stack of affine layers with elementwise or softmax activations.
 
-    Weights initialize to U(-sqrt(6/in_dim), +sqrt(6/in_dim)) and
-    biases to zero, from the given seed. Parameters are float64 views
-    [W0, b0, W1, b1, ...] into the one vector ``flat`` that optimizers
-    update in place; ``grads``/``grad`` hold their gradients the same way.
+    Its float64 ``params`` [W0, b0, W1, b1, ...] are views into ``flat``, which
+    optimizers update in place, and its ``grads`` into ``grad``. build_nets
+    allocates and initializes both vectors; a DenseNet only binds views.
     """
 
-    def __init__(self, layers: Sequence[LayerSpec], seed: int = 0):
+    def __init__(self, layers: Sequence[LayerSpec], flat: np.ndarray, grad: np.ndarray):
         layers = list(layers)
         if not layers:
             raise ValueError("need at least one layer")
         for prev, cur in zip(layers, layers[1:]):
             if prev.out_dim != cur.in_dim:
                 raise ValueError(f"layer chain breaks: {prev.out_dim} -> {cur.in_dim}")
-        for spec in layers[:-1]:
-            if spec.activation == "softmax":
-                raise ValueError("softmax is only valid as the final activation")
-        self.layers = layers
-        rng = np.random.default_rng(seed)
-        self.params = []
-        for spec in layers:
-            limit = np.sqrt(6.0 / spec.in_dim)
-            self.params += [rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)),
-                            np.zeros(spec.out_dim, dtype=np.float64)]
-        share_flat([self])
+        if any(spec.activation == "softmax" for spec in layers[:-1]):
+            raise ValueError("softmax is only valid as the final activation")
+        self.layers, self.flat, self.grad = layers, flat, grad
+        (shapes,) = param_shapes([layers])
+        cuts = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+        self.params = [p.reshape(shape) for p, shape in zip(np.split(flat, cuts), shapes)]
+        self.grads = [g.reshape(shape) for g, shape in zip(np.split(grad, cuts), shapes)]
 
     @property
     def in_dim(self) -> int:
@@ -262,12 +267,14 @@ class RMSprop:
     def __init__(self, flat: np.ndarray, config: TrainConfig):
         self.config = config
         self.acc = np.zeros_like(flat)
+        self.scratch = np.empty_like(flat)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        c, a = self.config, self.acc
+        c, a, s = self.config, self.acc, self.scratch
         a *= c.rho
-        a += (1.0 - c.rho) * grad * grad
-        flat -= c.learning_rate * grad / (np.sqrt(a) + c.epsilon)
+        a += np.multiply(np.multiply(1.0 - c.rho, grad, out=s), grad, out=s)
+        np.add(np.sqrt(a, out=s), c.epsilon, out=s)
+        flat -= np.divide(c.learning_rate * grad, s, out=s)
 
 
 class Adadelta:
@@ -277,21 +284,22 @@ class Adadelta:
         self.config = config
         self.acc = np.zeros_like(flat)
         self.delta_acc = np.zeros_like(flat)
+        self.scratch = np.empty_like(flat)
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        c, a, d = self.config, self.acc, self.delta_acc
+        c, a, d, s = self.config, self.acc, self.delta_acc, self.scratch
         a *= c.rho
-        a += (1.0 - c.rho) * grad * grad
-        update = grad * np.sqrt(d + c.epsilon) / np.sqrt(a + c.epsilon)
-        flat -= c.learning_rate * update
+        a += np.multiply(np.multiply(1.0 - c.rho, grad, out=s), grad, out=s)
+        update = np.sqrt(d + c.epsilon)
+        update *= grad
+        update /= np.sqrt(np.add(a, c.epsilon, out=s), out=s)
+        flat -= np.multiply(c.learning_rate, update, out=s)
         d *= c.rho
-        d += (1.0 - c.rho) * update * update
+        d += np.multiply(np.multiply(1.0 - c.rho, update, out=s), update, out=s)
 
 
 def make_optimizer(flat: np.ndarray, config: TrainConfig):
-    if config.optimizer == "rmsprop":
-        return RMSprop(flat, config)
-    return Adadelta(flat, config)
+    return (RMSprop if config.optimizer == "rmsprop" else Adadelta)(flat, config)
 
 
 def train_epochs(flat: np.ndarray, config: TrainConfig, n: int, shuffle_seed: int, batch_step):
@@ -457,7 +465,6 @@ def check_architecture(header: dict, layers: dict) -> None:
     """
     if any(header.get(key) != layer_specs_to_json(specs) for key, specs in layers.items()):
         raise ValueError("checkpoint layer lists do not match the architecture")
-    expected = [shape for specs in layers.values() for s in specs
-                for shape in ([s.in_dim, s.out_dim], [s.out_dim])]
+    expected = [list(shape) for shapes in param_shapes(layers.values()) for shape in shapes]
     if header.get("param_shapes") != expected:
         raise ValueError("checkpoint parameter shapes do not match the architecture")

@@ -17,7 +17,7 @@ from scipy.stats import spearmanr
 from distatlas import betavae, cdfrepair, classifier, distgen, latentlab
 from distatlas.cdfcodec import GridShape, entropy, signed_ks
 from distatlas.cli import main as cli_main
-from distatlas.neuralcore import DenseNet, TrainConfig, grad_check, one_hot, split_indices
+from distatlas.neuralcore import TrainConfig, build_nets, grad_check, one_hot, split_indices
 
 DESK_SEED = 1
 DESK_PER_FAMILY = 1000
@@ -98,7 +98,7 @@ def test_criterion_02_gradient_correctness(desk_dataset):
     batch = desk_dataset.grids[take].astype(np.float64)
     targets = one_hot(desk_dataset.labels[take].astype(np.int64), distgen.N_FAMILIES)
 
-    net = DenseNet(classifier.grid_classifier_layers(650), seed=11)
+    (net,), _, _ = build_nets([classifier.grid_classifier_layers(650)], [11])
     err_classifier = grad_check(net, batch, targets, loss="cce", h=1e-5, seed=12)
 
     model = betavae.VaeModel(GridShape(), beta=3.0, latent_dim=2, seed=13)

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from distatlas import distgen
+from distatlas import betavae, classifier, distgen
 from distatlas.betavae import (
     LatentPoints,
     VaeModel,
@@ -20,7 +20,14 @@ from distatlas.betavae import (
     vae_grad_check,
 )
 from distatlas.cdfcodec import GridShape
-from distatlas.neuralcore import DenseNet, ShapeMismatchError, TrainConfig
+from distatlas.classifier import (
+    GridClassifier,
+    grid_classifier_layers,
+    latent_classifier_layers,
+    load_classifier,
+    save_classifier,
+)
+from distatlas.neuralcore import ShapeMismatchError, TrainConfig, build_nets, load_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +153,7 @@ class TestModel:
         layers = [s for net in nets for s in net.layers]
         assert_laid_out(model.flat, model.params, layers)
         assert_laid_out(model.grad, [g for net in nets for g in net.grads], layers)
-        net = DenseNet(model.decoder.layers)
+        (net,), _, _ = build_nets([model.decoder.layers], [0])
         assert_laid_out(net.flat, net.params, net.layers)
         assert_laid_out(net.grad, net.grads, net.layers)
 
@@ -161,6 +168,14 @@ class TestModel:
                 (0, "31c6c0f5208c52e8fd14869129094b3e10a79250b62463da12732cf51decaf36"),
                 (1, "461c50876c9ddb230c5fbae877f9c4c6f309deaee3590652fcda4f1e12fa5883")]:
             flat = VaeModel(GridShape(), seed=seed).flat
+            assert hashlib.sha256(flat.tobytes()).hexdigest() == digest
+        # the classifiers' initial params at seed mix64(0, 1), pinned from the per-net draw
+        for layers, digest in [
+                (grid_classifier_layers(650),
+                 "548b75d886ee8afeab13dd10ea6240a804706a2f3e6bb826d4db3e6fa2b54411"),
+                (latent_classifier_layers(2),
+                 "5820c3fa85f11db7a9af5546709e0c3edad52e7ebaef8cb993d708da756ea0cc")]:
+            _, flat, _ = build_nets([layers], [distgen.mix64(0, 1)])
             assert hashlib.sha256(flat.tobytes()).hexdigest() == digest
 
     def test_gradients_latent_dim_one(self):
@@ -292,6 +307,35 @@ class TestVaeCheckpoint:
         np.testing.assert_array_equal(clone.encode(grids)[0], model.encode(grids)[0])
         z = np.random.default_rng(1).standard_normal((3, 2))
         np.testing.assert_array_equal(clone.decode(z), model.decode(z))
+
+    def test_loaders_adopt_the_block_without_drawing(self, tmp_path, monkeypatch):
+        vae = VaeModel(GridShape(8, 6), seed=2)
+        (net,), _, _ = build_nets([grid_classifier_layers(48)], [3])
+        save_vae(tmp_path / "vae.ckpt", vae)
+        save_classifier(tmp_path / "clf.ckpt", GridClassifier(net, GridShape(8, 6)))
+        blocks = []
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        def recorded(path):
+            header, block = load_checkpoint(path)
+            blocks.append(block)
+            return header, block
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        monkeypatch.setattr(betavae, "load_checkpoint", recorded)
+        monkeypatch.setattr(classifier, "load_checkpoint", recorded)
+        clone, _ = load_vae(tmp_path / "vae.ckpt")
+        clf, _ = load_classifier(tmp_path / "clf.ckpt")
+        # each model's vector is the block read from the file, uncopied
+        assert clone.flat is blocks[0] and clf.net.flat.base is blocks[1]
+        for block, views, want in [(blocks[0], clone.params, vae.flat),
+                                   (blocks[1], clf.net.params, net.flat)]:
+            # it owns its memory, and only the model's own views share it
+            assert block.base is None and block.flags.writeable
+            assert all(view.base is block for view in views)
+            np.testing.assert_array_equal(block.view(np.int64), want.view(np.int64))
 
     def test_rejects_wrong_kind(self, tmp_path):
         from distatlas.neuralcore import save_checkpoint

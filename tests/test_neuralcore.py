@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from distatlas.neuralcore import (
     Adadelta,
-    DenseNet,
     LayerSpec,
     RMSprop,
     ShapeMismatchError,
@@ -18,6 +17,7 @@ from distatlas.neuralcore import (
     audit_gradients,
     binary_cross_entropy,
     binary_cross_entropy_grad,
+    build_nets,
     categorical_cross_entropy,
     categorical_cross_entropy_grad,
     check_architecture,
@@ -54,8 +54,13 @@ def _accumulators(opt):
     return [opt.acc] if isinstance(opt, RMSprop) else [opt.acc, opt.delta_acc]
 
 
+def make_net(layers, seed=0):
+    (net,), _, _ = build_nets([layers], [seed])
+    return net
+
+
 def small_net(seed=0):
-    return DenseNet([LayerSpec(5, 8, "relu"), LayerSpec(8, 6, "relu"),
+    return make_net([LayerSpec(5, 8, "relu"), LayerSpec(8, 6, "relu"),
                      LayerSpec(6, 4, "softmax")], seed=seed)
 
 
@@ -70,29 +75,29 @@ class TestLayerSpec:
 
     def test_softmax_only_final(self):
         with pytest.raises(ValueError):
-            DenseNet([LayerSpec(3, 3, "softmax"), LayerSpec(3, 2, "identity")])
+            make_net([LayerSpec(3, 3, "softmax"), LayerSpec(3, 2, "identity")])
 
     def test_chain_must_connect(self):
         with pytest.raises(ValueError):
-            DenseNet([LayerSpec(3, 4), LayerSpec(5, 2)])
+            make_net([LayerSpec(3, 4), LayerSpec(5, 2)])
 
 
 class TestForward:
     def test_zero_weights_identity_gives_zeros(self):
-        net = DenseNet([LayerSpec(4, 3, "identity")], seed=0)
+        net = make_net([LayerSpec(4, 3, "identity")], seed=0)
         net.params[0][:] = 0.0
         out = net(np.ones((2, 4)))
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_softmax_of_equal_logits_is_uniform(self):
-        net = DenseNet([LayerSpec(4, 13, "softmax")], seed=0)
+        net = make_net([LayerSpec(4, 13, "softmax")], seed=0)
         net.params[0][:] = 0.0
         out = net(np.random.default_rng(0).random((3, 4)))
         np.testing.assert_allclose(out, np.full((3, 13), 1.0 / 13.0), atol=1e-15)
 
     def test_single_layer_hand_example(self):
         # x = [3], W = [[2]], b = [1] -> preactivation 7 -> relu 7
-        net = DenseNet([LayerSpec(1, 1, "relu")], seed=0)
+        net = make_net([LayerSpec(1, 1, "relu")], seed=0)
         net.params[0][:] = 2.0
         net.params[1][:] = 1.0
         assert net(np.array([[3.0]]))[0, 0] == 7.0
@@ -111,13 +116,13 @@ class TestForward:
     @settings(max_examples=50, deadline=None)
     def test_softmax_rows_sum_to_one(self, seed):
         rng = np.random.default_rng(seed)
-        net = DenseNet([LayerSpec(6, 9, "softmax")], seed=seed)
+        net = make_net([LayerSpec(6, 9, "softmax")], seed=seed)
         out = net(rng.normal(scale=3.0, size=(5, 6)))
         np.testing.assert_allclose(out.sum(axis=1), np.ones(5), atol=1e-12)
         assert np.all(out > 0.0) and np.all(out < 1.0)
 
     def test_sigmoid_extreme_inputs_stable(self):
-        net = DenseNet([LayerSpec(1, 1, "sigmoid")], seed=0)
+        net = make_net([LayerSpec(1, 1, "sigmoid")], seed=0)
         net.params[0][:] = 1.0
         out = net(np.array([[-1e4], [1e4]]))
         assert np.all(np.isfinite(out))
@@ -160,7 +165,7 @@ class TestBackward:
 
     def test_bce_path_matches_finite_differences(self):
         rng = np.random.default_rng(4)
-        net = DenseNet([LayerSpec(5, 8, "relu"), LayerSpec(8, 5, "sigmoid")], seed=5)
+        net = make_net([LayerSpec(5, 8, "relu"), LayerSpec(8, 5, "sigmoid")], seed=5)
         x = rng.random((4, 5))
         assert grad_check(net, x, rng.random((4, 5)), loss="bce", h=1e-5, seed=0) < 1e-4
 
@@ -326,7 +331,7 @@ class TestGradCheck:
     def test_linear_net_squared_loss_is_exact(self):
         # a quadratic loss of a linear net: central differences are exact but for rounding
         rng = np.random.default_rng(5)
-        net = DenseNet([LayerSpec(4, 3, "identity")], seed=6)
+        net = make_net([LayerSpec(4, 3, "identity")], seed=6)
         x = rng.random((8, 4))
         t = rng.random((8, 3))
 
@@ -340,7 +345,7 @@ class TestGradCheck:
 
     def test_wrong_gradient_is_caught(self):
         rng = np.random.default_rng(5)
-        net = DenseNet([LayerSpec(4, 3, "identity")], seed=6)
+        net = make_net([LayerSpec(4, 3, "identity")], seed=6)
         x = rng.random((8, 4))
 
         def loss():
@@ -352,7 +357,7 @@ class TestGradCheck:
 
     def test_coarse_step_is_worse(self):
         rng = np.random.default_rng(6)
-        net = DenseNet([LayerSpec(4, 4, "sigmoid"), LayerSpec(4, 3, "softmax")], seed=7)
+        net = make_net([LayerSpec(4, 4, "sigmoid"), LayerSpec(4, 3, "softmax")], seed=7)
         x = rng.random((8, 4))
         t = one_hot(rng.integers(0, 3, 8), 3)
         fine = grad_check(net, x, t, loss="cce", h=1e-5, seed=2)

@@ -9,7 +9,10 @@ its own subprocess with one BLAS thread:
     generate -> train classifier -> eval -> train bvae -> map -> describe --segments
 
 once with a 2-D latent and once with `train bvae --latent-dim 1` (which reuses
-the 2-D run's corpus and classifier). Prints one line per output file and
+the 2-D run's corpus and classifier), then `grad-check --arch both`, which
+builds fresh nets outside training. Each command's stdout is kept as one more
+output file, `stdout_<index>_<command>.txt`, so `eval` and `grad-check`, which
+report only there, are compared too. Prints one line per output file and
 exits 1 when a command fails or any file differs or exists on one side only.
 `run_log.jsonl` is skipped: it records the wall-clock time of each run.
 Needs only numpy and scipy, and runs in well under a minute on 2 cores.
@@ -51,17 +54,20 @@ COMMANDS = [
                "--latent-epochs", "5", "--seed", "7", "--w-star", "1.0", "--p-min", "0.01"]),
     ("one_d", ["describe", "--data", "{data}", "--classifier", "two_d/classifier.ckpt",
                "--vae", "one_d/bvae.ckpt", "--segments", "one_d/segments.csv"]),
+    ("grad_check", ["grad-check", "--arch", "both", "--seed", "7"]),
 ]
 
 # runs inside the subprocess: argv[1] is the src directory, argv[2] the JSON command list
 DRIVER = """
-import json, sys
+import contextlib, io, json, pathlib, sys
 sys.path.insert(0, sys.argv[1])
 import distatlas
 from distatlas.cli import main
 assert distatlas.__file__.startswith(sys.argv[1]), distatlas.__file__
-for argv in json.loads(sys.argv[2]):
-    code = main(argv)
+for index, argv in enumerate(json.loads(sys.argv[2])):
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(argv)
+    pathlib.Path(f"stdout_{index:02d}_{argv[0]}.txt").write_text(stdout.getvalue())
     if code != 0:
         sys.exit(f"exit {code}: distatlas {' '.join(argv)}")
 """
