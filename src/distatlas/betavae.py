@@ -171,7 +171,7 @@ class VaeModel:
         dlogvar_raw = dlogvar * ((logvar_raw > -LOGVAR_LIMIT) & (logvar_raw < LOGVAR_LIMIT))
         dh_mu = self.mu_head.backward(mu_cache, dmu)
         dh_logvar = self.logvar_head.backward(logvar_cache, dlogvar_raw)
-        self.trunk.backward(trunk_cache, dh_mu + dh_logvar)
+        self.trunk.backward(trunk_cache, dh_mu + dh_logvar, input_grad=False)
         return self.grad, bce, kl
 
 
@@ -188,7 +188,7 @@ class VaeEpoch:
 def _dataset_eval(model: VaeModel, grids: np.ndarray):
     """Mean (BCE, KL) with the decoder driven by the encoder mean."""
     def batch_sums(rows: slice):
-        x = grids[rows].astype(np.float64)
+        x = grids[rows].astype(np.float64, copy=False)
         mu, sigma = model.encode(x)
         return (binary_cross_entropy(model.decode(mu), x) * x.shape[0],
                 float(np.sum(kl_per_example(mu, 2.0 * np.log(sigma)))))

@@ -147,7 +147,7 @@ def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig
     def batch_step(rows):
         cache, target = net.forward(x_train[rows]), onehot[rows]
         loss = categorical_cross_entropy(cache.output, target)
-        net.backward(cache, categorical_cross_entropy_grad(cache.output, target))
+        net.backward(cache, categorical_cross_entropy_grad(cache.output, target), input_grad=False)
         return net.grad, (loss,)
 
     history = [ClassifierEpoch(0, full_loss(), test_accuracy())]

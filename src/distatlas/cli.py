@@ -19,6 +19,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -304,13 +305,22 @@ def cmd_map(args, argv) -> int:
         if not math.isfinite(getattr(args, flag)):
             raise CliError(EXIT_BAD_SPEC, f"--{flag.replace('_', '-')} must be finite")
     model, _header = _load(betavae.load_vae, "autoencoder checkpoint", args.vae)
+    d = model.latent_dim
+    # each lattice holds at least one float64 per point; the curves one per grid cell
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    for flag, per_point in (("density_resolution", 1), ("class_map_resolution", 1),
+                            ("curve_resolution", model.grid_shape.n_cells)):
+        values = getattr(args, flag) ** d * per_point
+        if 8 * values > memory:
+            raise CliError(EXIT_BAD_SPEC, f"--{flag.replace('_', '-')} {getattr(args, flag)} "
+                                          f"needs {values} float64 lattice values, more than the "
+                                          f"{memory} bytes of physical memory")
     dataset = _load(distgen.load_cache, "dataset cache", args.dataset)
     _require_same_grid(model, dataset)
     out = _out_dir(args)
     _log_invocation(out, "map", argv)
 
     points = betavae.encode_dataset(model, dataset)
-    d = model.latent_dim
     z_cols = [f"z{j + 1}" for j in range(d)]
     s_cols = [f"sigma{j + 1}" for j in range(d)]
     _write_csv(out / "latent_points.csv",

@@ -4,10 +4,13 @@ A deliberately small engine sized for the grid-image models: forward
 caches that keep each layer's activation only (the ReLU and sigmoid
 backward read their masks and slopes from it), analytic gradients for
 every activation and loss, one allocation per model (build_nets) whose
-nets are views of its parameter and gradient vectors, RMSprop and
-Adadelta over those, the one shuffled minibatch loop every trainer
-runs, finite-difference auditing of the whole gradient path, and
-bit-exact checkpoints. Everything is deterministic given (seed, data, config).
+nets are views of its parameter and gradient vectors, a backward that
+skips the input gradient no caller reads, RMSprop and Adadelta stepping
+those vectors in cache-sized slices (STEP_CHUNK entries through a
+slice-sized scratch, so no step allocates a whole-vector temporary), the
+one shuffled minibatch loop every trainer runs, finite-difference
+auditing of the whole gradient path, and bit-exact checkpoints.
+Everything is deterministic given (seed, data, config).
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ import numpy as np
 LOSS_EPS = 1e-7
 AUDIT_SAMPLES = 200
 TRAIN_FRAC = 0.67
+# optimizer slice length in entries (256 KiB of float64 per vector). An RMSprop step over
+# the beta-VAE's 733,326 entries took 3.0 ms at this length, 3.6 ms at 8,192, 3.5 ms at
+# 65,536, 3.8 ms at 131,072 and 4.5 ms over the whole vector (timeit, 2-core Xeon)
+STEP_CHUNK = 32768
 
 ACTIVATIONS = ("relu", "sigmoid", "softmax", "identity")
 
@@ -96,13 +103,15 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_backward(name: str, a: np.ndarray, grad_a: np.ndarray) -> np.ndarray:
+def _activation_backward(name: str, a: np.ndarray, grad_a: np.ndarray,
+                         owned: bool = False) -> np.ndarray:
     """Gradient w.r.t. the pre-activation given the post-activation one.
 
-    ReLU masks with a > 0, which is z > 0 bit for bit, NaN included.
+    ReLU masks with a > 0, which is z > 0 bit for bit, NaN included, and
+    masks grad_a in place when the caller owns it (``owned``).
     """
     if name == "relu":
-        return grad_a * (a > 0)
+        return np.multiply(grad_a, a > 0, out=grad_a if owned else None)
     if name == "sigmoid":
         return grad_a * a * (1.0 - a)
     if name == "softmax":
@@ -202,21 +211,29 @@ class DenseNet:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x).output
 
-    def backward(self, cache: ForwardCache, grad_output: np.ndarray) -> np.ndarray:
+    def backward(self, cache: ForwardCache, grad_output: np.ndarray,
+                 input_grad: bool = True) -> np.ndarray | None:
         """Exact gradients for every parameter; returns the input gradient.
 
         grad_output is the loss gradient w.r.t. the network output
         (post-activation); whatever batch reduction the loss applies is
-        already baked into it. The parameter gradients are written into
-        ``grad`` (views ``grads``, ordered like ``params``), which the
-        next call overwrites.
+        already baked into it, and it is left unchanged. The parameter
+        gradients are written into ``grad`` (views ``grads``, ordered like
+        ``params``), which the next call overwrites. With ``input_grad``
+        False, layer 0's ``grad_z @ W0.T`` is skipped and None returned,
+        for nets whose input is data rather than another net's output.
         """
         grad_a = np.asarray(grad_output, dtype=np.float64)
-        for i in range(len(self.layers) - 1, -1, -1):
+        last = len(self.layers) - 1
+        for i in range(last, -1, -1):
             a_prev = cache.x if i == 0 else cache.acts[i - 1]
-            grad_z = _activation_backward(self.layers[i].activation, cache.acts[i], grad_a)
+            # below the top layer grad_a is the matmul result made here, so it may be overwritten
+            grad_z = _activation_backward(self.layers[i].activation, cache.acts[i], grad_a,
+                                          owned=i < last)
             np.matmul(a_prev.T, grad_z, out=self.grads[2 * i])
             np.sum(grad_z, axis=0, out=self.grads[2 * i + 1])
+            if i == 0 and not input_grad:
+                return None
             grad_a = grad_z @ self.params[2 * i].T
         return grad_a
 
@@ -262,40 +279,62 @@ LOSSES = {
 # optimizers
 
 class RMSprop:
-    """a <- rho*a + (1-rho)*g^2;  p <- p - lr * g / (sqrt(a) + eps)."""
+    """a <- rho*a + (1-rho)*g^2;  p <- p - lr * g / (sqrt(a) + eps).
+
+    ``step`` walks the vectors in STEP_CHUNK slices through a two-row
+    scratch of one slice each. Every entry sees the whole-vector
+    expressions in the same order, so the result is the same bit for bit,
+    and a step allocates nothing the size of the vector.
+    """
 
     def __init__(self, flat: np.ndarray, config: TrainConfig):
         self.config = config
         self.acc = np.zeros_like(flat)
-        self.scratch = np.empty_like(flat)
+        self.scratch = np.empty((2, min(STEP_CHUNK, flat.size)))
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        c, a, s = self.config, self.acc, self.scratch
-        a *= c.rho
-        a += np.multiply(np.multiply(1.0 - c.rho, grad, out=s), grad, out=s)
-        np.add(np.sqrt(a, out=s), c.epsilon, out=s)
-        flat -= np.divide(c.learning_rate * grad, s, out=s)
+        c = self.config
+
+        def step_slice(rows: slice) -> None:
+            p, g, a = flat[rows], grad[rows], self.acc[rows]
+            s, t = self.scratch[:, :g.size]
+            a *= c.rho
+            a += np.multiply(np.multiply(1.0 - c.rho, g, out=s), g, out=s)
+            np.add(np.sqrt(a, out=s), c.epsilon, out=s)
+            p -= np.divide(np.multiply(c.learning_rate, g, out=t), s, out=s)
+
+        _map_batches(step_slice, flat.size, STEP_CHUNK)
 
 
 class Adadelta:
-    """Accumulates squared gradients and squared updates; steps by their ratio."""
+    """Accumulates squared gradients and squared updates; steps by their ratio.
+
+    Like RMSprop, ``step`` walks STEP_CHUNK slices through a two-row
+    scratch, bit-identical to the whole-vector expressions.
+    """
 
     def __init__(self, flat: np.ndarray, config: TrainConfig):
         self.config = config
         self.acc = np.zeros_like(flat)
         self.delta_acc = np.zeros_like(flat)
-        self.scratch = np.empty_like(flat)
+        self.scratch = np.empty((2, min(STEP_CHUNK, flat.size)))
 
     def step(self, flat: np.ndarray, grad: np.ndarray) -> None:
-        c, a, d, s = self.config, self.acc, self.delta_acc, self.scratch
-        a *= c.rho
-        a += np.multiply(np.multiply(1.0 - c.rho, grad, out=s), grad, out=s)
-        update = np.sqrt(d + c.epsilon)
-        update *= grad
-        update /= np.sqrt(np.add(a, c.epsilon, out=s), out=s)
-        flat -= np.multiply(c.learning_rate, update, out=s)
-        d *= c.rho
-        d += np.multiply(np.multiply(1.0 - c.rho, update, out=s), update, out=s)
+        c = self.config
+
+        def step_slice(rows: slice) -> None:
+            p, g, a, d = flat[rows], grad[rows], self.acc[rows], self.delta_acc[rows]
+            s, update = self.scratch[:, :g.size]
+            a *= c.rho
+            a += np.multiply(np.multiply(1.0 - c.rho, g, out=s), g, out=s)
+            np.sqrt(np.add(d, c.epsilon, out=update), out=update)
+            update *= g
+            update /= np.sqrt(np.add(a, c.epsilon, out=s), out=s)
+            p -= np.multiply(c.learning_rate, update, out=s)
+            d *= c.rho
+            d += np.multiply(np.multiply(1.0 - c.rho, update, out=s), update, out=s)
+
+        _map_batches(step_slice, flat.size, STEP_CHUNK)
 
 
 def make_optimizer(flat: np.ndarray, config: TrainConfig):
@@ -360,7 +399,7 @@ def grad_check(net: DenseNet, batch: np.ndarray, targets: np.ndarray,
     """audit_gradients of a network's backprop under one of LOSSES."""
     loss_fn, grad_fn = LOSSES[loss]
     cache = net.forward(batch)
-    net.backward(cache, grad_fn(cache.output, targets))
+    net.backward(cache, grad_fn(cache.output, targets), input_grad=False)
     return audit_gradients(net.flat, lambda: loss_fn(net(batch), targets), net.grad, h, seed)
 
 

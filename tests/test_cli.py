@@ -185,6 +185,10 @@ class TestTrain:
     ("grad-check", ["--seed", "-1"]),
     ("map", ["--trajectory-bins", "0"]),
     ("map", ["--trajectory-min-count", "-5"]),
+    # lattices larger than physical memory
+    ("map", ["--class-map-resolution", "200000"]),
+    ("map", ["--density-resolution", "100000"]),
+    ("map", ["--curve-resolution", "20000"]),
 ])
 def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
     out = tmp_path / "bad"

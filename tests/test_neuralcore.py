@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from distatlas.neuralcore import (
     Adadelta,
     LayerSpec,
     RMSprop,
+    STEP_CHUNK,
     ShapeMismatchError,
     TrainConfig,
     TrainingDivergedError,
@@ -48,6 +50,11 @@ def _reference_adadelta(c, params, grads, accs, delta_accs):
         p -= c.learning_rate * update
         d *= c.rho
         d += (1.0 - c.rho) * update * update
+
+
+# the beta-VAE's parameter shapes at the 26x25 grid and a 2-D latent: 733,326 entries
+VAE_SHAPES = [(650, 512), (512,), (512, 64), (64,), (64, 2), (2,), (64, 2), (2,),
+              (2, 64), (64,), (64, 512), (512,), (512, 650), (650,)]
 
 
 def _accumulators(opt):
@@ -185,6 +192,32 @@ class TestBackward:
         np.testing.assert_allclose(g1, net.grad, atol=1e-12)
 
 
+    @pytest.mark.parametrize("layers", [
+        [LayerSpec(650, 512, "relu"), LayerSpec(512, 64, "relu")],
+        [LayerSpec(650, 128, "relu"), LayerSpec(128, 64, "relu"), LayerSpec(64, 13, "softmax")],
+    ], ids=["vae_trunk", "grid_classifier"])
+    def test_without_input_grad_the_parameter_gradients_are_the_same(self, layers):
+        rng = np.random.default_rng(9)
+        net = make_net(layers, seed=10)
+        cache = net.forward(rng.random((16, 650)))
+        upstream = rng.standard_normal((16, net.out_dim))
+        assert net.backward(cache, upstream).shape == (16, 650)
+        full = net.grad.copy()
+        net.grad[:] = np.nan
+        assert net.backward(cache, upstream, input_grad=False) is None
+        np.testing.assert_array_equal(net.grad.view(np.int64), full.view(np.int64))
+
+    def test_leaves_the_callers_grad_output_unchanged(self):
+        # every layer is a ReLU, so an in-place mask of grad_output would show
+        rng = np.random.default_rng(11)
+        net = make_net([LayerSpec(5, 8, "relu"), LayerSpec(8, 6, "relu")], seed=12)
+        cache = net.forward(rng.standard_normal((7, 5)))
+        upstream = rng.standard_normal((7, 6))
+        kept = upstream.copy()
+        net.backward(cache, upstream)
+        np.testing.assert_array_equal(upstream.view(np.int64), kept.view(np.int64))
+
+
 class TestLosses:
     def test_cce_perfect_prediction_near_zero(self):
         probs = one_hot(np.arange(13), 13)
@@ -236,34 +269,51 @@ class TestOptimizers:
         assert p[0] == pytest.approx(expected, rel=1e-12)
 
     def test_flat_step_matches_the_per_array_reference(self):
-        # five steps over the beta-VAE's parameter shapes, one flat vector vs one loop per array
-        shapes = [(650, 512), (512,), (512, 64), (64,), (64, 2), (2,), (64, 2), (2,),
-                  (2, 64), (64,), (64, 512), (512,), (512, 650), (650,)]
-        sizes = [int(np.prod(shape)) for shape in shapes]
-        rng = np.random.default_rng(12)
-        start = rng.standard_normal(sum(sizes))
-        grads = [rng.standard_normal(sum(sizes)) for _ in range(5)]
-        cuts = np.cumsum(sizes)[:-1]
+        # five steps, one flat vector vs one loop per array, over three lengths: below one
+        # STEP_CHUNK, exactly two, and the beta-VAE's parameter shapes (22 chunks and a tail)
+        for shapes in [[(5, 8), (8,), (8, 6), (6,), (6, 4), (4,)],
+                       [(STEP_CHUNK, 2)],
+                       VAE_SHAPES]:
+            sizes = [int(np.prod(shape)) for shape in shapes]
+            rng = np.random.default_rng(12)
+            start = rng.standard_normal(sum(sizes))
+            grads = [rng.standard_normal(sum(sizes)) for _ in range(5)]
+            cuts = np.cumsum(sizes)[:-1]
 
-        def arrays(vector):
-            return [part.reshape(shape) for part, shape in zip(np.array_split(vector, cuts), shapes)]
+            def arrays(vector):
+                return [part.reshape(shape)
+                        for part, shape in zip(np.array_split(vector, cuts), shapes)]
 
-        # the two trainers' settings: RMSprop defaults and the latent classifier's Adadelta
-        for config, reference in [
-                (TrainConfig(epochs=1), _reference_rmsprop),
-                (TrainConfig(epochs=1, learning_rate=1.0, rho=0.95, epsilon=1e-6,
-                             optimizer="adadelta"), _reference_adadelta)]:
-            flat = start.copy()
-            opt = make_optimizer(flat, config)
-            params = arrays(start.copy())
-            accs = [[np.zeros_like(p) for p in params] for _ in _accumulators(opt)]
-            for g in grads:
-                opt.step(flat, g)
-                reference(config, params, arrays(g), *accs)
-            for got, want in [(flat, params), *zip(_accumulators(opt), accs)]:
-                np.testing.assert_array_equal(
-                    got.view(np.int64), np.concatenate([w.ravel() for w in want]).view(np.int64))
+            # the two trainers' settings: RMSprop defaults and the latent classifier's Adadelta
+            for config, reference in [
+                    (TrainConfig(epochs=1), _reference_rmsprop),
+                    (TrainConfig(epochs=1, learning_rate=1.0, rho=0.95, epsilon=1e-6,
+                                 optimizer="adadelta"), _reference_adadelta)]:
+                flat = start.copy()
+                opt = make_optimizer(flat, config)
+                params = arrays(start.copy())
+                accs = [[np.zeros_like(p) for p in params] for _ in _accumulators(opt)]
+                for g in grads:
+                    opt.step(flat, g)
+                    reference(config, params, arrays(g), *accs)
+                for got, want in [(flat, params), *zip(_accumulators(opt), accs)]:
+                    np.testing.assert_array_equal(
+                        got.view(np.int64),
+                        np.concatenate([w.ravel() for w in want]).view(np.int64))
 
+    @pytest.mark.parametrize("optimizer", ["rmsprop", "adadelta"])
+    def test_step_allocates_less_than_one_vector(self, optimizer):
+        n = sum(int(np.prod(shape)) for shape in VAE_SHAPES)
+        rng = np.random.default_rng(5)
+        flat, grad = rng.standard_normal(n), rng.standard_normal(n)
+        opt = make_optimizer(flat, TrainConfig(epochs=1, optimizer=optimizer))
+        tracemalloc.start()
+        try:
+            opt.step(flat, grad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < flat.nbytes
     def test_descent_on_full_batch(self):
         # five full-batch steps with a small rate never increase the loss
         rng = np.random.default_rng(3)

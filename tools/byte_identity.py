@@ -10,10 +10,14 @@ its own subprocess with one BLAS thread:
 
 once with a 2-D latent and once with `train bvae --latent-dim 1` (which reuses
 the 2-D run's corpus and classifier), then `grad-check --arch both`, which
-builds fresh nets outside training. Each command's stdout is kept as one more
-output file, `stdout_<index>_<command>.txt`, so `eval` and `grad-check`, which
-report only there, are compared too. Prints one line per output file and
-exits 1 when a command fails or any file differs or exists on one side only.
+builds fresh nets outside training, then `train classifier` and `train bvae`
+with `--optimizer adadelta`, so that both optimizers step the grid
+classifier's vector (3 STEP_CHUNK slices) and the beta-VAE's (23, the last one
+short); Adadelta also steps the latent classifier's (3) in `map`. Each
+command's stdout is kept as one more output file,
+`stdout_<index>_<command>.txt`, so `eval` and `grad-check`, which report only
+there, are compared too. Prints one line per output file and exits 1 when a
+command fails or any file differs or exists on one side only.
 `run_log.jsonl` is skipped: it records the wall-clock time of each run.
 Needs only numpy and scipy, and runs in well under a minute on 2 cores.
 """
@@ -55,6 +59,11 @@ COMMANDS = [
     ("one_d", ["describe", "--data", "{data}", "--classifier", "two_d/classifier.ckpt",
                "--vae", "one_d/bvae.ckpt", "--segments", "one_d/segments.csv"]),
     ("grad_check", ["grad-check", "--arch", "both", "--seed", "7"]),
+    # Adadelta on the grid classifier (3 optimizer slices) and the beta-VAE (23, with a tail)
+    ("adadelta", ["train", "classifier", "--dataset", "two_d/dataset.bin", "--epochs", "3",
+                  "--optimizer", "adadelta", "--seed", "7"]),
+    ("adadelta", ["train", "bvae", "--dataset", "two_d/dataset.bin", "--epochs", "2",
+                  "--optimizer", "adadelta", "--seed", "7"]),
 ]
 
 # runs inside the subprocess: argv[1] is the src directory, argv[2] the JSON command list
