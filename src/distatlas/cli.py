@@ -35,6 +35,7 @@ from .neuralcore import (
     build_nets,
     grad_check,
     one_hot,
+    param_shapes,
     split_indices,
 )
 
@@ -162,6 +163,23 @@ def _load(loader, what: str, path: str):
         raise CliError(EXIT_MISSING_ARTIFACT, f"unreadable {what}: {exc}") from exc
 
 
+def _load_dataset(path: str):
+    """The dataset cache at path, by _load; fewer than 2 entries, too few to split, exit 6."""
+    dataset = _load(distgen.load_cache, "dataset cache", path)
+    if len(dataset) < 2:
+        raise CliError(EXIT_BAD_INPUT, f"{path}: too few entries ({len(dataset)}); "
+                                       "at least 2 are needed")
+    return dataset
+
+
+def _require_memory(what: str, n_bytes: int) -> None:
+    """Exit 2 when what needs more bytes than the machine's physical memory."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if n_bytes > memory:
+        raise CliError(EXIT_BAD_SPEC, f"{what} needs {n_bytes} bytes, more than the "
+                                      f"{memory} bytes of physical memory")
+
+
 def _load_grid_classifier(path: str):
     model, header = _load(classifier.load_classifier, "classifier checkpoint", path)
     if not isinstance(model, classifier.GridClassifier):
@@ -195,6 +213,10 @@ def cmd_generate(args, argv) -> int:
         grid = _parse_grid(args.grid)
         if per_family < 1:
             raise CliError(EXIT_BAD_SPEC, "--per-family must be >= 1")
+    n = distgen.N_FAMILIES * per_family
+    # the float32 grids, by far the largest arrays of a corpus
+    _require_memory(f"a corpus of {n} entries on a {grid.x_bins}x{grid.y_levels} grid",
+                    4 * n * grid.n_cells)
 
     out = _out_dir(args)
     _log_invocation(out, "generate", argv)
@@ -260,7 +282,7 @@ def cmd_train(args, argv) -> int:
     config = _train_config_from_args(args, default_epochs=50 if args.model == "classifier" else 100)
     if args.model == "bvae" and not 0 <= args.beta < math.inf:
         raise CliError(EXIT_BAD_SPEC, f"--beta must be finite and >= 0, got {args.beta}")
-    dataset = _load(distgen.load_cache, "dataset cache", args.dataset)
+    dataset = _load_dataset(args.dataset)
     out = _out_dir(args)
     _log_invocation(out, "train", argv)
     if args.model == "classifier":
@@ -307,15 +329,11 @@ def cmd_map(args, argv) -> int:
     model, _header = _load(betavae.load_vae, "autoencoder checkpoint", args.vae)
     d = model.latent_dim
     # each lattice holds at least one float64 per point; the curves one per grid cell
-    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     for flag, per_point in (("density_resolution", 1), ("class_map_resolution", 1),
                             ("curve_resolution", model.grid_shape.n_cells)):
-        values = getattr(args, flag) ** d * per_point
-        if 8 * values > memory:
-            raise CliError(EXIT_BAD_SPEC, f"--{flag.replace('_', '-')} {getattr(args, flag)} "
-                                          f"needs {values} float64 lattice values, more than the "
-                                          f"{memory} bytes of physical memory")
-    dataset = _load(distgen.load_cache, "dataset cache", args.dataset)
+        resolution = getattr(args, flag)
+        _require_memory(f"--{flag.replace('_', '-')} {resolution}", 8 * resolution ** d * per_point)
+    dataset = _load_dataset(args.dataset)
     _require_same_grid(model, dataset)
     out = _out_dir(args)
     _log_invocation(out, "map", argv)
@@ -527,7 +545,7 @@ def cmd_describe(args, argv) -> int:
 
 def cmd_eval(args, argv) -> int:
     model, header = _load_grid_classifier(args.classifier)
-    dataset = _load(distgen.load_cache, "dataset cache", args.dataset)
+    dataset = _load_dataset(args.dataset)
     _require_same_grid(model, dataset)
     try:
         split_seed = int((header.get("train_config") or {}).get("rng_seed", args.seed))
@@ -566,18 +584,23 @@ def cmd_eval(args, argv) -> int:
 # grad-check
 
 def cmd_grad_check(args, argv) -> int:
+    grid = _parse_grid(args.grid)
+    layers = {"classifier": [classifier.grid_classifier_layers(grid.n_cells)],
+              "bvae": list(betavae.vae_layers(grid, args.latent_dim).values())}
+    archs = list(layers) if args.arch == "both" else [args.arch]
+    shapes = param_shapes([net for arch in archs for net in layers[arch]])
+    # a float64 parameter vector and a gradient vector of the same length
+    _require_memory(f"--grid {args.grid}", 16 * sum(math.prod(s) for net in shapes for s in net))
     out = _out_dir(args)
     _log_invocation(out, "grad-check", argv)
-    grid = _parse_grid(args.grid)
     rng = np.random.default_rng(args.seed)
     batch = rng.random((16, grid.n_cells))
     worst = {}
-    if args.arch in ("classifier", "both"):
-        (net,), _, _ = build_nets([classifier.grid_classifier_layers(grid.n_cells)],
-                                  [distgen.mix64(args.seed, 1)])
+    if "classifier" in archs:
+        (net,), _, _ = build_nets(layers["classifier"], [distgen.mix64(args.seed, 1)])
         targets = one_hot(rng.integers(0, distgen.N_FAMILIES, size=16), distgen.N_FAMILIES)
         worst["classifier"] = grad_check(net, batch, targets, loss="cce", seed=args.seed)
-    if args.arch in ("bvae", "both"):
+    if "bvae" in archs:
         model = betavae.VaeModel(grid, beta=3.0, latent_dim=args.latent_dim,
                                  seed=distgen.mix64(args.seed, 2))
         eps = rng.standard_normal((16, args.latent_dim))

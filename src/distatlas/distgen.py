@@ -1,15 +1,18 @@
 """Seeded synthesis of the 13-family labeled training corpus.
 
-Each family couples a parameter-draw rule with a sampler built on the
-uniform stream of a seeded generator: inverse-CDF transforms where a
-closed form exists, Box-Muller normals, and Marsaglia-Tsang gammas
-(with the alpha < 1 power boost) for the gamma/beta/chi group. A
-(spec, seed) pair therefore always reproduces the identical series,
-and a whole corpus is a pure function of one master seed.
+FAMILIES is the one family table: per family a parameter box (each
+parameter's name, range and draw), which draw_params and validate_params
+walk, and a sampler on the uniform stream of a seeded generator:
+inverse-CDF transforms where a closed form exists, Box-Muller normals,
+and Marsaglia-Tsang gammas (alpha < 1 by the power boost) for the
+gamma/beta/chi group. A (spec, seed) pair always reproduces the same
+series, and a corpus is a pure function of one master seed. One block
+list, _CACHE_BLOCKS, fixes the order and dtypes of the cache body.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass
@@ -26,9 +29,6 @@ MIN_SAMPLE_SIZE = 35
 MAX_SAMPLE_SIZE = 1000
 
 DEFAULT_GRID = GridShape()
-
-# shared range of the randomized shape parameters
-_SHAPE_LO, _SHAPE_HI = 0.1, 9.0
 
 
 class InvalidFamilyError(ValueError):
@@ -170,40 +170,24 @@ def _sample_gumbel_r(rng, p, n):
 
 
 # ---------------------------------------------------------------------------
-# parameter draws
+# the family table: each family's parameter box and sampler
 
-def _fixed_loc_scale(rng):
-    return {"loc": 0.0, "scale": 1.0}
+@dataclass(frozen=True)
+class Param:
+    """A box entry: a name, a closed range [low, high] and a draw.
 
+    low == high fixes the value. Otherwise draw is "uniform" on [low, high],
+    "integer" in low..high, or "reciprocal": 1 / uniform on [1/high, 1/low].
+    """
 
-def _draw_beta(rng):
-    return {"alpha": rng.uniform(_SHAPE_LO, _SHAPE_HI), "beta": rng.uniform(_SHAPE_LO, _SHAPE_HI)}
-
-
-def _draw_shape(rng):
-    return {"alpha": rng.uniform(_SHAPE_LO, _SHAPE_HI)}
-
-
-def _draw_lognormal(rng):
-    return {"s": 1.0 / rng.uniform(_SHAPE_LO, _SHAPE_HI)}
+    name: str
+    low: float
+    high: float
+    draw: str = "uniform"
 
 
-def _draw_supnormal(rng):
-    return {
-        "loc1": 0.0,
-        "scale1": 1.0,
-        "loc2": rng.uniform(0.0, 1.0),
-        "scale2": rng.uniform(_SHAPE_LO, _SHAPE_HI),
-        "w": rng.uniform(0.1, 0.9),
-    }
-
-
-def _draw_chi(rng):
-    return {"df": int(rng.integers(1, 10))}
-
-
-def _draw_bernoulli(rng):
-    return {"p": rng.uniform(0.001, 0.999)}
+_LOC_SCALE = (Param("loc", 0.0, 0.0), Param("scale", 1.0, 1.0))
+_ALPHA = (Param("alpha", 0.1, 9.0),)
 
 
 @dataclass(frozen=True)
@@ -212,26 +196,30 @@ class Family:
     name: str
     # count of randomized parameters, used to order families by simplicity
     varying_params: int
-    draw: Callable[[np.random.Generator], dict]
+    # the parameter box, in draw order
+    box: tuple[Param, ...]
     sample: Callable[[np.random.Generator, dict, int], np.ndarray]
 
 
 FAMILIES: dict[int, Family] = {
     f.family_id: f
     for f in [
-        Family(0, "beta", 2, _draw_beta, _sample_beta),
-        Family(1, "cauchy", 0, _fixed_loc_scale, _sample_cauchy),
-        Family(2, "exponential", 0, _fixed_loc_scale, _sample_exponential),
-        Family(3, "gamma", 1, _draw_shape, _sample_gamma),
-        Family(4, "lognormal", 1, _draw_lognormal, _sample_lognormal),
-        Family(5, "normal", 0, _fixed_loc_scale, _sample_normal),
-        Family(6, "uniform", 0, _fixed_loc_scale, _sample_uniform),
-        Family(7, "supnormal", 5, _draw_supnormal, _sample_supnormal),
-        Family(8, "weibull", 1, _draw_shape, _sample_weibull),
-        Family(9, "chi", 1, _draw_chi, _sample_chi),
-        Family(10, "bernoulli", 1, _draw_bernoulli, _sample_bernoulli),
-        Family(11, "gumbel_l", 0, _fixed_loc_scale, _sample_gumbel_l),
-        Family(12, "gumbel_r", 0, _fixed_loc_scale, _sample_gumbel_r),
+        Family(0, "beta", 2, (*_ALPHA, Param("beta", 0.1, 9.0)), _sample_beta),
+        Family(1, "cauchy", 0, _LOC_SCALE, _sample_cauchy),
+        Family(2, "exponential", 0, _LOC_SCALE, _sample_exponential),
+        Family(3, "gamma", 1, _ALPHA, _sample_gamma),
+        Family(4, "lognormal", 1, (Param("s", 1 / 9.0, 1 / 0.1, "reciprocal"),), _sample_lognormal),
+        Family(5, "normal", 0, _LOC_SCALE, _sample_normal),
+        Family(6, "uniform", 0, _LOC_SCALE, _sample_uniform),
+        # varying_params counts the two fixed entries too
+        Family(7, "supnormal", 5, (Param("loc1", 0.0, 0.0), Param("scale1", 1.0, 1.0),
+                                   Param("loc2", 0.0, 1.0), Param("scale2", 0.1, 9.0),
+                                   Param("w", 0.1, 0.9)), _sample_supnormal),
+        Family(8, "weibull", 1, _ALPHA, _sample_weibull),
+        Family(9, "chi", 1, (Param("df", 1, 9, "integer"),), _sample_chi),
+        Family(10, "bernoulli", 1, (Param("p", 0.001, 0.999),), _sample_bernoulli),
+        Family(11, "gumbel_l", 0, _LOC_SCALE, _sample_gumbel_l),
+        Family(12, "gumbel_r", 0, _LOC_SCALE, _sample_gumbel_r),
     ]
 }
 
@@ -246,37 +234,18 @@ def _require_family(family_id: int) -> Family:
         raise InvalidFamilyError(f"unknown family id {family_id!r}") from None
 
 
-def _check_range(params, key, lo, hi, family):
-    value = params.get(key)
-    if value is None or not (lo <= value <= hi):
-        raise InvalidParameterError(f"{family}: {key}={value!r} outside [{lo}, {hi}]")
-
-
 def validate_params(family_id: int, params: dict) -> None:
-    """Raise InvalidParameterError if params violate the family's ranges."""
-    family = _require_family(family_id).name
-    if family == "beta":
-        _check_range(params, "alpha", _SHAPE_LO, _SHAPE_HI, family)
-        _check_range(params, "beta", _SHAPE_LO, _SHAPE_HI, family)
-    elif family in ("gamma", "weibull"):
-        _check_range(params, "alpha", _SHAPE_LO, _SHAPE_HI, family)
-    elif family == "lognormal":
-        _check_range(params, "s", 1.0 / _SHAPE_HI, 1.0 / _SHAPE_LO, family)
-    elif family == "chi":
-        df = params.get("df")
-        if df not in range(1, 10):
-            raise InvalidParameterError(f"chi: df={df!r} not in 1..9")
-    elif family == "bernoulli":
-        _check_range(params, "p", 0.001, 0.999, family)
-    elif family == "supnormal":
-        _check_range(params, "loc1", 0.0, 0.0, family)
-        _check_range(params, "scale1", 1.0, 1.0, family)
-        _check_range(params, "loc2", 0.0, 1.0, family)
-        _check_range(params, "scale2", _SHAPE_LO, _SHAPE_HI, family)
-        _check_range(params, "w", 0.1, 0.9, family)
-    else:
-        _check_range(params, "loc", 0.0, 0.0, family)
-        _check_range(params, "scale", 1.0, 1.0, family)
+    """Raise InvalidParameterError unless each box entry of params is in its range."""
+    family = _require_family(family_id)
+    for p in family.box:
+        value = params.get(p.name)
+        if p.draw == "integer":
+            ok, kind = value in range(p.low, p.high + 1), "an integer in"
+        else:
+            ok, kind = value is not None and p.low <= value <= p.high, "in"
+        if not ok:
+            raise InvalidParameterError(
+                f"{family.name}: {p.name}={value!r} not {kind} [{p.low}, {p.high}]")
 
 
 @dataclass(frozen=True)
@@ -305,8 +274,18 @@ class RawSeries:
 
 
 def draw_params(family_id: int, rng: np.random.Generator) -> dict:
-    """Draw one parameter set inside the family's ranges."""
-    return _require_family(family_id).draw(rng)
+    """Draw one parameter set inside the family's box, one entry at a time."""
+    params = {}
+    for p in _require_family(family_id).box:
+        if p.low == p.high:
+            params[p.name] = p.low
+        elif p.draw == "integer":
+            params[p.name] = int(rng.integers(p.low, p.high + 1))
+        elif p.draw == "reciprocal":
+            params[p.name] = 1.0 / rng.uniform(1.0 / p.high, 1.0 / p.low)
+        else:
+            params[p.name] = rng.uniform(p.low, p.high)
+    return params
 
 
 def draw_spec(family_id: int, rng: np.random.Generator) -> DistSpec:
@@ -332,22 +311,36 @@ def sample_variable(spec: DistSpec, seed: int) -> RawSeries:
 class LabeledDataset:
     """Column-oriented corpus of encoded grids with labels and statistics.
 
-    ``grids`` rows are x-bin-major flattened CDF grids in float32, the
-    storage precision of the binary cache; training code upcasts.
+    ``grids`` rows are x-bin-major flattened CDF grids. Every array has
+    the dtype of its cache block (_CACHE_BLOCKS): the grids are float32,
+    the storage precision of the binary cache; training code upcasts.
     """
 
     grid_shape: GridShape
-    grids: np.ndarray        # (n, x_bins * y_levels) float32
-    labels: np.ndarray       # (n,) int32 family ids
-    entropy: np.ndarray      # (n,) float32
-    skewness: np.ndarray     # (n,) float32
-    ks_uniform: np.ndarray   # (n,) float32
-    sample_sizes: np.ndarray  # (n,) int32
+    grids: np.ndarray        # (n, x_bins * y_levels)
+    labels: np.ndarray       # (n,) family ids
+    entropy: np.ndarray      # (n,)
+    skewness: np.ndarray     # (n,)
+    ks_uniform: np.ndarray   # (n,)
+    sample_sizes: np.ndarray  # (n,)
     master_seed: int
     per_family_count: int
 
     def __len__(self) -> int:
         return int(self.grids.shape[0])
+
+
+_CACHE_MAGIC = b"CDFC"
+_CACHE_VERSION = 1
+_CACHE_HEADER = struct.Struct("<4sIQIIQI")
+# the body after the header, in file order: LabeledDataset field, little-endian dtype
+_CACHE_BLOCKS = (("labels", "<i4"), ("sample_sizes", "<i4"), ("entropy", "<f4"),
+                 ("skewness", "<f4"), ("ks_uniform", "<f4"), ("grids", "<f4"))
+
+
+def _block_shape(field: str, n: int, grid_shape: GridShape) -> tuple[int, ...]:
+    """The shape of a block of n entries: one grid row each, else one item each."""
+    return (n, grid_shape.n_cells) if field == "grids" else (n,)
 
 
 def build_doe(per_family_count: int, grid_shape: GridShape | None = None,
@@ -362,52 +355,39 @@ def build_doe(per_family_count: int, grid_shape: GridShape | None = None,
         raise ValueError("per_family_count must be >= 1")
     grid_shape = grid_shape or GridShape()
     n = N_FAMILIES * per_family_count
-    grids = np.empty((n, grid_shape.n_cells), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int32)
-    ent = np.empty(n, dtype=np.float32)
-    skw = np.empty(n, dtype=np.float32)
-    ks = np.empty(n, dtype=np.float32)
-    sizes = np.empty(n, dtype=np.int32)
-    row = 0
+    # grids first, so that the small blocks cannot split the last corpus's freed grids
+    data = LabeledDataset(
+        grid_shape=grid_shape, master_seed=int(master_seed),
+        per_family_count=int(per_family_count),
+        **{field: np.empty(_block_shape(field, n, grid_shape), dtype)
+           for field, dtype in reversed(_CACHE_BLOCKS)},
+    )
     for family_id in range(N_FAMILIES):
         for index in range(per_family_count):
+            row = family_id * per_family_count + index
             spec_rng = np.random.default_rng(mix64(master_seed, family_id, index, 0))
             spec = draw_spec(family_id, spec_rng)
             series = sample_variable(spec, mix64(master_seed, family_id, index, 1))
             grid, stats = describe_series(series.values, grid_shape)
-            grids[row] = grid.flat()
-            labels[row] = family_id
-            ent[row] = stats.entropy
-            skw[row] = stats.skewness
-            ks[row] = stats.ks_uniform
-            sizes[row] = spec.sample_size
-            row += 1
-    return LabeledDataset(
-        grid_shape=grid_shape, grids=grids, labels=labels, entropy=ent,
-        skewness=skw, ks_uniform=ks, sample_sizes=sizes,
-        master_seed=int(master_seed), per_family_count=int(per_family_count),
-    )
-
-
-_CACHE_MAGIC = b"CDFC"
-_CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sIQIIQI")
+            data.grids[row] = grid.flat()
+            data.labels[row] = family_id
+            data.entropy[row] = stats.entropy
+            data.skewness[row] = stats.skewness
+            data.ks_uniform[row] = stats.ks_uniform
+            data.sample_sizes[row] = spec.sample_size
+    return data
 
 
 def save_cache(dataset: LabeledDataset, path) -> None:
-    """Write the corpus as a little-endian binary cache."""
+    """Write the corpus as a little-endian binary cache: the header, then _CACHE_BLOCKS."""
     with open(path, "wb") as fh:
         fh.write(_CACHE_HEADER.pack(
             _CACHE_MAGIC, _CACHE_VERSION, len(dataset),
             dataset.grid_shape.x_bins, dataset.grid_shape.y_levels,
             dataset.master_seed & M64, dataset.per_family_count,
         ))
-        fh.write(np.ascontiguousarray(dataset.labels, dtype="<i4"))
-        fh.write(np.ascontiguousarray(dataset.sample_sizes, dtype="<i4"))
-        fh.write(np.ascontiguousarray(dataset.entropy, dtype="<f4"))
-        fh.write(np.ascontiguousarray(dataset.skewness, dtype="<f4"))
-        fh.write(np.ascontiguousarray(dataset.ks_uniform, dtype="<f4"))
-        fh.write(np.ascontiguousarray(dataset.grids, dtype="<f4"))
+        for field, dtype in _CACHE_BLOCKS:
+            fh.write(np.ascontiguousarray(getattr(dataset, field), dtype=dtype))
 
 
 def load_cache(path) -> LabeledDataset:
@@ -426,33 +406,23 @@ def load_cache(path) -> LabeledDataset:
         if version != _CACHE_VERSION:
             raise ValueError(f"{path}: unsupported cache version {version}")
         shape = GridShape(x_bins, y_levels)
-        # five per-entry blocks and the grid block, every item 4 bytes wide
+        blocks = [(field, np.dtype(dtype), _block_shape(field, n, shape))
+                  for field, dtype in _CACHE_BLOCKS]
         body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
-        expected = 4 * n * (5 + shape.n_cells)
+        expected = sum(dtype.itemsize * math.prod(dims) for _, dtype, dims in blocks)
         if body != expected:
             raise ValueError(f"{path}: cache body is {body} bytes; its header implies {expected}")
-
-        def block(dtype, count):
-            return np.frombuffer(fh.read(4 * count), dtype=dtype).copy()
-
-        labels = block("<i4", n)
-        sizes = block("<i4", n)
-        ent = block("<f4", n)
-        skw = block("<f4", n)
-        ks = block("<f4", n)
-        grids = block("<f4", n * shape.n_cells).reshape(n, shape.n_cells)
-    if np.any((labels < 0) | (labels >= N_FAMILIES)):
+        arrays = {field: np.frombuffer(fh.read(dtype.itemsize * math.prod(dims)), dtype)
+                  .reshape(dims).copy() for field, dtype, dims in blocks}
+    if np.any((arrays["labels"] < 0) | (arrays["labels"] >= N_FAMILIES)):
         raise ValueError(f"{path}: cache labels outside 0..{N_FAMILIES - 1}")
-    if np.any(sizes < 1):
+    if np.any(arrays["sample_sizes"] < 1):
         raise ValueError(f"{path}: cache sample sizes below 1")
     # min and max are NaN when any cell is, so this also rejects NaN
-    if n and not (grids.min() >= 0.0 and grids.max() <= 1.0):
+    if n and not (arrays["grids"].min() >= 0.0 and arrays["grids"].max() <= 1.0):
         raise ValueError(f"{path}: cache grid cells not finite in [0, 1]")
-    return LabeledDataset(
-        grid_shape=shape, grids=grids, labels=labels, entropy=ent, skewness=skw,
-        ks_uniform=ks, sample_sizes=sizes, master_seed=int(master_seed),
-        per_family_count=int(per_family),
-    )
+    return LabeledDataset(grid_shape=shape, master_seed=int(master_seed),
+                          per_family_count=int(per_family), **arrays)
 
 
 def parse_dataset_spec(obj: dict) -> tuple[int, int, GridShape]:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -189,14 +190,45 @@ class TestTrain:
     ("map", ["--class-map-resolution", "200000"]),
     ("map", ["--density-resolution", "100000"]),
     ("map", ["--curve-resolution", "20000"]),
+    # a corpus or nets larger than physical memory; a dict is written as a --spec file
+    ("generate", ["--per-family", "1000000000"]),
+    ("generate", ["--grid", "100000x100000", "--per-family", "1"]),
+    ("generate", ["--spec", {"master_seed": 0, "per_family_count": 10 ** 9}]),
+    ("generate", ["--spec", {"master_seed": 0, "per_family_count": 1,
+                             "grid": {"x_bins": 100000, "y_levels": 100000}}]),
+    ("grad-check", ["--grid", "100000x100000"]),
+    ("grad-check", ["--grid", "1x5"]),
 ])
 def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
     out = tmp_path / "bad"
+    spec = tmp_path / "spec.json"
+    if any(isinstance(flag, dict) for flag in flags):
+        spec.write_text(json.dumps(next(f for f in flags if isinstance(f, dict))))
+    flags = [str(spec) if isinstance(flag, dict) else flag for flag in flags]
     dataset = ["--dataset", str(workspace / "dataset.bin")]
     inputs = {"train": dataset, "map": [*dataset, "--vae", str(workspace / "bvae.ckpt")],
               "eval": [*dataset, "--classifier", str(workspace / "classifier.ckpt")]}
     assert main([*command.split(), *inputs.get(command.split()[0], []),
                  *flags, "--out-dir", str(out)]) == EXIT_BAD_SPEC
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_entries", [0, 1])
+@pytest.mark.parametrize("command", ["train classifier", "train bvae", "eval", "map"])
+def test_too_few_entries_exit_6_and_write_nothing(workspace, tmp_path, capsys, command, n_entries):
+    # a cache load_cache accepts but no train/test split can serve
+    full = distgen.load_cache(workspace / "dataset.bin")
+    small = replace(full, **{name: getattr(full, name)[:n_entries] for name in (
+        "grids", "labels", "entropy", "skewness", "ks_uniform", "sample_sizes")})
+    path = tmp_path / "small.bin"
+    distgen.save_cache(small, path)
+    out = tmp_path / "out"
+    inputs = {"eval": ["--classifier", str(workspace / "classifier.ckpt")],
+              "map": ["--vae", str(workspace / "bvae.ckpt")]}
+    assert main([*command.split(), "--dataset", str(path), *inputs.get(command, []),
+                 "--out-dir", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()
 
 

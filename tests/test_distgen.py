@@ -88,6 +88,68 @@ class TestDrawParams:
             assert 0.1 <= p["w"] <= 0.9
 
 
+_FIXED = {"loc": 0.0, "scale": 1.0}
+
+# draw_params(fid, default_rng(seed)) for seeds 0, 1 and 2, as the per-family
+# draw functions that preceded the parameter boxes returned them
+PINNED_DRAWS = {
+    0: [{"alpha": 5.7689590171609435, "beta": 2.501101752498446},
+        {"alpha": 4.655212459832285, "beta": 8.559126897300825},
+        {"alpha": 2.428347994818916, "beta": 2.7565711763856977}],
+    1: [_FIXED] * 3,
+    2: [_FIXED] * 3,
+    3: [{"alpha": 5.7689590171609435}, {"alpha": 4.655212459832285},
+        {"alpha": 2.428347994818916}],
+    4: [{"s": 0.1733414983579007}, {"s": 0.21481296689002835}, {"s": 0.41180259259940655}],
+    5: [_FIXED] * 3,
+    6: [_FIXED] * 3,
+    7: [{"loc1": 0.0, "scale1": 1.0, "loc2": 0.6369616873214543, "scale2": 2.501101752498446,
+         "w": 0.13277881914895576},
+        {"loc1": 0.0, "scale1": 1.0, "loc2": 0.5118216247002567, "scale2": 8.559126897300825,
+         "w": 0.215327690175707},
+        {"loc1": 0.0, "scale1": 1.0, "loc2": 0.2616121342493164, "scale2": 2.7565711763856977,
+         "w": 0.7513805924754243}],
+    8: [{"alpha": 5.7689590171609435}, {"alpha": 4.655212459832285},
+        {"alpha": 2.428347994818916}],
+    9: [{"df": 8}, {"df": 5}, {"df": 8}],
+    10: [{"p": 0.6366877639468114}, {"p": 0.5117979814508562}, {"p": 0.26208890998081774}],
+    11: [_FIXED] * 3,
+    12: [_FIXED] * 3,
+}
+
+
+@pytest.mark.parametrize("fid", range(N_FAMILIES))
+def test_draw_params_are_pinned(fid):
+    for seed, expected in enumerate(PINNED_DRAWS[fid]):
+        drawn = draw_params(fid, np.random.default_rng(seed))
+        # keys in the same order, values equal and of the same Python type
+        assert [(k, type(v), v) for k, v in drawn.items()] == \
+            [(k, type(v), v) for k, v in expected.items()]
+
+
+# one valid parameter set per family, on which single entries are varied
+BASE_PARAMS = {fid: PINNED_DRAWS[fid][0] for fid in range(N_FAMILIES)}
+# values outside the box written out, independent of the table
+MORE_REJECTED = {9: {"df": [0, 3.5, 10]},
+                 4: {"s": [float(np.nextafter(1 / 9, 0.0)), float(np.nextafter(10.0, np.inf))]}}
+
+
+@pytest.mark.parametrize("fid", range(N_FAMILIES))
+def test_validate_params_accepts_each_bound_and_rejects_one_ulp_outside(fid):
+    def rejects(params):
+        with pytest.raises(InvalidParameterError):
+            distgen.validate_params(fid, params)
+
+    for p in FAMILIES[fid].box:
+        for bound, outward in ((p.low, -np.inf), (p.high, np.inf)):
+            distgen.validate_params(fid, {**BASE_PARAMS[fid], p.name: bound})
+            rejects({**BASE_PARAMS[fid], p.name: float(np.nextafter(bound, outward))})
+        rejects({k: v for k, v in BASE_PARAMS[fid].items() if k != p.name})
+    for name, values in MORE_REJECTED.get(fid, {}).items():
+        for value in values:
+            rejects({**BASE_PARAMS[fid], name: value})
+
+
 class TestSpecValidation:
     def test_bad_sample_size(self):
         with pytest.raises(InvalidParameterError):

@@ -13,12 +13,16 @@ the 2-D run's corpus and classifier), then `grad-check --arch both`, which
 builds fresh nets outside training, then `train classifier` and `train bvae`
 with `--optimizer adadelta`, so that both optimizers step the grid
 classifier's vector (3 STEP_CHUNK slices) and the beta-VAE's (23, the last one
-short); Adadelta also steps the latent classifier's (3) in `map`. Each
-command's stdout is kept as one more output file,
-`stdout_<index>_<command>.txt`, so `eval` and `grad-check`, which report only
-there, are compared too. Prints one line per output file and exits 1 when a
-command fails or any file differs or exists on one side only.
-`run_log.jsonl` is skipped: it records the wall-clock time of each run.
+short); Adadelta also steps the latent classifier's (3) in `map`. Last,
+`generate --spec` reads SPEC, which each side writes into its run
+directory as `spec.json`: another master seed and a 16x15 grid, so the
+family table and the cache block list are compared on a second seed,
+through the spec parser, on a non-default grid. Each command's stdout is
+kept as one more output file, `stdout_<index>_<command>.txt`, so `eval` and
+`grad-check`, which report only there, are compared too. Prints one line per
+output file and exits 1 when a command fails or any file differs or exists on
+one side only. `run_log.jsonl` is skipped: it records the wall-clock time of
+each run; so is the input `spec.json`.
 Needs only numpy and scipy, and runs in well under a minute on 2 cores.
 """
 
@@ -36,9 +40,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-IGNORED = {"run_log.jsonl"}
+# run_log.jsonl records the wall-clock time of each run; spec.json is an input
+IGNORED = {"run_log.jsonl", "spec.json"}
+SPEC = {"master_seed": 123, "per_family_count": 10, "grid": {"x_bins": 16, "y_levels": 15}}
 
-# (output directory, argv); {data} is the describe input CSV
+# (output directory, argv); {data} is the describe input CSV, spec.json is SPEC
 COMMANDS = [
     ("two_d", ["generate", "--per-family", "30", "--seed", "7"]),
     ("two_d", ["train", "classifier", "--dataset", "two_d/dataset.bin",
@@ -64,6 +70,7 @@ COMMANDS = [
                   "--optimizer", "adadelta", "--seed", "7"]),
     ("adadelta", ["train", "bvae", "--dataset", "two_d/dataset.bin", "--epochs", "2",
                   "--optimizer", "adadelta", "--seed", "7"]),
+    ("spec", ["generate", "--spec", "spec.json"]),
 ]
 
 # runs inside the subprocess: argv[1] is the src directory, argv[2] the JSON command list
@@ -122,6 +129,7 @@ def run_side(src: Path, work: Path, data: Path) -> None:
              for out, argv in COMMANDS]
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH="")
     work.mkdir(parents=True)
+    (work / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
     done = subprocess.run([sys.executable, "-c", DRIVER, str(src), json.dumps(argvs)],
                           cwd=work, env=env, capture_output=True, text=True)
     if done.returncode != 0:
@@ -154,7 +162,7 @@ def main(argv=None) -> int:
             mismatches += 1
             print(f"DIFFERS    {name}  base={a and a[:16]} head={b and b[:16]}")
     print(f"{len(base.keys() | head.keys()) - mismatches} identical, {mismatches} differ "
-          f"(base {args.base}, run_log.jsonl ignored)")
+          f"(base {args.base}, {' and '.join(sorted(IGNORED))} ignored)")
     return 1 if mismatches else 0
 
 
