@@ -18,18 +18,15 @@ from .cdfcodec import GridShape
 from .distgen import LabeledDataset, mix64
 from .neuralcore import (
     LayerSpec,
-    ShapeMismatchError,
     TrainConfig,
     _map_batches,
     audit_gradients,
     binary_cross_entropy,
     binary_cross_entropy_grad,
     build_nets,
-    check_architecture,
     header_field,
-    layer_specs_to_json,
-    load_checkpoint,
-    save_checkpoint,
+    load_model,
+    save_model,
     split_indices,
     train_epochs,
 )
@@ -104,14 +101,6 @@ class VaeModel:
         init = [mix64(seed, i) for i in range(1, 5)] if block is None else block
         nets, self.flat, self.grad = build_nets(vae_layers(grid_shape, latent_dim).values(), init)
         self.trunk, self.mu_head, self.logvar_head, self.decoder = nets
-        self.params = [p for net in nets for p in net.params]
-
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.grid_shape.n_cells:
-            raise ShapeMismatchError(
-                f"expected grids of {self.grid_shape.n_cells} cells, got {x.shape[1]}")
-        return x
 
     def _forward(self, x: np.ndarray, eps: np.ndarray | None = None):
         """Trunk, heads and clipped log-variance, then with eps the decode of z.
@@ -119,7 +108,8 @@ class VaeModel:
         Returns (x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache)
         with dec_cache None when eps is None.
         """
-        x = self._check_input(x)
+        # x is also the BCE target, whose 1 - x must not round in float32
+        x = np.asarray(x, dtype=np.float64)
         trunk_cache = self.trunk.forward(x)
         mu_cache = self.mu_head.forward(trunk_cache.output)
         logvar_cache = self.logvar_head.forward(trunk_cache.output)
@@ -135,10 +125,6 @@ class VaeModel:
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Decoded intensity grids, every cell strictly inside (0, 1)."""
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        if z.shape[1] != self.latent_dim:
-            raise ShapeMismatchError(
-                f"expected latent vectors of size {self.latent_dim}, got {z.shape[1]}")
         return self.decoder(z)
 
     def loss(self, x: np.ndarray, eps: np.ndarray) -> float:
@@ -207,8 +193,6 @@ def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
     computed at the encoder mean, so they are deterministic per epoch.
     """
     config = config or TrainConfig(epochs=100)
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     model = VaeModel(dataset.grid_shape, beta=beta, latent_dim=latent_dim,
                      seed=mix64(config.rng_seed, 11))
     train_idx, test_idx = split_indices(len(dataset), config.rng_seed)
@@ -279,8 +263,6 @@ def latent_lattice(bounds, resolution: int) -> np.ndarray:
 def generate_latent_grid(model: VaeModel, bounds, resolution: int = 50):
     """Decode a lattice of latent points; returns (lattice, decoded grids)."""
     lattice = latent_lattice(bounds, resolution)
-    if lattice.shape[1] != model.latent_dim:
-        raise ShapeMismatchError("bounds dimensionality does not match latent_dim")
     return lattice, model.decode(lattice)
 
 
@@ -294,26 +276,18 @@ def vae_grad_check(model: VaeModel, batch: np.ndarray, eps: np.ndarray,
 # ---------------------------------------------------------------------------
 # checkpoints
 
+def _header_shape(header: dict) -> tuple[GridShape, int]:
+    return header_field(header, "grid", GridShape.from_json), header_field(header, "latent_dim", int)
+
+
 def save_vae(path, model: VaeModel, config: TrainConfig | None = None) -> None:
-    header = {
-        "kind": "bvae",
-        "beta": model.beta,
-        "latent_dim": model.latent_dim,
-        "grid": asdict(model.grid_shape),
-        "train_config": asdict(config) if config else None,
-        **{key: layer_specs_to_json(specs)
-           for key, specs in vae_layers(model.grid_shape, model.latent_dim).items()},
-    }
-    save_checkpoint(path, header, model.params)
+    header = {"kind": "bvae", "beta": model.beta, "latent_dim": model.latent_dim,
+              "grid": asdict(model.grid_shape)}
+    save_model(path, header, vae_layers(model.grid_shape, model.latent_dim), model.flat, config)
 
 
 def load_vae(path) -> tuple[VaeModel, dict]:
-    header, block = load_checkpoint(path)
-    if header.get("kind") != "bvae":
-        raise ValueError(f"{path}: not an autoencoder checkpoint")
-    grid = header_field(header, "grid", GridShape.from_json)
-    latent_dim = header_field(header, "latent_dim", int)
-    check_architecture(header, vae_layers(grid, latent_dim))
+    header, _, block = load_model(path, {"bvae": lambda h: vae_layers(*_header_shape(h))})
+    grid, latent_dim = _header_shape(header)
     beta = header_field(header, "beta", float)
     return VaeModel(grid, beta=beta, latent_dim=latent_dim, block=block), header
-

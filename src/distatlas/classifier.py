@@ -18,18 +18,15 @@ from .distgen import FAMILIES, N_FAMILIES, LabeledDataset, mix64
 from .neuralcore import (
     DenseNet,
     LayerSpec,
-    ShapeMismatchError,
     TrainConfig,
     _map_batches,
     build_nets,
     categorical_cross_entropy,
     categorical_cross_entropy_grad,
-    check_architecture,
     header_field,
-    layer_specs_to_json,
-    load_checkpoint,
+    load_model,
     one_hot,
-    save_checkpoint,
+    save_model,
     split_indices,
     train_epochs,
 )
@@ -87,33 +84,15 @@ class ClassifierEpoch:
     test_accuracy: float
 
 
-class GridClassifier:
-    """Trained grid-input model with its expected grid shape."""
+class Classifier:
+    """A trained softmax net over grids of grid_shape, or over latent vectors (None)."""
 
-    def __init__(self, net: DenseNet, grid_shape: GridShape):
+    def __init__(self, net: DenseNet, grid_shape: GridShape | None = None):
         self.net = net
         self.grid_shape = grid_shape
 
-    def predict_proba(self, grids: np.ndarray) -> np.ndarray:
-        grids = np.atleast_2d(np.asarray(grids, dtype=np.float64))
-        if grids.shape[1] != self.grid_shape.n_cells:
-            raise ShapeMismatchError(
-                f"expected {self.grid_shape.n_cells} cells, got {grids.shape[1]}")
-        return self.net(grids)
-
-
-class LatentClassifier:
-    """Trained latent-input model."""
-
-    def __init__(self, net: DenseNet, latent_dim: int):
-        self.net = net
-        self.latent_dim = latent_dim
-
-    def predict_proba(self, z: np.ndarray) -> np.ndarray:
-        z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-        if z.shape[1] != self.latent_dim:
-            raise ShapeMismatchError(f"expected latent dim {self.latent_dim}, got {z.shape[1]}")
-        return self.net(z)
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        return self.net(x)
 
 
 def predict(model, grid) -> np.ndarray:
@@ -169,23 +148,19 @@ def latent_classifier_layers(latent_dim: int) -> list:
 def train_classifier(dataset: LabeledDataset, config: TrainConfig | None = None):
     """Train the grid classifier on a 67/33 split; returns (model, history)."""
     config = config or TrainConfig(epochs=50)
-    if len(dataset) == 0:
-        raise ValueError("empty dataset")
     net, history = _train_softmax_net(grid_classifier_layers(dataset.grid_shape.n_cells),
                                       dataset.grids.astype(np.float64),
                                       dataset.labels.astype(np.int64), config)
-    return GridClassifier(net, dataset.grid_shape), history
+    return Classifier(net, dataset.grid_shape), history
 
 
 def train_latent_classifier(points, config: TrainConfig | None = None):
     """Train the latent-vector classifier; points needs .z and .labels."""
     z = np.asarray(points.z, dtype=np.float64)
     labels = np.asarray(points.labels, dtype=np.int64)
-    if z.shape[0] == 0:
-        raise ValueError("no latent points")
     config = config or default_latent_train_config()
     net, history = _train_softmax_net(latent_classifier_layers(z.shape[1]), z, labels, config)
-    return LatentClassifier(net, z.shape[1]), history
+    return Classifier(net), history
 
 
 def evaluate(model, grids: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:
@@ -195,31 +170,26 @@ def evaluate(model, grids: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:
     return confusion_from_predictions(np.asarray(labels, dtype=np.int64), preds)
 
 
-def save_classifier(path, model, config: TrainConfig | None = None) -> None:
-    header = {
-        "layers": layer_specs_to_json(model.net.layers),
-        "train_config": asdict(config) if config else None,
-    }
-    if isinstance(model, GridClassifier):
-        header.update(kind="classifier", grid=asdict(model.grid_shape))
+# each checkpoint kind, with its nets from its header
+_KINDS = {
+    "classifier": lambda h: {"layers": grid_classifier_layers(
+        header_field(h, "grid", GridShape.from_json).n_cells)},
+    "latent_classifier": lambda h: {"layers": latent_classifier_layers(
+        header_field(h, "latent_dim", int))},
+}
+
+
+def save_classifier(path, model: Classifier, config: TrainConfig | None = None) -> None:
+    if model.grid_shape is None:
+        header = {"kind": "latent_classifier", "latent_dim": model.net.in_dim}
     else:
-        header.update(kind="latent_classifier", latent_dim=model.latent_dim)
-    save_checkpoint(path, header, model.net.params)
+        header = {"kind": "classifier", "grid": asdict(model.grid_shape)}
+    save_model(path, header, {"layers": model.net.layers}, model.net.flat, config)
 
 
-def load_classifier(path):
+def load_classifier(path) -> tuple[Classifier, dict]:
     """Load either classifier kind; returns (model, header)."""
-    header, block = load_checkpoint(path)
-    kind = header.get("kind")
-    if kind not in ("classifier", "latent_classifier"):
-        raise ValueError(f"{path}: not a classifier checkpoint")
-    if kind == "classifier":
-        grid = header_field(header, "grid", GridShape.from_json)
-        layers = grid_classifier_layers(grid.n_cells)
-    else:
-        latent_dim = header_field(header, "latent_dim", int)
-        layers = latent_classifier_layers(latent_dim)
-    check_architecture(header, {"layers": layers})
-    (net,), _, _ = build_nets([layers], block)
-    model = GridClassifier(net, grid) if kind == "classifier" else LatentClassifier(net, latent_dim)
-    return model, header
+    header, nets, block = load_model(path, _KINDS)
+    (net,), _, _ = build_nets(nets.values(), block)
+    grid = GridShape.from_json(header["grid"]) if header["kind"] == "classifier" else None
+    return Classifier(net, grid), header

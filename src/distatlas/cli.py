@@ -88,8 +88,12 @@ class CliError(Exception):
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made with its parents; a path that cannot be one exits 2."""
     out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(EXIT_BAD_SPEC, f"--out-dir {out}: {exc.strerror}") from exc
     return out
 
 
@@ -152,23 +156,27 @@ def _parse_grid(text: str) -> GridShape:
         raise CliError(EXIT_BAD_SPEC, f"bad --grid {text!r}; expected like 26x25") from exc
 
 
-def _load(loader, what: str, path: str):
-    """loader(path), with a missing or unreadable artifact exiting 3."""
+def _load(loader, what: str, path: str, exit_code: int = EXIT_MISSING_ARTIFACT):
+    """loader(path); a missing file, an OSError (a directory, say), a ValueError (text
+    that is not UTF-8, say) or a csv.Error (a cell over csv's field limit) exits exit_code."""
     p = Path(path)
     if not p.exists():
-        raise CliError(EXIT_MISSING_ARTIFACT, f"{what} not found: {p}")
+        raise CliError(exit_code, f"{what} not found: {p}")
     try:
         return loader(p)
-    except (OSError, ValueError) as exc:
-        raise CliError(EXIT_MISSING_ARTIFACT, f"unreadable {what}: {exc}") from exc
+    except (OSError, ValueError, csv.Error) as exc:
+        raise CliError(exit_code, f"unreadable {what}: {exc}") from exc
 
 
-def _load_dataset(path: str):
-    """The dataset cache at path, by _load; fewer than 2 entries, too few to split, exit 6."""
+def _load_dataset(path: str, model=None, minimum: int = 2):
+    """The dataset cache at path, by _load; a grid other than model's exits 5, then fewer
+    than minimum entries (2 is the fewest a train/test split can serve) exit 6."""
     dataset = _load(distgen.load_cache, "dataset cache", path)
-    if len(dataset) < 2:
+    if model is not None:
+        _require_same_grid(model, dataset)
+    if len(dataset) < minimum:
         raise CliError(EXIT_BAD_INPUT, f"{path}: too few entries ({len(dataset)}); "
-                                       "at least 2 are needed")
+                                       f"at least {minimum} are needed")
     return dataset
 
 
@@ -182,7 +190,7 @@ def _require_memory(what: str, n_bytes: int) -> None:
 
 def _load_grid_classifier(path: str):
     model, header = _load(classifier.load_classifier, "classifier checkpoint", path)
-    if not isinstance(model, classifier.GridClassifier):
+    if model.grid_shape is None:
         raise CliError(EXIT_MISMATCH, "--classifier must be a grid-input checkpoint")
     return model, header
 
@@ -198,14 +206,11 @@ def _require_same_grid(model, other, other_name: str = "dataset") -> None:
 
 def cmd_generate(args, argv) -> int:
     if args.spec:
-        spec_path = Path(args.spec)
-        if not spec_path.exists():
-            raise CliError(EXIT_BAD_SPEC, f"spec file not found: {spec_path}")
+        spec_obj = _load(lambda p: json.loads(p.read_text(encoding="utf-8")), "dataset spec",
+                         args.spec, EXIT_BAD_SPEC)
         try:
-            with open(spec_path, encoding="utf-8") as fh:
-                spec_obj = json.load(fh)
             master_seed, per_family, grid = distgen.parse_dataset_spec(spec_obj)
-        except (json.JSONDecodeError, ValueError) as exc:
+        except ValueError as exc:
             raise CliError(EXIT_BAD_SPEC, f"malformed dataset spec: {exc}") from exc
     else:
         master_seed = args.seed
@@ -333,8 +338,7 @@ def cmd_map(args, argv) -> int:
                             ("curve_resolution", model.grid_shape.n_cells)):
         resolution = getattr(args, flag)
         _require_memory(f"--{flag.replace('_', '-')} {resolution}", 8 * resolution ** d * per_point)
-    dataset = _load_dataset(args.dataset)
-    _require_same_grid(model, dataset)
+    dataset = _load_dataset(args.dataset, model, latentlab.MIN_DENSITY_POINTS)
     out = _out_dir(args)
     _log_invocation(out, "map", argv)
 
@@ -499,13 +503,18 @@ def cmd_describe(args, argv) -> int:
     grid_model, _ = _load_grid_classifier(args.classifier)
     vae_model, _ = _load(betavae.load_vae, "autoencoder checkpoint", args.vae)
     _require_same_grid(grid_model, vae_model, "autoencoder")
-    lookup = _segments_lookup(Path(args.segments), vae_model.latent_dim) if args.segments else None
-    data_path = Path(args.data)
-    if not data_path.exists():
-        raise CliError(EXIT_BAD_INPUT, f"input csv not found: {data_path}")
-    columns = _read_numeric_columns(data_path)
+    lookup = _load(lambda p: _segments_lookup(p, vae_model.latent_dim), "segments file",
+                   args.segments) if args.segments else None
+    columns = _load(_read_numeric_columns, "input csv", args.data, EXIT_BAD_INPUT)
     if not columns:
-        raise CliError(EXIT_BAD_INPUT, f"{data_path}: no numeric columns to describe")
+        raise CliError(EXIT_BAD_INPUT, f"{args.data}: no numeric columns to describe")
+    target = Path(args.out) if args.out else Path(args.out_dir) / "metadata.jsonl"
+    # _out_dir makes the output directory and its parents, so those need not exist yet
+    out_dir = Path(args.out_dir).resolve()
+    if target.is_dir() or not (target.parent.is_dir()
+                               or target.parent.resolve() in (out_dir, *out_dir.parents)):
+        raise CliError(EXIT_BAD_SPEC, f"cannot write {target}: it is a directory "
+                                      "or its parent directory is missing")
 
     out = _out_dir(args)
     _log_invocation(out, "describe", argv)
@@ -532,7 +541,6 @@ def cmd_describe(args, argv) -> int:
             "ks_uniform": round(stats.ks_uniform, 6),
             "segment": lookup(mu[0]) if lookup else "common",
         })
-    target = Path(args.out) if args.out else out / "metadata.jsonl"
     with open(target, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -545,8 +553,7 @@ def cmd_describe(args, argv) -> int:
 
 def cmd_eval(args, argv) -> int:
     model, header = _load_grid_classifier(args.classifier)
-    dataset = _load_dataset(args.dataset)
-    _require_same_grid(model, dataset)
+    dataset = _load_dataset(args.dataset, model)
     try:
         split_seed = int((header.get("train_config") or {}).get("rng_seed", args.seed))
         if split_seed < 0:

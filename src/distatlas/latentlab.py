@@ -23,6 +23,8 @@ DEFAULT_DENSITY_RESOLUTION = 100
 DEFAULT_W_STAR = 2.5
 DEFAULT_P_MIN = 0.025
 DENSITY_FLOOR = 1e-12
+# the fewest points estimate_density accepts
+MIN_DENSITY_POINTS = 100
 MINOR_BRANCH_FRAC = 0.10
 
 
@@ -105,8 +107,8 @@ def estimate_density(points, resolution: int = DEFAULT_DENSITY_RESOLUTION,
     """
     z = _as_points(points)
     n, d = z.shape
-    if n < 100:
-        raise ValueError(f"density estimation needs at least 100 points, got {n}")
+    if n < MIN_DENSITY_POINTS:
+        raise ValueError(f"density estimation needs at least {MIN_DENSITY_POINTS} points, got {n}")
     if d not in (1, 2):
         raise ValueError("density estimation supports 1 or 2 dimensions")
     if bounds is None:

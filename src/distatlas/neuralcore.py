@@ -9,8 +9,11 @@ skips the input gradient no caller reads, RMSprop and Adadelta stepping
 those vectors in cache-sized slices (STEP_CHUNK entries through a
 slice-sized scratch, so no step allocates a whole-vector temporary), the
 one shuffled minibatch loop every trainer runs, finite-difference
-auditing of the whole gradient path, and bit-exact checkpoints.
-Everything is deterministic given (seed, data, config).
+auditing of the whole gradient path, and bit-exact checkpoints, whose
+header only save_model writes and only load_model reads and checks (the
+models pass their own fields, nets and accepted kinds). DenseNet.forward
+is the one input-width check. Everything is deterministic given (seed,
+data, config).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -143,7 +146,7 @@ def build_nets(nets_layers, init) -> tuple[list, np.ndarray, np.ndarray]:
 
     ``init`` is one seed per net, whose weights draw layer by layer from
     default_rng(seed) as U(-sqrt(6/in_dim), +sqrt(6/in_dim)) over zero
-    biases, or a parameter block in the layout, as load_checkpoint returns
+    biases, or a parameter block in the layout, as load_model returns
     it, which becomes ``flat`` itself: no copy, no draw. Returns (nets,
     flat, grad); ``grad`` is uninitialized until a backward writes it.
     """
@@ -439,20 +442,28 @@ def layer_specs_to_json(layers: Sequence[LayerSpec]) -> list:
     return [{"in": s.in_dim, "out": s.out_dim, "activation": s.activation} for s in layers]
 
 
-def save_checkpoint(path, header: dict, arrays) -> None:
-    """Write a versioned JSON header plus the parameter block.
+def _shapes_json(nets: dict) -> list:
+    return [list(shape) for shapes in param_shapes(nets.values()) for shape in shapes]
 
-    Round-trips are bit-exact: arrays are stored as little-endian
-    float64 in the order given, with shapes recorded in the header.
+
+def save_model(path, header: dict, nets: dict, flat: np.ndarray, config: TrainConfig | None) -> None:
+    """Write a model's checkpoint: a versioned JSON header, then ``flat``.
+
+    ``header`` holds the model's own fields (its ``kind`` among them);
+    ``nets`` maps header keys to the LayerSpec lists of its nets in
+    parameter order. Each list is written under its key, with
+    ``train_config`` (``asdict(config)`` or null) and the ``param_shapes``
+    of the nets. ``flat`` follows as little-endian float64 in one write,
+    so a round trip is bit-exact.
     """
-    header = dict(header)
-    header["param_shapes"] = [list(a.shape) for a in arrays]
-    blob = b"".join(np.ascontiguousarray(a, dtype="<f8").tobytes() for a in arrays)
+    header = {**header, **{key: layer_specs_to_json(specs) for key, specs in nets.items()},
+              "train_config": None if config is None else asdict(config),
+              "param_shapes": _shapes_json(nets)}
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_CKPT_PRELUDE.pack(_CKPT_MAGIC, _CKPT_VERSION, len(encoded)))
         fh.write(encoded)
-        fh.write(blob)
+        fh.write(np.ascontiguousarray(flat, dtype="<f8"))
 
 
 def header_field(header: dict, key: str, convert):
@@ -467,12 +478,16 @@ def header_field(header: dict, key: str, convert):
         raise ValueError(f"checkpoint header field {key!r} missing or malformed ({exc!r})") from exc
 
 
-def load_checkpoint(path):
-    """Read (header, block) from a checkpoint written by save_checkpoint.
+def load_model(path, kinds: dict) -> tuple[dict, dict, np.ndarray]:
+    """Read and check a checkpoint written by save_model; returns (header, nets, block).
 
-    ``block`` is the flat float64 parameter vector. The header must fit
-    in the file, and the non-negative ``param_shapes`` must account for
-    exactly the bytes after it before the block is read.
+    ``kinds`` maps each accepted ``kind`` to a function from the header
+    to that model's nets, as save_model takes them. Before the block is
+    read, the header must fit in the file, its non-negative
+    ``param_shapes`` must account for exactly the bytes after it, and
+    each layer list and ``param_shapes`` must equal those of the nets.
+    ``block`` is the flat float64 parameter vector, for build_nets to
+    adopt. A failed check raises ValueError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -493,17 +508,12 @@ def load_checkpoint(path):
         body = size - fh.tell()
         if any(n < 0 for shape in shapes for n in shape) or body != 8 * count:
             raise ValueError(f"{path}: param_shapes do not match the {body}-byte parameter block")
-        return header, np.fromfile(fh, dtype="<f8", count=count)
-
-
-def check_architecture(header: dict, layers: dict) -> None:
-    """Raise ValueError unless a checkpoint header describes exactly the given nets.
-
-    ``layers`` maps header keys to LayerSpec lists in parameter order;
-    each header list and the header's ``param_shapes`` must match them.
-    """
-    if any(header.get(key) != layer_specs_to_json(specs) for key, specs in layers.items()):
-        raise ValueError("checkpoint layer lists do not match the architecture")
-    expected = [list(shape) for shapes in param_shapes(layers.values()) for shape in shapes]
-    if header.get("param_shapes") != expected:
-        raise ValueError("checkpoint parameter shapes do not match the architecture")
+        nets_of = header_field(header, "kind", kinds.get)
+        if nets_of is None:
+            raise ValueError(f"{path}: kind {header['kind']!r} is not one of {sorted(kinds)}")
+        nets = nets_of(header)
+        if any(header.get(key) != layer_specs_to_json(specs) for key, specs in nets.items()):
+            raise ValueError(f"{path}: checkpoint layer lists do not match the architecture")
+        if header["param_shapes"] != _shapes_json(nets):
+            raise ValueError(f"{path}: checkpoint parameter shapes do not match the architecture")
+        return header, nets, np.fromfile(fh, dtype="<f8", count=count)

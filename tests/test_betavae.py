@@ -21,13 +21,14 @@ from distatlas.betavae import (
 )
 from distatlas.cdfcodec import GridShape
 from distatlas.classifier import (
-    GridClassifier,
+    Classifier,
+    default_latent_train_config,
     grid_classifier_layers,
     latent_classifier_layers,
     load_classifier,
     save_classifier,
 )
-from distatlas.neuralcore import ShapeMismatchError, TrainConfig, build_nets, load_checkpoint
+from distatlas.neuralcore import ShapeMismatchError, TrainConfig, build_nets, load_model
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,7 @@ class TestModel:
         model = VaeModel(GridShape(8, 6), seed=3)
         nets = (model.trunk, model.mu_head, model.logvar_head, model.decoder)
         layers = [s for net in nets for s in net.layers]
-        assert_laid_out(model.flat, model.params, layers)
+        assert_laid_out(model.flat, [p for net in nets for p in net.params], layers)
         assert_laid_out(model.grad, [g for net in nets for g in net.grads], layers)
         (net,), _, _ = build_nets([model.decoder.layers], [0])
         assert_laid_out(net.flat, net.params, net.layers)
@@ -312,25 +313,27 @@ class TestVaeCheckpoint:
         vae = VaeModel(GridShape(8, 6), seed=2)
         (net,), _, _ = build_nets([grid_classifier_layers(48)], [3])
         save_vae(tmp_path / "vae.ckpt", vae)
-        save_classifier(tmp_path / "clf.ckpt", GridClassifier(net, GridShape(8, 6)))
+        save_classifier(tmp_path / "clf.ckpt", Classifier(net, GridShape(8, 6)))
         blocks = []
 
         def no_draws(*args, **kwargs):
             raise AssertionError("a checkpoint load drew random numbers")
 
-        def recorded(path):
-            header, block = load_checkpoint(path)
+        def recorded(path, kinds):
+            header, nets, block = load_model(path, kinds)
             blocks.append(block)
-            return header, block
+            return header, nets, block
 
         monkeypatch.setattr(np.random, "default_rng", no_draws)
-        monkeypatch.setattr(betavae, "load_checkpoint", recorded)
-        monkeypatch.setattr(classifier, "load_checkpoint", recorded)
+        monkeypatch.setattr(betavae, "load_model", recorded)
+        monkeypatch.setattr(classifier, "load_model", recorded)
         clone, _ = load_vae(tmp_path / "vae.ckpt")
         clf, _ = load_classifier(tmp_path / "clf.ckpt")
         # each model's vector is the block read from the file, uncopied
         assert clone.flat is blocks[0] and clf.net.flat.base is blocks[1]
-        for block, views, want in [(blocks[0], clone.params, vae.flat),
+        clone_params = [p for net in (clone.trunk, clone.mu_head, clone.logvar_head,
+                                      clone.decoder) for p in net.params]
+        for block, views, want in [(blocks[0], clone_params, vae.flat),
                                    (blocks[1], clf.net.params, net.flat)]:
             # it owns its memory, and only the model's own views share it
             assert block.base is None and block.flags.writeable
@@ -338,9 +341,28 @@ class TestVaeCheckpoint:
             np.testing.assert_array_equal(block.view(np.int64), want.view(np.int64))
 
     def test_rejects_wrong_kind(self, tmp_path):
-        from distatlas.neuralcore import save_checkpoint
-
+        (net,), _, _ = build_nets([grid_classifier_layers(48)], [3])
         path = tmp_path / "other.ckpt"
-        save_checkpoint(path, {"kind": "classifier"}, [np.zeros(3)])
-        with pytest.raises(ValueError):
+        save_classifier(path, Classifier(net, GridShape(8, 6)))
+        with pytest.raises(ValueError, match="kind"):
             load_vae(path)
+        save_vae(path, VaeModel(GridShape(8, 6), seed=2))
+        with pytest.raises(ValueError, match="kind"):
+            load_classifier(path)
+
+    def test_checkpoint_bytes_are_pinned(self, tmp_path):
+        # SHA-256 of each file, recorded before the models shared one checkpoint writer
+        (grid_net,), _, _ = build_nets([grid_classifier_layers(48)], [3])
+        (latent_net,), _, _ = build_nets([latent_classifier_layers(1)], [4])
+        save_vae(tmp_path / "vae.ckpt", VaeModel(GridShape(8, 6), beta=2.5, latent_dim=2, seed=2),
+                 TrainConfig(epochs=4, rng_seed=5))
+        save_classifier(tmp_path / "grid.ckpt", Classifier(grid_net, GridShape(8, 6)))
+        save_classifier(tmp_path / "latent.ckpt", Classifier(latent_net),
+                        default_latent_train_config(epochs=3, seed=6))
+        for name, size, digest in [
+                ("vae", 930866, "e66f78b622ec0107bde35e0db86ba1a8a220dc3abdf819e0497256d55440e57d"),
+                ("grid", 123262, "957e848aebfef93e4470a08063f426d96cb0b88fee5ed63fa3da2bb55b7b58a4"),
+                ("latent", 548322,
+                 "28c4c46efd1b42f6c996004eff32af1082e06c813297015d9dc1ee19a86fa603")]:
+            blob = (tmp_path / f"{name}.ckpt").read_bytes()
+            assert (len(blob), hashlib.sha256(blob).hexdigest()) == (size, digest)

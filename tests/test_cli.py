@@ -198,25 +198,41 @@ class TestTrain:
                              "grid": {"x_bins": 100000, "y_levels": 100000}}]),
     ("grad-check", ["--grid", "100000x100000"]),
     ("grad-check", ["--grid", "1x5"]),
+    # output paths that cannot be written; {tmp} is the test's directory, which holds a file
+    *[(command, ["--out-dir", "{tmp}/a_file"]) for command in (
+        "generate", "train classifier", "train bvae", "map", "describe", "eval", "grad-check")],
+    ("map", ["--out-dir", "{tmp}/a_file/sub"]),
+    ("describe", ["--out", "{tmp}"]),
+    ("describe", ["--out", "{tmp}/missing/metadata.jsonl"]),
 ])
 def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
     out = tmp_path / "bad"
     spec = tmp_path / "spec.json"
     if any(isinstance(flag, dict) for flag in flags):
         spec.write_text(json.dumps(next(f for f in flags if isinstance(f, dict))))
-    flags = [str(spec) if isinstance(flag, dict) else flag for flag in flags]
+    flags = [str(spec) if isinstance(flag, dict) else flag.format(tmp=tmp_path) for flag in flags]
+    (tmp_path / "a_file").write_text("kept\n")
+    data = tmp_path / "data.csv"
+    TestDescribe().write_csv(data)
     dataset = ["--dataset", str(workspace / "dataset.bin")]
-    inputs = {"train": dataset, "map": [*dataset, "--vae", str(workspace / "bvae.ckpt")],
-              "eval": [*dataset, "--classifier", str(workspace / "classifier.ckpt")]}
+    classifier = ["--classifier", str(workspace / "classifier.ckpt")]
+    vae = ["--vae", str(workspace / "bvae.ckpt")]
+    inputs = {"train": dataset, "map": [*dataset, *vae], "eval": [*dataset, *classifier],
+              "describe": ["--data", str(data), *classifier, *vae]}
+    # the case's own --out-dir, if any, comes last and wins
     assert main([*command.split(), *inputs.get(command.split()[0], []),
-                 *flags, "--out-dir", str(out)]) == EXIT_BAD_SPEC
+                 "--out-dir", str(out), *flags]) == EXIT_BAD_SPEC
     assert not out.exists()
+    assert {p.name for p in tmp_path.iterdir()} <= {"a_file", "data.csv", "spec.json"}
+    assert (tmp_path / "a_file").read_text() == "kept\n"
 
 
-@pytest.mark.parametrize("n_entries", [0, 1])
-@pytest.mark.parametrize("command", ["train classifier", "train bvae", "eval", "map"])
+@pytest.mark.parametrize("command, n_entries", [
+    *[(command, n) for command in ("train classifier", "train bvae", "eval", "map") for n in (0, 1)],
+    # map's density estimate needs latentlab.MIN_DENSITY_POINTS (100) points
+    ("map", 2), ("map", 99)])
 def test_too_few_entries_exit_6_and_write_nothing(workspace, tmp_path, capsys, command, n_entries):
-    # a cache load_cache accepts but no train/test split can serve
+    # a cache load_cache accepts but no train/test split, or no density estimate, can serve
     full = distgen.load_cache(workspace / "dataset.bin")
     small = replace(full, **{name: getattr(full, name)[:n_entries] for name in (
         "grids", "labels", "entropy", "skewness", "ks_uniform", "sample_sizes")})
@@ -227,6 +243,38 @@ def test_too_few_entries_exit_6_and_write_nothing(workspace, tmp_path, capsys, c
               "map": ["--vae", str(workspace / "bvae.ckpt")]}
     assert main([*command.split(), "--dataset", str(path), *inputs.get(command, []),
                  "--out-dir", str(out)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, content, code", [
+    ("describe", "--segments", None, EXIT_MISSING_ARTIFACT),
+    ("describe", "--segments", b"x_index,x_center,segment\n0,\xff,common\n", EXIT_MISSING_ARTIFACT),
+    ("describe", "--data", b"a,b\n1,\xff\n", EXIT_BAD_INPUT),
+    ("describe", "--data", "directory", EXIT_BAD_INPUT),
+    ("generate", "--spec", "directory", EXIT_BAD_SPEC),
+    # one cell longer than csv's default field limit of 131,072 characters
+    ("describe", "--data", b"a\n" + b"1" * 131073 + b"\n2\n3\n", EXIT_BAD_INPUT),
+    ("describe", "--segments", b"x_index,x_center,segment\n0," + b"1" * 131073 + b",common\n",
+     EXIT_MISSING_ARTIFACT),
+], ids=["segments-missing", "segments-not-utf8", "data-not-utf8", "data-directory",
+        "spec-directory", "data-long-cell", "segments-long-cell"])
+def test_unreadable_input_file_exits_and_writes_nothing(workspace, tmp_path, capsys, command,
+                                                        flag, content, code):
+    path = tmp_path / "input"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    data = tmp_path / "data.csv"
+    TestDescribe().write_csv(data)
+    inputs = {"describe": ["--data", str(data), "--classifier", str(workspace / "classifier.ckpt"),
+                           "--vae", str(workspace / "bvae.ckpt")]}
+    out = tmp_path / "out"
+    # the flag under test comes last and wins over an input of the same name
+    assert main([command, *inputs.get(command, []), flag, str(path),
+                 "--out-dir", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not out.exists()

@@ -67,25 +67,46 @@ def test_checker_flags_an_unreferenced_private():
     assert unreferenced_privates(sources) == ["a.py:_Dead", "a.py:_recursive"]
 
 
+def public_callables(tree):
+    """(label, name calls use, function node, leading parameters calls do not pass) of a module.
+
+    Public functions, and the public methods and ``__init__`` of public
+    classes; ``__init__`` is called by its class's name, and methods do
+    not pass ``self`` (a staticmethod passes every parameter).
+    """
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, node, 0
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    continue
+                if item.name == "__init__":
+                    yield node.name, node.name, item, 1
+                elif not item.name.startswith("_"):
+                    static = any(getattr(d, "id", None) == "staticmethod"
+                                 for d in item.decorator_list)
+                    yield f"{node.name}.{item.name}", item.name, item, 0 if static else 1
+
+
 def unset_defaults(sources: dict, callers) -> list:
-    """Defaulted parameters of public module-level functions that no call sets.
+    """Defaulted parameters of public functions and methods that no call sets.
 
     A call sets a parameter when it names it as a keyword, passes enough
     positional arguments to reach it, or unpacks ``*args`` or ``**kwargs``.
-    Calls are matched by the function's name, bare or as an attribute.
+    Calls are matched by the function's name, bare or as an attribute; a
+    class's ``__init__`` by the class's name (see public_callables).
     """
-    defaults = {}
+    defaults = []
     for module, source in sources.items():
-        for node in ast.parse(source).body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                args = node.args
-                positional = args.posonlyargs + args.args
-                first = len(positional) - len(args.defaults)
-                defaults[node.name] = (module, [(i, p.arg) for i, p in enumerate(positional)
-                                                if i >= first]
-                                       + [(None, p.arg) for p, d in zip(args.kwonlyargs,
-                                                                        args.kw_defaults)
-                                          if d is not None])
+        for label, name, node, skip in public_callables(ast.parse(source)):
+            args = node.args
+            positional = (args.posonlyargs + args.args)[skip:]
+            first = len(positional) - len(args.defaults)
+            defaults.append((f"{module}:{label}", name,
+                             [(i, p.arg) for i, p in enumerate(positional) if i >= first]
+                             + [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                                if d is not None]))
     calls = defaultdict(list)
     for source in callers:
         for call in ast.walk(ast.parse(source)):
@@ -94,7 +115,7 @@ def unset_defaults(sources: dict, callers) -> list:
                 unpacks = (any(isinstance(a, ast.Starred) for a in call.args)
                            or any(k.arg is None for k in call.keywords))
                 calls[name].append((unpacks, len(call.args), {k.arg for k in call.keywords}))
-    return sorted(f"{module}:{name}({param})" for name, (module, params) in defaults.items()
+    return sorted(f"{label}({param})" for label, name, params in defaults
                   for i, param in params
                   if not any(unpacks or (i is not None and n_args > i) or param in keywords
                              for unpacks, n_args, keywords in calls[name]))
@@ -111,9 +132,19 @@ def test_checker_flags_an_unset_default():
     sources = {"a.py": "def f(x, by_position=1, by_keyword=2, never=3, *, kw_never=4):\n"
                        "    pass\n\n"
                        "def g(spread=0):\n    pass\n\n"
-                       "def _private(unset=0):\n    pass\n"}
-    callers = ["import a\na.f(0, 1)\nf(0, by_keyword=5)\ng(*[])\n"]
-    assert unset_defaults(sources, callers) == ["a.py:f(kw_never)", "a.py:f(never)"]
+                       "def _private(unset=0):\n    pass\n\n"
+                       "class C:\n"
+                       "    def __init__(self, by_position=None, never=None):\n        pass\n\n"
+                       "    def m(self, by_keyword=0, never=0):\n        pass\n\n"
+                       "    @staticmethod\n"
+                       "    def s(by_position=0):\n        pass\n\n"
+                       "    def _hidden(self, unset=0):\n        pass\n\n"
+                       "class _Private:\n"
+                       "    def __init__(self, unset=None):\n        pass\n"}
+    callers = ["import a\na.f(0, 1)\nf(0, by_keyword=5)\ng(*[])\n"
+               "c = a.C(1)\nc.m(by_keyword=2)\na.C.s(3)\n"]
+    assert unset_defaults(sources, callers) == ["a.py:C(never)", "a.py:C.m(never)",
+                                                "a.py:f(kw_never)", "a.py:f(never)"]
 
 
 def test_cli_import_leaves_scipy_submodules_unloaded():

@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -22,12 +23,11 @@ from distatlas.neuralcore import (
     build_nets,
     categorical_cross_entropy,
     categorical_cross_entropy_grad,
-    check_architecture,
     grad_check,
-    load_checkpoint,
+    load_model,
     make_optimizer,
     one_hot,
-    save_checkpoint,
+    save_model,
     split_indices,
     layer_specs_to_json,
     train_epochs,
@@ -433,55 +433,83 @@ class TestSplit:
         assert not np.array_equal(a, b)
 
 
+def write_checkpoint(path, header, body_bytes):
+    """A checkpoint of the given header and a body of body_bytes zero bytes."""
+    encoded = json.dumps(header).encode("utf-8")
+    path.write_bytes(struct.pack("<4sII", b"NNCP", 1, len(encoded)) + encoded + bytes(body_bytes))
+    return path
+
+
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = small_net(seed=11)
-        header = {"kind": "classifier", "layers": layer_specs_to_json(net.layers),
-                  "note": "round trip"}
+        config = TrainConfig(epochs=3, rng_seed=4)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, header, net.params)
-        loaded_header, block = load_checkpoint(path)
-        assert loaded_header["kind"] == "classifier"
-        assert loaded_header["note"] == "round trip"
-        assert loaded_header["param_shapes"] == [list(p.shape) for p in net.params]
+        save_model(path, {"kind": "toy", "note": "round trip"}, {"layers": net.layers}, net.flat,
+                   config)
+        header, nets, block = load_model(path, {"toy": lambda h: {"layers": net.layers}})
+        assert header["kind"] == "toy"
+        assert header["note"] == "round trip"
+        assert header["train_config"] == asdict(config)
+        assert header["layers"] == [{"in": 5, "out": 8, "activation": "relu"},
+                                    {"in": 8, "out": 6, "activation": "relu"},
+                                    {"in": 6, "out": 4, "activation": "softmax"}]
+        assert header["param_shapes"] == [list(p.shape) for p in net.params]
+        assert nets == {"layers": net.layers}
         assert block.dtype == np.float64
         np.testing.assert_array_equal(block.view(np.int64), net.flat.view(np.int64))
+        save_model(path, {"kind": "toy"}, {"layers": net.layers}, net.flat, None)
+        assert load_model(path, {"toy": lambda h: {"layers": net.layers}})[0]["train_config"] is None
 
     def test_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"garbage bytes that are not a checkpoint")
         with pytest.raises(ValueError):
-            load_checkpoint(path)
+            load_model(path, {"toy": lambda h: {}})
 
     def test_header_must_fit_in_the_file(self, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(struct.pack("<4sII", b"NNCP", 1, 2 ** 32 - 1) + b"{}")
         with pytest.raises(ValueError, match="truncated checkpoint header"):
-            load_checkpoint(path)
+            load_model(path, {"toy": lambda h: {}})
 
     @pytest.mark.parametrize("shapes, body_bytes", [
         ([[2, 3], [3]], 72 + 1), ([[2, 3], [3]], 72 + 8), ([[2, 3], [3]], 72 - 8),
         ([[10 ** 15], [3]], 72), ([[-2, 3], [4, 3]], 48)])
     def test_block_must_be_exactly_the_rest_of_the_file(self, tmp_path, shapes, body_bytes):
-        encoded = json.dumps({"param_shapes": shapes}).encode("utf-8")
-        path = tmp_path / "model.ckpt"
-        path.write_bytes(struct.pack("<4sII", b"NNCP", 1, len(encoded)) + encoded
-                         + bytes(body_bytes))
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        layers = [LayerSpec(2, 3, "identity")]
+        path = write_checkpoint(tmp_path / "model.ckpt", {
+            "kind": "toy", "layers": [{"in": 2, "out": 3, "activation": "identity"}],
+            "param_shapes": shapes}, body_bytes)
+        with pytest.raises(ValueError, match="param_shapes do not match"):
+            load_model(path, {"toy": lambda h: {"layers": layers}})
 
-    def test_check_architecture_accepts_only_the_same_nets(self):
+    def test_architecture_must_match_the_nets(self, tmp_path):
         net = small_net()
-        layers = {"layers": net.layers}
-        shapes = [list(p.shape) for p in net.params]
-        header = {"layers": layer_specs_to_json(net.layers), "param_shapes": shapes}
-        check_architecture(header, layers)
-        wider = [LayerSpec(5, 9, "relu"), *net.layers[1:]]
-        for bad in [{"layers": layer_specs_to_json(wider)}, {"layers": None},
+        kinds = {"toy": lambda h: {"layers": net.layers}}
+        path = tmp_path / "model.ckpt"
+        save_model(path, {"kind": "toy"}, {"layers": net.layers}, net.flat, None)
+        header, _, _ = load_model(path, kinds)
+        shapes = header["param_shapes"]
+        wider = [{**header["layers"][0], "out": 9}, *header["layers"][1:]]
+        for bad in [{"layers": wider}, {"layers": None},
                     {"param_shapes": shapes[:-1]}, {"param_shapes": [*shapes, shapes[-1]]},
                     {"param_shapes": [*shapes[:-1], [*shapes[-1], 1]]}, {"param_shapes": None}]:
-            with pytest.raises(ValueError):
-                check_architecture({**header, **bad}, layers)
+            edited = {**header, **bad}
+            # the body fits param_shapes, so the length rule passes whenever it can
+            count = sum(int(np.prod(shape)) for shape in edited["param_shapes"] or [])
+            write_checkpoint(path, edited, 8 * count)
+            with pytest.raises(ValueError, match="architecture" if edited["param_shapes"]
+                               else "param_shapes"):
+                load_model(path, kinds)
+
+    @pytest.mark.parametrize("kind", ["other", None, ["toy"]])
+    def test_kind_must_be_accepted(self, tmp_path, kind):
+        net = small_net()
+        path = tmp_path / "model.ckpt"
+        save_model(path, {"kind": kind}, {"layers": net.layers}, net.flat, None)
+        with pytest.raises(ValueError, match="kind"):
+            load_model(path, {"toy": lambda h: {"layers": net.layers}})
 
 
 class TestTrainConfig:
