@@ -171,15 +171,15 @@ class VaeEpoch:
     test_kl: float
 
 
-def _dataset_eval(model: VaeModel, grids: np.ndarray):
-    """Mean (BCE, KL) with the decoder driven by the encoder mean."""
+def _dataset_eval(model: VaeModel, grids: np.ndarray, idx: np.ndarray):
+    """Mean (BCE, KL) over rows grids[idx], gathered 1024 at a time, at the encoder mean."""
     def batch_sums(rows: slice):
-        x = grids[rows].astype(np.float64, copy=False)
+        x = grids[idx[rows]].astype(np.float64)
         mu, sigma = model.encode(x)
         return (binary_cross_entropy(model.decode(mu), x) * x.shape[0],
                 float(np.sum(kl_per_example(mu, 2.0 * np.log(sigma)))))
 
-    n = grids.shape[0]
+    n = idx.shape[0]
     bces, kls = zip(*_map_batches(batch_sums, n, 1024))
     return sum(bces) / n, sum(kls) / n
 
@@ -191,28 +191,27 @@ def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
     Returns (model, history); history row 0 is the pre-training
     evaluation, rows 1..epochs the post-epoch state. Test metrics are
     computed at the encoder mean, so they are deterministic per epoch.
+    Each batch gathers its float32 rows; the grids are never copied whole.
     """
     config = config or TrainConfig(epochs=100)
     model = VaeModel(dataset.grid_shape, beta=beta, latent_dim=latent_dim,
                      seed=mix64(config.rng_seed, 11))
     train_idx, test_idx = split_indices(len(dataset), config.rng_seed)
-    x_train = dataset.grids[train_idx].astype(np.float64)
-    x_test = dataset.grids[test_idx].astype(np.float64)
     eps_rng = np.random.default_rng(mix64(config.rng_seed, 13))
 
     def batch_step(rows):
         eps = eps_rng.standard_normal((rows.shape[0], model.latent_dim))
-        grad, bce, kl = model.loss_gradients(x_train[rows], eps)
+        grad, bce, kl = model.loss_gradients(dataset.grids[train_idx[rows]], eps)
         return grad, (bce + model.beta * kl, bce, kl)
 
     def snapshot(epoch: int, loss: float, bce: float, kl: float) -> VaeEpoch:
-        test_bce, test_kl = _dataset_eval(model, x_test)
+        test_bce, test_kl = _dataset_eval(model, dataset.grids, test_idx)
         return VaeEpoch(epoch, loss, bce, kl, test_bce, test_kl)
 
-    bce0, kl0 = _dataset_eval(model, x_train)
+    bce0, kl0 = _dataset_eval(model, dataset.grids, train_idx)
     history = [snapshot(0, bce0 + model.beta * kl0, bce0, kl0)]
     history += [snapshot(epoch, *parts) for epoch, parts in train_epochs(
-        model.flat, config, x_train.shape[0], mix64(config.rng_seed, 12), batch_step)]
+        model.flat, config, train_idx.shape[0], mix64(config.rng_seed, 12), batch_step)]
     return model, history
 
 
@@ -222,7 +221,7 @@ def encode_dataset(model: VaeModel, dataset: LabeledDataset,
     if indices is None:
         indices = np.arange(len(dataset))
     mus, sigmas = zip(*_map_batches(
-        lambda rows: model.encode(dataset.grids[indices[rows]].astype(np.float64)),
+        lambda rows: model.encode(dataset.grids[indices[rows]]),
         indices.shape[0], 2048))
     return LatentPoints(
         z=np.concatenate(mus),

@@ -101,37 +101,41 @@ def predict(model, grid) -> np.ndarray:
     return model.predict_proba(flat[None, :])[0]
 
 
-def _batched_argmax(net: DenseNet, x: np.ndarray) -> np.ndarray:
-    return np.concatenate(_map_batches(lambda rows: np.argmax(net(x[rows]), axis=1),
-                                       x.shape[0], 2048))
+def _batched_argmax(net: DenseNet, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Predicted class of rows x[idx], gathered 2048 at a time."""
+    return np.concatenate(_map_batches(lambda rows: np.argmax(net(x[idx[rows]]), axis=1),
+                                       idx.shape[0], 2048))
 
 
 def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig):
-    """Train a fresh softmax net on a 67/33 split of (x, y); returns (net, history)."""
+    """Train a fresh softmax net on a 67/33 split of (x, y); returns (net, history).
+
+    x is never copied whole: each batch gathers its rows, which forward converts to float64.
+    """
     train_idx, test_idx = split_indices(x.shape[0], config.rng_seed)
-    x_train, x_test, y_test = x[train_idx], x[test_idx], y[test_idx]
+    y_test = y[test_idx]
     (net,), _, _ = build_nets([layers], [mix64(config.rng_seed, 1)])
     onehot = one_hot(y[train_idx], net.out_dim)
 
     def test_accuracy() -> float:
-        if x_test.shape[0] == 0:
+        if test_idx.shape[0] == 0:
             return float("nan")
-        return float(np.mean(_batched_argmax(net, x_test) == y_test))
+        return float(np.mean(_batched_argmax(net, x, test_idx) == y_test))
 
     def full_loss() -> float:
         return sum(_map_batches(
-            lambda rows: categorical_cross_entropy(net(x_train[rows]), onehot[rows])
-            * onehot[rows].shape[0], x_train.shape[0], 2048)) / x_train.shape[0]
+            lambda rows: categorical_cross_entropy(net(x[train_idx[rows]]), onehot[rows])
+            * onehot[rows].shape[0], train_idx.shape[0], 2048)) / train_idx.shape[0]
 
     def batch_step(rows):
-        cache, target = net.forward(x_train[rows]), onehot[rows]
+        cache, target = net.forward(x[train_idx[rows]]), onehot[rows]
         loss = categorical_cross_entropy(cache.output, target)
         net.backward(cache, categorical_cross_entropy_grad(cache.output, target), input_grad=False)
         return net.grad, (loss,)
 
     history = [ClassifierEpoch(0, full_loss(), test_accuracy())]
     history += [ClassifierEpoch(epoch, loss, test_accuracy()) for epoch, (loss,) in train_epochs(
-        net.flat, config, x_train.shape[0], mix64(config.rng_seed, 2), batch_step)]
+        net.flat, config, train_idx.shape[0], mix64(config.rng_seed, 2), batch_step)]
     return net, history
 
 
@@ -149,8 +153,7 @@ def train_classifier(dataset: LabeledDataset, config: TrainConfig | None = None)
     """Train the grid classifier on a 67/33 split; returns (model, history)."""
     config = config or TrainConfig(epochs=50)
     net, history = _train_softmax_net(grid_classifier_layers(dataset.grid_shape.n_cells),
-                                      dataset.grids.astype(np.float64),
-                                      dataset.labels.astype(np.int64), config)
+                                      dataset.grids, dataset.labels.astype(np.int64), config)
     return Classifier(net, dataset.grid_shape), history
 
 
@@ -163,11 +166,10 @@ def train_latent_classifier(points, config: TrainConfig | None = None):
     return Classifier(net), history
 
 
-def evaluate(model, grids: np.ndarray, labels: np.ndarray) -> ConfusionMatrix:
-    """Confusion matrix of the model on a held-out set."""
-    x = np.asarray(grids, dtype=np.float64)
-    preds = _batched_argmax(model.net, x)
-    return confusion_from_predictions(np.asarray(labels, dtype=np.int64), preds)
+def evaluate(model, grids: np.ndarray, labels: np.ndarray, indices: np.ndarray) -> ConfusionMatrix:
+    """Confusion matrix of the model on rows ``indices`` of (grids, labels)."""
+    preds = _batched_argmax(model.net, grids, indices)
+    return confusion_from_predictions(np.asarray(labels[indices], dtype=np.int64), preds)
 
 
 # each checkpoint kind, with its nets from its header

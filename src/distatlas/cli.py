@@ -564,7 +564,7 @@ def cmd_eval(args, argv) -> int:
     out = _out_dir(args)
     _log_invocation(out, "eval", argv)
     _, test_idx = split_indices(len(dataset), split_seed)
-    matrix = classifier.evaluate(model, dataset.grids[test_idx], dataset.labels[test_idx])
+    matrix = classifier.evaluate(model, dataset.grids, dataset.labels, test_idx)
     report = {
         "overall_accuracy": round(matrix.overall_accuracy, 6),
         "simpler_confusion_rate": round(matrix.simpler_confusion_rate, 6),

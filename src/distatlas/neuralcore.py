@@ -12,8 +12,11 @@ one shuffled minibatch loop every trainer runs, finite-difference
 auditing of the whole gradient path, and bit-exact checkpoints, whose
 header only save_model writes and only load_model reads and checks (the
 models pass their own fields, nets and accepted kinds). DenseNet.forward
-is the one input-width check. Everything is deterministic given (seed,
-data, config).
+is the one input-width check, and converts its input to float64 exactly,
+so trainers pass the float32 rows of a batch as they gather them. The
+sigmoid and the BCE value and gradient compute in place, with the
+operations of their whole-expression forms in the same order, so bit for
+bit. Everything is deterministic given (seed, data, config).
 """
 
 from __future__ import annotations
@@ -85,9 +88,12 @@ class TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # exp(-|z|) without abs, which would flip a NaN's sign bit
+    # exp(-|z|) without abs, which would flip a NaN's sign bit; then 1 / (1 + e) where
+    # z >= 0 and e / (1 + e) elsewhere, as one division into the selected numerators
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    out = np.where(z >= 0, 1.0, e)
+    out /= np.add(e, 1.0, out=e)
+    return out
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -259,15 +265,24 @@ def categorical_cross_entropy_grad(probs: np.ndarray, onehot: np.ndarray) -> np.
 
 
 def binary_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """Binary cross entropy summed over units, averaged over the batch."""
+    """Binary cross entropy summed over units, averaged over the batch (float64 pred)."""
+    # target * log(p) + (1 - target) * log1p(-p) op by op, operands in that order so that
+    # NaNs propagate alike, each result in its second operand: numpy adds into a
+    # one-element first operand as a reduction, which keeps the other operand's NaN
     p = np.clip(pred, LOSS_EPS, 1.0 - LOSS_EPS)
-    per_unit = target * np.log(p) + (1.0 - target) * np.log1p(-p)
-    return float(-per_unit.sum() / pred.shape[0])
+    log_p = np.log(p)
+    np.multiply(target, log_p, out=log_p)
+    np.multiply(1.0 - target, np.log1p(np.negative(p, out=p), out=p), out=p)
+    return float(-np.add(log_p, p, out=p).sum() / pred.shape[0])
 
 
 def binary_cross_entropy_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:
+    # (-target / p + (1 - target) / (1 - p)) / batch, in two arrays, as the loss above
     p = np.clip(pred, LOSS_EPS, 1.0 - LOSS_EPS)
-    g = (-target / p + (1.0 - target) / (1.0 - p)) / pred.shape[0]
+    g = np.subtract(1.0, p)
+    np.divide(1.0 - target, g, out=g)
+    np.add(np.divide(-target, p, out=p), g, out=g)
+    g /= pred.shape[0]
     g[(pred < LOSS_EPS) | (pred > 1.0 - LOSS_EPS)] = 0.0
     return g
 

@@ -43,7 +43,7 @@ def train_desk_classifier(dataset, seed):
         dataset, TrainConfig(epochs=CLASSIFIER_EPOCHS, rng_seed=seed))
     elapsed = time.perf_counter() - start
     _, test_idx = split_indices(len(dataset), seed)
-    matrix = classifier.evaluate(model, dataset.grids[test_idx], dataset.labels[test_idx])
+    matrix = classifier.evaluate(model, dataset.grids, dataset.labels, test_idx)
     return model, matrix, elapsed
 
 

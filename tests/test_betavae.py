@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +214,50 @@ class TestTraining:
         mu, sigma = model.encode(tiny_dataset.grids[:4].astype(np.float64))
         assert mu.shape == (4, 1)
         assert history[-1].test_bce < history[0].test_bce
+
+
+def _random_corpus(n: int) -> distgen.LabeledDataset:
+    """n random float32 rows on a 16x15 grid, typed like a loaded cache."""
+    grid = GridShape(16, 15)
+    rng = np.random.default_rng(n)
+    stats = rng.random((3, n), dtype=np.float32)
+    return distgen.LabeledDataset(grid, rng.random((n, grid.n_cells), dtype=np.float32),
+                                  rng.integers(0, 13, n, dtype=np.int32), *stats,
+                                  np.full(n, 500, dtype=np.int32), 0, n // 13)
+
+
+def _evaluate_fresh_net(dataset):
+    (net,), _, _ = build_nets([grid_classifier_layers(dataset.grid_shape.n_cells)], [1])
+    return classifier.evaluate(Classifier(net, dataset.grid_shape), dataset.grids, dataset.labels,
+                               np.arange(len(dataset)))
+
+
+# each corpus reader (one epoch for the trainers) with a row count whose 33 % test
+# split already fills its evaluation slice: 1,024 rows for the beta-VAE, 2,048 for
+# the grid classifier, and 2,048 of all rows for evaluate
+CORPUS_READERS = {
+    "train_bvae": (3200, lambda dataset: train_bvae(dataset, config=TrainConfig(epochs=1))),
+    "train_classifier": (6400, lambda dataset: classifier.train_classifier(
+        dataset, TrainConfig(epochs=1))),
+    "evaluate": (2048, _evaluate_fresh_net),
+}
+
+
+class TestCorpusMemory:
+    @pytest.mark.parametrize("reader", CORPUS_READERS)
+    def test_doubling_the_corpus_adds_less_than_a_float64_copy_of_it(self, reader):
+        n, read = CORPUS_READERS[reader]
+        peaks = []
+        for rows in (n, 2 * n):
+            dataset = _random_corpus(rows)
+            tracemalloc.start()
+            try:
+                read(dataset)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < 8 * n * GridShape(16, 15).n_cells
 
 
 class TestEncodeDataset:

@@ -138,10 +138,18 @@ class TestEvaluate:
     def test_on_held_out(self, small_model, small_dataset):
         model, _ = small_model
         _, test_idx = split_indices(len(small_dataset), 2)
-        cm = evaluate(model, small_dataset.grids[test_idx], small_dataset.labels[test_idx])
+        cm = evaluate(model, small_dataset.grids, small_dataset.labels, test_idx)
         np.testing.assert_array_equal(
             cm.row_totals, np.bincount(small_dataset.labels[test_idx], minlength=13))
         assert 0.0 <= cm.overall_accuracy <= 1.0
+
+    def test_indices_select_the_same_rows_as_a_gather(self, small_model, small_dataset):
+        model, _ = small_model
+        _, test_idx = split_indices(len(small_dataset), 2)
+        gathered = evaluate(model, small_dataset.grids[test_idx], small_dataset.labels[test_idx],
+                            np.arange(test_idx.shape[0]))
+        indexed = evaluate(model, small_dataset.grids, small_dataset.labels, test_idx)
+        np.testing.assert_array_equal(indexed.counts, gathered.counts)
 
 
 class TestLatentClassifier:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distatlas.neuralcore import (
+    LOSS_EPS,
     Adadelta,
     LayerSpec,
     RMSprop,
@@ -239,6 +240,48 @@ class TestLosses:
         t = rng.random((4, 6))
         assert binary_cross_entropy_grad(p, t).shape == (4, 6)
         assert categorical_cross_entropy_grad(p, t).shape == (4, 6)
+
+    @staticmethod
+    def _bce_cases():
+        """(pred, target) pairs: whole batches, then single units, where no sum absorbs a last bit.
+
+        Row 0 holds preds exactly 0 and 1, below, at and above both edges of
+        the clamp band, and NaNs of either sign, against soft targets; rows
+        1-3 repeat them against targets of exactly 0, exactly 1 and NaN. The
+        batch has 63 rows, so the batch mean's division is not exact as a
+        multiplication.
+        """
+        rng = np.random.default_rng(8)
+        pred = _sigmoid(rng.normal(scale=8.0, size=(63, 50)))
+        target = rng.random((63, 50))
+        target[4:8] = np.round(target[4:8])
+        pred[:4, :10] = [0.0, 1.0, 1e-9, LOSS_EPS / 2, LOSS_EPS, 1.0 - LOSS_EPS,
+                         1.0 - LOSS_EPS / 2, 1.0 - 1e-9, np.nan, -np.nan]
+        target[1:4, :10] = [[0.0], [1.0], [np.nan]]
+        yield pred[4:], target[4:]
+        yield pred, target
+        for i in range(8):
+            for j in range(50):
+                yield pred[i:i + 1, j:j + 1], target[i:i + 1, j:j + 1]
+
+    def test_bce_matches_the_reference_expression_bit_for_bit(self):
+        for pred, target in self._bce_cases():
+            kept = pred.copy()
+            p = np.clip(pred, LOSS_EPS, 1.0 - LOSS_EPS)
+            expected = -(target * np.log(p) + (1.0 - target) * np.log1p(-p)).sum() / pred.shape[0]
+            got = binary_cross_entropy(pred, target)
+            assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+            np.testing.assert_array_equal(pred.view(np.int64), kept.view(np.int64))
+
+    def test_bce_grad_matches_the_reference_expression_bit_for_bit(self):
+        for pred, target in self._bce_cases():
+            kept = pred.copy()
+            p = np.clip(pred, LOSS_EPS, 1.0 - LOSS_EPS)
+            expected = (-target / p + (1.0 - target) / (1.0 - p)) / pred.shape[0]
+            expected[(pred < LOSS_EPS) | (pred > 1.0 - LOSS_EPS)] = 0.0
+            got = binary_cross_entropy_grad(pred, target)
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+            np.testing.assert_array_equal(pred.view(np.int64), kept.view(np.int64))
 
 
 class TestOptimizers:
