@@ -233,8 +233,9 @@ def _evaluate_fresh_net(dataset):
 
 
 # each corpus reader (one epoch for the trainers) with a row count whose 33 % test
-# split already fills its evaluation slice: 1,024 rows for the beta-VAE, 2,048 for
-# the grid classifier, and 2,048 of all rows for evaluate
+# split already fills its evaluation slice (1,024 rows for the beta-VAE, 2,048 for
+# the grid classifier; evaluate reads all 2,048 rows), so that doubling the corpus
+# grows only what the reader holds per row, not a slice that was still filling up
 CORPUS_READERS = {
     "train_bvae": (3200, lambda dataset: train_bvae(dataset, config=TrainConfig(epochs=1))),
     "train_classifier": (6400, lambda dataset: classifier.train_classifier(

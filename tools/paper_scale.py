@@ -22,7 +22,7 @@ Exits 1 when a stage fails.
 
 At the default size both sides need about 650 MB of disk in --work-dir
 (default: the system temporary directory), the base's `train classifier`
-peaks near 1.5 GB, and the run takes about 15 minutes on 2 cores.
+peaks near 1.5 GB, and the run takes about 7 minutes on 2 cores.
 """
 
 from __future__ import annotations
