@@ -395,6 +395,8 @@ def load_cache(path) -> LabeledDataset:
 
     The body must end where the header says it does, labels must be
     family ids, sample sizes at least 1 and grid cells finite in [0, 1].
+    Each block is read straight into its array (np.fromfile), so a load
+    holds the corpus once; a block that ends early raises ValueError.
     """
     with open(path, "rb") as fh:
         head = fh.read(_CACHE_HEADER.size)
@@ -412,8 +414,12 @@ def load_cache(path) -> LabeledDataset:
         expected = sum(dtype.itemsize * math.prod(dims) for _, dtype, dims in blocks)
         if body != expected:
             raise ValueError(f"{path}: cache body is {body} bytes; its header implies {expected}")
-        arrays = {field: np.frombuffer(fh.read(dtype.itemsize * math.prod(dims)), dtype)
-                  .reshape(dims).copy() for field, dtype, dims in blocks}
+        arrays = {}
+        for field, dtype, dims in blocks:
+            block = np.fromfile(fh, dtype, math.prod(dims))
+            if block.size != math.prod(dims):
+                raise ValueError(f"{path}: cache block {field!r} ends early")
+            arrays[field] = block.reshape(dims)
     if np.any((arrays["labels"] < 0) | (arrays["labels"] >= N_FAMILIES)):
         raise ValueError(f"{path}: cache labels outside 0..{N_FAMILIES - 1}")
     if np.any(arrays["sample_sizes"] < 1):

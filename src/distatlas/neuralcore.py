@@ -13,10 +13,11 @@ auditing of the whole gradient path, and bit-exact checkpoints, whose
 header only save_model writes and only load_model reads and checks (the
 models pass their own fields, nets and accepted kinds). DenseNet.forward
 is the one input-width check, and converts its input to float64 exactly,
-so trainers pass the float32 rows of a batch as they gather them. The
-sigmoid and the BCE value and gradient compute in place, with the
-operations of their whole-expression forms in the same order, so bit for
-bit. Everything is deterministic given (seed, data, config).
+so trainers pass the float32 rows of a batch as they gather them, and
+writes each layer's output once: the bias and the activation go into the
+matmul's buffer in place. The activations and the BCE value and gradient
+keep the operations of their whole-expression forms in the same order, so
+bit for bit. Everything is deterministic given (seed, data, config).
 """
 
 from __future__ import annotations
@@ -88,22 +89,26 @@ class TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic sigmoid, written into z: the caller gives z up."""
     # exp(-|z|) without abs, which would flip a NaN's sign bit; then 1 / (1 + e) where
     # z >= 0 and e / (1 + e) elsewhere, as one division into the selected numerators
-    e = np.exp(np.minimum(z, -z))
-    out = np.where(z >= 0, 1.0, e)
-    out /= np.add(e, 1.0, out=e)
-    return out
+    e = np.negative(z)
+    np.exp(np.minimum(z, e, out=e), out=e)
+    ge = z >= 0
+    np.copyto(z, e)
+    np.copyto(z, 1.0, where=ge)
+    return np.divide(z, np.add(e, 1.0, out=e), out=z)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax, written into z: the caller gives z up."""
+    np.exp(np.subtract(z, z.max(axis=1, keepdims=True), out=z), out=z)
+    return np.divide(z, z.sum(axis=1, keepdims=True), out=z)
 
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    # in place on DenseNet.forward's fresh pre-activation, so each layer's output is one buffer
     if name == "relu":
-        # in place: z is the fresh pre-activation of DenseNet.forward, held nowhere else
         return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
         return _sigmoid(z)
@@ -213,7 +218,9 @@ class DenseNet:
         cache = ForwardCache(x=x)
         a = x
         for spec, w, b in zip(self.layers, self.params[0::2], self.params[1::2]):
-            a = _activate(spec.activation, a @ w + b)
+            # a @ w + b in one buffer; added in place, a one-element z would keep b's NaN, not z's
+            z = np.matmul(a, w)
+            a = _activate(spec.activation, np.add(z, b, out=z if z.size > 1 else None))
             cache.acts.append(a)
         return cache
 
@@ -531,4 +538,7 @@ def load_model(path, kinds: dict) -> tuple[dict, dict, np.ndarray]:
             raise ValueError(f"{path}: checkpoint layer lists do not match the architecture")
         if header["param_shapes"] != _shapes_json(nets):
             raise ValueError(f"{path}: checkpoint parameter shapes do not match the architecture")
-        return header, nets, np.fromfile(fh, dtype="<f8", count=count)
+        block = np.fromfile(fh, dtype="<f8", count=count)
+        if block.size != count:
+            raise ValueError(f"{path}: parameter block ends early")
+        return header, nets, block

@@ -1,5 +1,8 @@
 import math
+import os
 import struct
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -364,6 +367,41 @@ class TestCache:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError):
+            load_cache(path)
+
+    def test_load_holds_each_block_once(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n, shape = 13 * 400, GridShape()
+        ds = distgen.LabeledDataset(
+            grid_shape=shape, master_seed=8, per_family_count=400,
+            grids=rng.random((n, shape.n_cells), dtype=np.float32),
+            labels=np.repeat(np.arange(13, dtype=np.int32), 400),
+            sample_sizes=rng.integers(35, 1001, n, dtype=np.int32),
+            **{f: rng.random(n, dtype=np.float32) for f in ("entropy", "skewness", "ks_uniform")})
+        path = tmp_path / "corpus.bin"
+        save_cache(ds, path)
+        tracemalloc.start()
+        try:
+            loaded = load_cache(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * path.stat().st_size
+        np.testing.assert_array_equal(loaded.grids, ds.grids)
+
+    @pytest.mark.parametrize("block", ["labels", "grids"])
+    def test_a_block_that_ends_early_is_named(self, tmp_path, monkeypatch, block):
+        # a file cut after its size was checked: the read of that block comes up short
+        ds = build_doe(1, master_seed=9)
+        path = tmp_path / "corpus.bin"
+        save_cache(ds, path)
+        blob = path.read_bytes()
+        cut = 36 + 2 if block == "labels" else len(blob) - 4
+        real_fstat = os.fstat
+        monkeypatch.setattr(distgen.os, "fstat", lambda fd: SimpleNamespace(
+            st_size=real_fstat(fd).st_size + len(blob) - cut))
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError, match=f"block '{block}' ends early"):
             load_cache(path)
 
     @pytest.mark.parametrize("offset, packed", [

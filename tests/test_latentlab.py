@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from distatlas.classifier import Classifier, latent_classifier_layers
 from distatlas.latentlab import (
     DensityField,
     estimate_density,
@@ -12,6 +15,7 @@ from distatlas.latentlab import (
     trajectories,
     woe_map,
 )
+from distatlas.neuralcore import build_nets
 
 
 class FakePoints:
@@ -220,6 +224,18 @@ class TestClassMap:
     def test_one_dimensional(self):
         cmap = class_map(self.ConstantModel(), [(-2, 2)], resolution=7)
         assert cmap.shape == (7,)
+
+    def test_peak_stays_near_one_layer_output(self):
+        # a 64x64 lattice is one 4,096-row slice; its 1,024-wide layer is the largest array
+        (net,), _, _ = build_nets([latent_classifier_layers(2)], [3])
+        layer_bytes = 4096 * 1024 * 8
+        tracemalloc.start()
+        try:
+            class_map(Classifier(net), [(-3.0, 3.0), (-3.0, 3.0)], resolution=64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * layer_bytes
 
 
 class TestOverlap:

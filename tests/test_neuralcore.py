@@ -1,13 +1,17 @@
 import json
+import os
 import struct
 import tracemalloc
 from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from distatlas import neuralcore
 from distatlas.neuralcore import (
+    ACTIVATIONS,
     LOSS_EPS,
     Adadelta,
     LayerSpec,
@@ -145,6 +149,44 @@ class TestForward:
         expected[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
         expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
         np.testing.assert_array_equal(_sigmoid(z).view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("width", [5, 1])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_forward_matches_the_reference_bit_for_bit(self, activation, width, dtype):
+        # act(a @ w + b) per layer, each activation in its whole-expression form
+        def reference_act(name, z):
+            if name == "relu":
+                return np.maximum(z, 0.0)
+            if name == "sigmoid":
+                pos = z >= 0
+                out = np.empty_like(z)
+                out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+                out[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
+                return out
+            if name == "softmax":
+                e = np.exp(z - z.max(axis=1, keepdims=True))
+                return e / e.sum(axis=1, keepdims=True)
+            return z
+
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1e4, -1e4, 5e-324, -1e-40, 1.0]
+        rng = np.random.default_rng(4)
+        x = np.concatenate([np.resize(special, (11, 3)), np.resize(special[::-1], (11, 3)),
+                            rng.normal(scale=5.0, size=(8, 3))]).astype(dtype)
+        hidden = "identity" if activation == "softmax" else activation
+        net = make_net([LayerSpec(3, 4, hidden), LayerSpec(4, width, activation)], seed=9)
+        # biases hit by the special values too: a NaN bias meets a NaN sum in a one-unit layer
+        for b in net.params[1::2]:
+            b[:] = np.resize(special, b.shape)
+        x_before = x.tobytes()
+        for rows in [slice(None)] + [slice(i, i + 1) for i in range(x.shape[0])]:
+            a = x[rows].astype(np.float64)
+            with np.errstate(all="ignore"):
+                acts = net.forward(x[rows]).acts
+                for got, spec, w, b in zip(acts, net.layers, net.params[0::2], net.params[1::2]):
+                    a = reference_act(spec.activation, a @ w + b)
+                    np.testing.assert_array_equal(got.view(np.int64), a.view(np.int64))
+        assert x.tobytes() == x_before
 
     def test_relu_backward_masks_like_the_preactivation(self):
         z = np.array([[-1.0, -0.0, 0.0, 2.0, np.nan, -np.inf, np.inf]])
@@ -526,6 +568,18 @@ class TestCheckpoint:
             "param_shapes": shapes}, body_bytes)
         with pytest.raises(ValueError, match="param_shapes do not match"):
             load_model(path, {"toy": lambda h: {"layers": layers}})
+
+    def test_a_block_that_ends_early_is_named(self, tmp_path, monkeypatch):
+        # a file cut after its size was checked: the block's read comes up short
+        net = small_net()
+        path = tmp_path / "model.ckpt"
+        save_model(path, {"kind": "toy"}, {"layers": net.layers}, net.flat, None)
+        path.write_bytes(path.read_bytes()[:-8])
+        real_fstat = os.fstat
+        monkeypatch.setattr(neuralcore.os, "fstat", lambda fd: SimpleNamespace(
+            st_size=real_fstat(fd).st_size + 8))
+        with pytest.raises(ValueError, match="parameter block ends early"):
+            load_model(path, {"toy": lambda h: {"layers": net.layers}})
 
     def test_architecture_must_match_the_nets(self, tmp_path):
         net = small_net()
