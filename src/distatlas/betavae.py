@@ -16,6 +16,7 @@ import numpy as np
 
 from .cdfcodec import GridShape
 from .distgen import LabeledDataset, mix64
+from .latentlab import lattice
 from .neuralcore import (
     LayerSpec,
     TrainConfig,
@@ -32,7 +33,6 @@ from .neuralcore import (
 )
 
 LOGVAR_LIMIT = 10.0
-BOUNDS_MARGIN = 0.10
 
 
 def vae_layers(grid_shape: GridShape, latent_dim: int) -> dict:
@@ -233,36 +233,9 @@ def encode_dataset(model: VaeModel, dataset: LabeledDataset,
     )
 
 
-def default_latent_bounds(z: np.ndarray) -> list:
-    """Per-dimension 1st..99th percentile box, each side padded by BOUNDS_MARGIN of its span."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
-    bounds = []
-    for j in range(z.shape[1]):
-        lo, hi = np.percentile(z[:, j], [1.0, 99.0])
-        pad = (hi - lo) * BOUNDS_MARGIN if hi > lo else 1.0
-        bounds.append((float(lo - pad), float(hi + pad)))
-    return bounds
-
-
-def axes_lattice(axes) -> np.ndarray:
-    """Every point of the product of the axes in row-major order; shape (n, d)."""
-    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
-
-
-def latent_axes(bounds, resolution: int) -> list:
-    """Per dimension, resolution evenly spaced values from lo to hi inclusive."""
-    return [np.linspace(lo, hi, resolution) for lo, hi in bounds]
-
-
-def latent_lattice(bounds, resolution: int) -> np.ndarray:
-    """Row-major inclusive lattice over the bounds; shape (res^d, d)."""
-    return axes_lattice(latent_axes(bounds, resolution))
-
-
-def generate_latent_grid(model: VaeModel, bounds, resolution: int = 50):
-    """Decode a lattice of latent points; returns (lattice, decoded grids)."""
-    lattice = latent_lattice(bounds, resolution)
-    return lattice, model.decode(lattice)
+def generate_latent_grid(model: VaeModel, axes) -> np.ndarray:
+    """Decode every point of the row-major lattice over the axes."""
+    return model.decode(lattice(axes))
 
 
 def vae_grad_check(model: VaeModel, batch: np.ndarray, eps: np.ndarray,

@@ -174,16 +174,12 @@ def signed_ks(values: np.ndarray) -> SeriesStats:
 
 
 def entropy(values: np.ndarray) -> float:
-    """Normalized Shannon entropy of the scaled series' bin histogram.
+    """Normalized Shannon entropy of the scaled series' bin histogram (see describe_series).
 
-    Bin probabilities come from the same x-binning the grid uses;
-    the log2 sum is divided by log2(DEFAULT_X_BINS) so the result lies in
-    [0, 1], with 1.0 for an exactly equal split and 0.0 when all
-    mass falls in one bin.
+    Bin probabilities come from the grid's x-binning (DEFAULT_X_BINS
+    bins); the log2 sum is divided by log2(DEFAULT_X_BINS) so the result
+    lies in [0, 1], with 1.0 for an exactly equal split and 0.0 when all
+    mass falls in one bin. Like describe_series, fewer than 2 values
+    raise ValueError.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape[0] < 1:
-        raise ValueError("entropy needs at least one observation")
-    u, _ = scale_to_unit(values)
-    counts = np.bincount(_bin_indices(u, DEFAULT_X_BINS), minlength=DEFAULT_X_BINS)
-    return _normalized_entropy(counts)
+    return describe_series(values)[1].entropy

@@ -350,23 +350,23 @@ def cmd_map(args, argv) -> int:
                [*points.z.T, *points.sigma.T, points.labels, points.entropy,
                 points.skewness, points.ks_uniform])
 
-    bounds = betavae.default_latent_bounds(points.z)
+    bounds = latentlab.default_latent_bounds(points.z)
     try:
         field = latentlab.estimate_density(points.z, resolution=args.density_resolution,
                                            bounds=bounds)
     except ValueError as exc:
         raise CliError(EXIT_BAD_INPUT, f"{args.dataset}: {exc}") from exc
-    woe = latentlab.segment(latentlab.woe_map(field), w_star=args.w_star, p_min=args.p_min)
+    woe = latentlab.woe_map(field)
+    labels = latentlab.segment(woe, w_star=args.w_star, p_min=args.p_min)
     index_cols = ["x_index", "y_index"][:d]
     lattice_header = index_cols + ["x_center", "y_center"][:d]
     indices, centers = _lattice_columns([field.centers(axis) for axis in range(d)])
-    lattice = [*indices, *centers]
-    _write_csv(out / "density.csv", lattice_header + ["density"],
-               [*lattice, field.density.ravel()])
+    density, woe_values = field.density.ravel(), woe.woe.ravel()
+    _write_csv(out / "density.csv", lattice_header + ["density"], [*indices, *centers, density])
     _write_csv(out / "woe.csv", lattice_header + ["density", "woe"],
-               [*lattice, woe.density.ravel(), woe.woe.ravel()])
+               [*indices, *centers, density, woe_values])
     _write_csv(out / "segments.csv", lattice_header + ["density", "woe", "segment"],
-               [*lattice, woe.density.ravel(), woe.woe.ravel(), woe.segment_names()])
+               [*indices, *centers, density, woe_values, latentlab.segment_names(labels)])
 
     trajs = latentlab.trajectories(points, n_entropy_bins=args.trajectory_bins,
                                    min_count=args.trajectory_min_count)
@@ -388,8 +388,9 @@ def cmd_map(args, argv) -> int:
         epochs=args.latent_epochs, seed=distgen.mix64(args.seed, 21))
     latent_model, latent_history = classifier.train_latent_classifier(points, latent_config)
     classifier.save_classifier(out / "latent_classifier.ckpt", latent_model, latent_config)
-    cmap = latentlab.class_map(latent_model, bounds, resolution=args.class_map_resolution).ravel()
-    indices, coordinates = _lattice_columns(betavae.latent_axes(bounds, args.class_map_resolution))
+    axes = latentlab.latent_axes(bounds, args.class_map_resolution)
+    cmap = latentlab.class_map(latent_model, axes)
+    indices, coordinates = _lattice_columns(axes)
     _write_csv(out / "class_map.csv", index_cols + z_cols + ["family_id", "family"],
                [*indices, *coordinates, cmap, np.asarray(distgen.FAMILY_NAMES)[cmap]])
 
@@ -397,7 +398,8 @@ def cmd_map(args, argv) -> int:
     _write_csv(out / "overlap_matrix.csv", ["family"] + distgen.FAMILY_NAMES,
                [distgen.FAMILY_NAMES, *overlap.T])
 
-    _, decoded = betavae.generate_latent_grid(model, bounds, resolution=args.curve_resolution)
+    axes = latentlab.latent_axes(bounds, args.curve_resolution)
+    decoded = betavae.generate_latent_grid(model, axes)
     shape = model.grid_shape
     n_points = decoded.shape[0]
     raw = np.empty((n_points, shape.x_bins))
@@ -405,16 +407,13 @@ def cmd_map(args, argv) -> int:
     for k, cells in enumerate(decoded.reshape(n_points, shape.x_bins, shape.y_levels)):
         raw[k] = cdfrepair.grid_to_curve(cells)
         repaired[k] = cdfrepair.monotone_repair(raw[k])
-    _, coordinates = _lattice_columns(betavae.latent_axes(bounds, args.curve_resolution))
-    point_index = np.array([str(k) for k in range(n_points)], dtype=object)
-    bins = range(shape.x_bins)
-    bin_columns = (np.array([str(b) for b in bins], dtype=object),
-                   np.array([str((b + 0.5) / shape.x_bins) for b in bins], dtype=object))
+    _, coordinates = _lattice_columns(axes)
+    (point_index, bin_index), (_, bin_center) = _lattice_columns(
+        [np.arange(n_points), (np.arange(shape.x_bins) + 0.5) / shape.x_bins])
     _write_csv(out / "generated_curves.csv",
                ["point_index"] + z_cols + ["bin", "bin_center", "raw_level", "repaired_level"],
-               [np.repeat(column, shape.x_bins) for column in (point_index, *coordinates)]
-               + [np.tile(column, n_points) for column in bin_columns]
-               + [raw.ravel(), repaired.ravel()])
+               [point_index, *(np.repeat(column, shape.x_bins) for column in coordinates),
+                bin_index, bin_center, raw.ravel(), repaired.ravel()])
 
     print(f"mapped {len(points)} points; latent classifier test accuracy "
           f"{latent_history[-1].test_accuracy:.4f}; exports in {out}")
@@ -425,7 +424,7 @@ def cmd_map(args, argv) -> int:
 # describe
 
 def _read_numeric_columns(path: Path):
-    """Parse a wide CSV into {column: float array}; count missing cells.
+    """Parse a wide CSV into (name, float array, missing count) records in header order.
 
     Short rows are padded with missing cells and long rows cut to the
     header. A column is numeric when every non-missing cell parses and
@@ -440,7 +439,7 @@ def _read_numeric_columns(path: Path):
         width = len(header)
         pad = [""] * width
         rows = [(row + pad)[:width] for row in reader]
-    parsed = {}
+    parsed = []
     for name, raw in zip(header, zip(*rows)):
         values = []
         missing = 0
@@ -459,7 +458,7 @@ def _read_numeric_columns(path: Path):
                 missing += 1
         else:
             if len(values) >= 2:
-                parsed[name] = (np.array(values, dtype=np.float64), missing)
+                parsed.append((name, np.array(values, dtype=np.float64), missing))
     return parsed
 
 
@@ -520,7 +519,7 @@ def cmd_describe(args, argv) -> int:
     _log_invocation(out, "describe", argv)
     shape = grid_model.grid_shape
     records = []
-    for name, (values, missing) in columns.items():
+    for name, values, missing in columns:
         grid, stats = describe_series(values, shape)
         probs = classifier.predict(grid_model, grid)
         mu, sigma = vae_model.encode(grid.flat()[None, :])

@@ -1,21 +1,22 @@
-"""Analysis of the latent plane: density, WOE segmentation, trajectories.
+"""The latent plane: its lattices, density, WOE segmentation, trajectories.
 
-The posterior density of the encodings is estimated with a Gaussian
-kernel on a lattice of cell centers and compared against the standard
-isotropic normal through the weight-of-evidence log ratio. Cells where
-|WOE| clears a threshold at non-negligible density are grouped into
-connected exceptional regions. Per-family trajectories order the
-encodings by information entropy; branch structure follows the sign of
-the skewness.
+Every lattice over the plane is the row-major product (lattice) of
+per-dimension axes: inclusive ones (latent_axes) for the class map and
+the decoded curves, cell centers for the density. The posterior density
+of the encodings is estimated with a Gaussian kernel on the cell
+centers and compared against the standard isotropic normal through the
+weight-of-evidence log ratio. Cells where |WOE| clears a threshold at
+non-negligible density are grouped into connected exceptional regions.
+Per-family trajectories order the encodings by information entropy;
+branch structure follows the sign of the skewness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .betavae import latent_lattice
 from .distgen import N_FAMILIES
 from .neuralcore import _map_batches
 
@@ -26,6 +27,28 @@ DENSITY_FLOOR = 1e-12
 # the fewest points estimate_density accepts
 MIN_DENSITY_POINTS = 100
 MINOR_BRANCH_FRAC = 0.10
+BOUNDS_MARGIN = 0.10
+
+
+def default_latent_bounds(z: np.ndarray) -> list:
+    """Per-dimension 1st..99th percentile box, each side padded by BOUNDS_MARGIN of its span."""
+    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
+    bounds = []
+    for j in range(z.shape[1]):
+        lo, hi = np.percentile(z[:, j], [1.0, 99.0])
+        pad = (hi - lo) * BOUNDS_MARGIN if hi > lo else 1.0
+        bounds.append((float(lo - pad), float(hi + pad)))
+    return bounds
+
+
+def latent_axes(bounds, resolution: int) -> list:
+    """Per dimension, resolution evenly spaced values from lo to hi inclusive."""
+    return [np.linspace(lo, hi, resolution) for lo, hi in bounds]
+
+
+def lattice(axes) -> np.ndarray:
+    """Every point of the product of the axes in row-major order; shape (n, d)."""
+    return np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
 
 
 @dataclass
@@ -59,24 +82,10 @@ class DensityField:
 
 @dataclass
 class WoeField(DensityField):
-    """WOE values over a density lattice plus exceptional-region labels.
-
-    ``segments`` is 0 for common cells and k > 0 for the k-th connected
-    exceptional component; ``valid`` marks cells above the density
-    floor where WOE was evaluated.
-    """
+    """WOE over a density lattice; ``valid`` marks the cells above the floor, where it is set."""
 
     woe: np.ndarray
     valid: np.ndarray
-    segments: np.ndarray | None = None
-
-    def segment_names(self) -> np.ndarray:
-        """Each cell's ``common`` or ``exceptional-k`` in row-major order; each named once."""
-        if self.segments is None:
-            raise ValueError("segments not computed; call segment() first")
-        labels = self.segments.ravel()
-        names = ["common"] + [f"exceptional-{k}" for k in range(1, int(labels.max(initial=0)) + 1)]
-        return np.array(names, dtype=object)[labels]
 
 
 def silverman_bandwidth(z: np.ndarray) -> tuple:
@@ -124,8 +133,12 @@ def estimate_density(points, resolution: int = DEFAULT_DENSITY_RESOLUTION,
     axes = [field.centers(j) for j in range(d)]
 
     def kernel(j: int, rows: slice) -> np.ndarray:
-        """Unnormalized Gaussian weights, lattice centers by points."""
-        return np.exp(-0.5 * ((axes[j][:, None] - z[rows, j][None, :]) / bandwidth[j]) ** 2)
+        """Unnormalized Gaussian weights, lattice centers by points, built in one buffer."""
+        k = np.subtract.outer(axes[j], z[rows, j])
+        k /= bandwidth[j]
+        np.square(k, out=k)
+        k *= -0.5
+        return np.exp(k, out=k)
 
     if d == 1:
         total = sum(_map_batches(lambda rows: kernel(0, rows).sum(axis=1), n, 50000))
@@ -158,13 +171,13 @@ def woe_map(field: DensityField) -> WoeField:
     woe = np.full(field.density.shape, np.nan)
     with np.errstate(divide="ignore"):
         woe[valid] = np.log(field.density[valid]) - standard_normal_logpdf(field)[valid]
-    return WoeField(bounds=list(field.bounds), density=field.density.copy(),
+    return WoeField(bounds=field.bounds, density=field.density,
                     bandwidth=field.bandwidth, woe=woe, valid=valid)
 
 
 def segment(woe_field: WoeField, w_star: float = DEFAULT_W_STAR,
-            p_min: float = DEFAULT_P_MIN) -> WoeField:
-    """Label connected exceptional regions of the WOE lattice.
+            p_min: float = DEFAULT_P_MIN) -> np.ndarray:
+    """Label connected exceptional regions of the WOE lattice; int32, the lattice's shape.
 
     A cell is exceptional when |WOE| > w_star and its density is at
     least p_min; 4-connected components get labels 1..k and everything
@@ -176,7 +189,14 @@ def segment(woe_field: WoeField, w_star: float = DEFAULT_W_STAR,
     from scipy import ndimage
 
     labels, _ = ndimage.label(exceptional)
-    return replace(woe_field, segments=labels.astype(np.int32))
+    return labels.astype(np.int32)
+
+
+def segment_names(labels: np.ndarray) -> np.ndarray:
+    """Each cell's ``common`` or ``exceptional-k`` in row-major order; each named once."""
+    labels = np.ravel(labels)
+    names = ["common"] + [f"exceptional-{k}" for k in range(1, int(labels.max(initial=0)) + 1)]
+    return np.array(names, dtype=object)[labels]
 
 
 @dataclass(frozen=True)
@@ -243,17 +263,12 @@ def trajectories(points, n_entropy_bins: int = 20, min_count: int = 20) -> list:
     return out
 
 
-def class_map(latent_model, bounds, resolution: int = 75) -> np.ndarray:
-    """Arg-max family id on an inclusive lattice over the bounds.
-
-    Returns an array of shape (resolution,) * d, indexed [i] or [i, j]
-    along the latent axes.
-    """
-    lattice = latent_lattice(bounds, resolution)
-    preds = np.concatenate(_map_batches(
-        lambda rows: np.argmax(latent_model.predict_proba(lattice[rows]), axis=1),
-        lattice.shape[0], 4096))
-    return preds.reshape((resolution,) * len(bounds))
+def class_map(latent_model, axes) -> np.ndarray:
+    """Arg-max family id at each point of the lattice over the axes, in row-major order."""
+    points = lattice(axes)
+    return np.concatenate(_map_batches(
+        lambda rows: np.argmax(latent_model.predict_proba(points[rows]), axis=1),
+        points.shape[0], 4096))
 
 
 def overlap_matrix(points) -> np.ndarray:

@@ -509,7 +509,7 @@ def load_model(path, kinds: dict) -> tuple[dict, dict, np.ndarray]:
     ``param_shapes`` must account for exactly the bytes after it, and
     each layer list and ``param_shapes`` must equal those of the nets.
     ``block`` is the flat float64 parameter vector, for build_nets to
-    adopt. A failed check raises ValueError.
+    adopt; every value must be finite. A failed check raises ValueError.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -541,4 +541,6 @@ def load_model(path, kinds: dict) -> tuple[dict, dict, np.ndarray]:
         block = np.fromfile(fh, dtype="<f8", count=count)
         if block.size != count:
             raise ValueError(f"{path}: parameter block ends early")
+        if not np.isfinite(block).all():
+            raise ValueError(f"{path}: parameter block holds a non-finite value")
         return header, nets, block

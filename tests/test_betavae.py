@@ -8,12 +8,10 @@ from distatlas import betavae, classifier, distgen
 from distatlas.betavae import (
     LatentPoints,
     VaeModel,
-    default_latent_bounds,
     encode_dataset,
     generate_latent_grid,
     kl_per_example,
     kl_term,
-    latent_lattice,
     load_vae,
     reparameterize,
     save_vae,
@@ -29,6 +27,7 @@ from distatlas.classifier import (
     load_classifier,
     save_classifier,
 )
+from distatlas.latentlab import default_latent_bounds, latent_axes, lattice
 from distatlas.neuralcore import ShapeMismatchError, TrainConfig, build_nets, load_model
 
 
@@ -281,8 +280,8 @@ class TestEncodeDataset:
 class TestLatentGrid:
     def test_two_by_two(self, tiny_model):
         model, _ = tiny_model
-        lattice, decoded = generate_latent_grid(model, [(-1, 1), (-1, 1)], resolution=2)
-        assert lattice.shape == (4, 2) and decoded.shape == (4, 650)
+        decoded = generate_latent_grid(model, latent_axes([(-1, 1), (-1, 1)], 2))
+        assert decoded.shape == (4, 650)
 
     def test_corners_match_direct_decode(self, tiny_model, tiny_dataset):
         model, _ = tiny_model
@@ -290,9 +289,11 @@ class TestLatentGrid:
         lo = points.z.min(axis=0)
         hi = points.z.max(axis=0)
         bounds = [(lo[0], hi[0]), (lo[1], hi[1])]
-        lattice, decoded = generate_latent_grid(model, bounds, resolution=5)
-        np.testing.assert_array_equal(lattice[0], [lo[0], lo[1]])
-        np.testing.assert_array_equal(lattice[-1], [hi[0], hi[1]])
+        axes = latent_axes(bounds, 5)
+        decoded = generate_latent_grid(model, axes)
+        points = lattice(axes)
+        np.testing.assert_array_equal(points[0], [lo[0], lo[1]])
+        np.testing.assert_array_equal(points[-1], [hi[0], hi[1]])
         # BLAS kernels differ per batch shape, so single-row decodes can
         # drift by a couple of ulps from the batched lattice decode
         corner = np.array([[lo[0], lo[1]]])
@@ -301,8 +302,8 @@ class TestLatentGrid:
         np.testing.assert_allclose(decoded[-1], model.decode(far_corner)[0], atol=1e-12)
 
     def test_row_major_order(self):
-        lattice = latent_lattice([(0.0, 1.0), (10.0, 11.0)], 2)
-        np.testing.assert_allclose(lattice, [[0, 10], [0, 11], [1, 10], [1, 11]])
+        points = lattice(latent_axes([(0.0, 1.0), (10.0, 11.0)], 2))
+        np.testing.assert_allclose(points, [[0, 10], [0, 11], [1, 10], [1, 11]])
 
     def test_nearby_z_decode_closer_than_far(self, tiny_model):
         model, _ = tiny_model

@@ -125,6 +125,10 @@ class TestEntropy:
         values = np.array([0.0, 0.0, 1.0, 1.0])
         assert entropy(values) == pytest.approx(1.0 / np.log2(26), abs=1e-12)
 
+    def test_one_value_raises(self):
+        with pytest.raises(ValueError):
+            entropy(np.array([2.5]))
+
     @given(finite_series)
     @settings(max_examples=100, deadline=None)
     def test_range(self, values):
@@ -178,7 +182,11 @@ class TestDescribeSeries:
     @given(finite_series)
     @settings(max_examples=100, deadline=None)
     def test_grid_bin_totals_give_the_histogram_entropy(self, values):
-        assert describe_series(values)[1].entropy == entropy(values)
+        # reference: the normalized entropy of a bincount over the grid's x-bins
+        u, _ = scale_to_unit(values)
+        counts = np.bincount(np.minimum((u * 26).astype(np.int64), 25), minlength=26)
+        p = counts[counts > 0] / counts.sum()
+        assert describe_series(values)[1].entropy == float(-(p @ np.log2(p)) / np.log2(26))
 
 
 class TestScaleToUnit:

@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distatlas import distgen
-from distatlas.betavae import axes_lattice
 from distatlas.cli import (
     CSV_CHUNK_ROWS,
     EXIT_BAD_INPUT,
@@ -26,6 +25,7 @@ from distatlas.cli import (
     _write_csv,
     main,
 )
+from distatlas.latentlab import lattice
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +386,11 @@ def _corrupt(src: Path, dst: Path, how: str) -> Path:
         blob[36:40] = struct.pack("<i", 99)  # first label, just past the cache's 36-byte header
     elif how == "trailing bytes":
         blob += b"\0\0\0\0"
+    elif how.startswith(("nan ", "inf ")):  # one parameter of a checkpoint, "first" or "last"
+        value, position = how.split()
+        (header_len,) = struct.unpack("<I", blob[8:12])
+        at = 12 + header_len if position == "first" else len(blob) - 8
+        blob[at:at + 8] = struct.pack("<d", float(value))
     else:  # one extra float64
         blob += b"\0" * 8
     dst.write_bytes(bytes(blob))
@@ -411,11 +416,21 @@ def _corrupt(src: Path, dst: Path, how: str) -> Path:
     ("eval", "classifier.ckpt", "trailing float"),
     ("map", "bvae.ckpt", lambda h: h.update(beta=float("nan"))),
     ("eval", "classifier.ckpt", lambda h: h["train_config"].update(rng_seed=-1)),
+    ("map", "bvae.ckpt", "nan first"),
+    ("map", "bvae.ckpt", "inf last"),
+    ("describe", "bvae.ckpt", "inf first"),
+    ("describe", "bvae.ckpt", "nan last"),
+    ("eval", "classifier.ckpt", "nan first"),
+    ("eval", "classifier.ckpt", "inf last"),
+    ("describe", "classifier.ckpt", "inf first"),
+    ("describe", "classifier.ckpt", "nan last"),
 ], ids=["map-no-grid", "map-param-shapes", "map-latent-dim-inf", "eval-no-layers",
         "describe-no-layers", "eval-train-config", "eval-extra-layer", "eval-label-99",
         "map-label-99", "eval-trailing-bytes", "map-huge-grid", "map-huge-param-shape",
         "map-ckpt-trailing-float", "eval-ckpt-trailing-float", "map-beta-nan",
-        "eval-negative-split-seed"])
+        "eval-negative-split-seed", "map-vae-nan-first", "map-vae-inf-last",
+        "describe-vae-inf-first", "describe-vae-nan-last", "eval-nan-first", "eval-inf-last",
+        "describe-classifier-inf-first", "describe-classifier-nan-last"])
 def test_malformed_artifact_exits_3(workspace, tmp_path, capsys, command, artifact, edit):
     paths = {name: workspace / name for name in ("bvae.ckpt", "classifier.ckpt", "dataset.bin")}
     bad = tmp_path / artifact
@@ -506,7 +521,7 @@ class TestCsvExport:
     def test_lattice_columns_match_the_lattice_walk(self, axes):
         shape = tuple(len(a) for a in axes)
         walk = [(*map(str, index), *map(str, point))
-                for index, point in zip(np.ndindex(shape), axes_lattice(axes))]
+                for index, point in zip(np.ndindex(shape), lattice(axes))]
         indices, coordinates = _lattice_columns(axes)
         assert list(zip(*(c.tolist() for c in (*indices, *coordinates)))) == walk
 
@@ -525,13 +540,11 @@ def test_read_numeric_columns_pins_values_and_missing_counts(tmp_path):
         "none,\n"
         "-3e2\n", encoding="utf-8")
     parsed = _read_numeric_columns(path)
-    assert sorted(parsed) == ["a", "b", "c"]
-    values = {name: (column.tolist(), missing) for name, (column, missing) in parsed.items()}
-    assert values == {
-        "a": ([1.5, 2.5, -300.0], 6),
-        "b": ([4.0, 5.0, 6.0], 6),
-        "c": ([1.0, 2.0], 7),
-    }
+    assert [(name, column.tolist(), missing) for name, column, missing in parsed] == [
+        ("a", [1.5, 2.5, -300.0], 6),
+        ("b", [4.0, 5.0, 6.0], 6),
+        ("c", [1.0, 2.0], 7),
+    ]
 
 
 @pytest.mark.parametrize("dims", [1, 2])
@@ -640,6 +653,21 @@ class TestDescribe:
                      "--vae", str(workspace / "bvae.ckpt"),
                      "--segments", str(segments),
                      "--out-dir", str(tmp_path)]) == EXIT_MISSING_ARTIFACT
+
+    def test_repeated_column_names_are_all_described(self, workspace, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        rng = np.random.default_rng(2)
+        rows = rng.random((40, 3))
+        data.write_text("a,a,b\n" + "".join(",".join(map(repr, r.tolist())) + "\n" for r in rows))
+        out_file = tmp_path / "meta.jsonl"
+        assert main(["describe", "--data", str(data),
+                     "--classifier", str(workspace / "classifier.ckpt"),
+                     "--vae", str(workspace / "bvae.ckpt"),
+                     "--out", str(out_file), "--out-dir", str(tmp_path)]) == 0
+        assert "described 3 columns" in capsys.readouterr().out
+        records = [json.loads(line) for line in out_file.read_text().splitlines()]
+        assert [r["name"] for r in records] == ["a", "a", "b"]
+        assert records[0]["z"] != records[1]["z"]
 
     def test_no_numeric_columns_exits_6(self, workspace, tmp_path):
         data = tmp_path / "text.csv"

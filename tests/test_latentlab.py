@@ -8,8 +8,10 @@ from distatlas.latentlab import (
     DensityField,
     estimate_density,
     class_map,
+    latent_axes,
     overlap_matrix,
     segment,
+    segment_names,
     silverman_bandwidth,
     standard_normal_logpdf,
     trajectories,
@@ -111,20 +113,21 @@ class TestWoe:
 class TestSegment:
     def test_no_cells_for_zero_woe(self):
         woe = woe_map(analytic_normal_field())
-        seg = segment(woe, w_star=2.5, p_min=0.025)
-        assert np.all(seg.segments == 0)
+        labels = segment(woe, w_star=2.5, p_min=0.025)
+        assert labels.dtype == np.int32 and labels.shape == woe.woe.shape
+        assert np.all(labels == 0)
 
     def test_single_spike_component(self):
         field = analytic_normal_field(bounds=((-5, 5), (-5, 5)), resolution=101)
         field.density = 0.95 * field.density
         # far spike well above the reference density
         field.density[85:88, 85:88] += 0.05 / (9 * 0.1 ** 2)
-        seg = segment(woe_map(field), w_star=2.5, p_min=0.025)
-        n_components = seg.segments.max()
+        labels = segment(woe_map(field), w_star=2.5, p_min=0.025)
+        n_components = labels.max()
         assert n_components == 1
-        spike = seg.segments[86, 86]
+        spike = labels[86, 86]
         assert spike == 1
-        names = seg.segment_names().reshape(seg.segments.shape)
+        names = segment_names(labels).reshape(labels.shape)
         assert names[86, 86] == "exceptional-1"
         assert names[50, 50] == "common"
 
@@ -136,15 +139,17 @@ class TestSegment:
         woe = woe_map(field)
         previous = None
         for w_star in (0.5, 1.5, 2.5, 4.0):
-            count = int((segment(woe, w_star=w_star).segments > 0).sum())
+            count = int((segment(woe, w_star=w_star) > 0).sum())
             if previous is not None:
                 assert count <= previous
             previous = count
 
     def test_requires_segments_for_names(self):
-        woe = woe_map(analytic_normal_field())
-        with pytest.raises(ValueError):
-            woe.segment_names()
+        # names come from segment's labels, one per cell in row-major order
+        labels = np.array([[0, 2], [1, 0]], dtype=np.int32)
+        assert segment_names(labels).tolist() == [
+            "common", "exceptional-2", "exceptional-1", "common"]
+        assert set(segment_names(segment(woe_map(analytic_normal_field())))) == {"common"}
 
 
 class TestTrajectories:
@@ -213,16 +218,16 @@ class TestClassMap:
             return probs
 
     def test_constant_classifier(self):
-        cmap = class_map(self.ConstantModel(), [(-1, 1), (-1, 1)], resolution=10)
-        assert cmap.shape == (10, 10)
+        cmap = class_map(self.ConstantModel(), latent_axes([(-1, 1), (-1, 1)], 10))
+        assert cmap.shape == (100,)
         assert np.all(cmap == 4)
 
     def test_two_by_two(self):
-        cmap = class_map(self.ConstantModel(), [(-1, 1), (-1, 1)], resolution=2)
+        cmap = class_map(self.ConstantModel(), latent_axes([(-1, 1), (-1, 1)], 2))
         assert cmap.size == 4
 
     def test_one_dimensional(self):
-        cmap = class_map(self.ConstantModel(), [(-2, 2)], resolution=7)
+        cmap = class_map(self.ConstantModel(), latent_axes([(-2, 2)], 7))
         assert cmap.shape == (7,)
 
     def test_peak_stays_near_one_layer_output(self):
@@ -231,7 +236,7 @@ class TestClassMap:
         layer_bytes = 4096 * 1024 * 8
         tracemalloc.start()
         try:
-            class_map(Classifier(net), [(-3.0, 3.0), (-3.0, 3.0)], resolution=64)
+            class_map(Classifier(net), latent_axes([(-3.0, 3.0), (-3.0, 3.0)], 64))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

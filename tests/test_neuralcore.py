@@ -581,6 +581,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="parameter block ends early"):
             load_model(path, {"toy": lambda h: {"layers": net.layers}})
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("index", [0, -1])
+    def test_a_non_finite_parameter_is_named(self, tmp_path, index, value):
+        net = small_net()
+        flat = net.flat.copy()
+        flat[index] = value
+        path = tmp_path / "model.ckpt"
+        save_model(path, {"kind": "toy"}, {"layers": net.layers}, flat, None)
+        with pytest.raises(ValueError, match="non-finite"):
+            load_model(path, {"toy": lambda h: {"layers": net.layers}})
+
     def test_architecture_must_match_the_nets(self, tmp_path):
         net = small_net()
         kinds = {"toy": lambda h: {"layers": net.layers}}
