@@ -141,9 +141,9 @@ def describe_series(values: np.ndarray,
     order = np.argsort(values, kind="stable")
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
-    # integer ceil keeps the level map exact; rank n always hits the top level
+    # integer ceil keeps the level map exact: ranks 1..n map into 1..y_levels,
+    # and rank n always hits the top level
     levels = (shape.y_levels * ranks + n - 1) // n
-    np.clip(levels, 1, shape.y_levels, out=levels)
     counts = np.zeros((shape.x_bins, shape.y_levels), dtype=np.float64)
     np.add.at(counts, (_bin_indices(u, shape.x_bins), levels - 1), 1.0)
     grid = CdfGrid(shape, counts / counts.max())

@@ -97,12 +97,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _log_invocation(out: Path, command: str, argv) -> None:
+def _log_invocation(out: Path, command: str, argv, **details) -> None:
     record = {
         "command": command,
         "argv": list(argv),
         "version": __version__,
         "utc": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
+        **details,
     }
     with open(out / "run_log.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -224,7 +225,8 @@ def cmd_generate(args, argv) -> int:
                     4 * n * grid.n_cells)
 
     out = _out_dir(args)
-    _log_invocation(out, "generate", argv)
+    # the worker count depends on the machine, so it goes to the run log only
+    _log_invocation(out, "generate", argv, workers=distgen.worker_count(n))
     dataset = distgen.build_doe(per_family, grid, master_seed)
     cache_path = out / "dataset.bin"
     distgen.save_cache(dataset, cache_path)

@@ -8,13 +8,21 @@ and Marsaglia-Tsang gammas (alpha < 1 by the power boost) for the
 gamma/beta/chi group. A (spec, seed) pair always reproduces the same
 series, and a corpus is a pure function of one master seed. One block
 list, _CACHE_BLOCKS, fixes the order and dtypes of the cache body.
+
+build_doe encodes the corpus on every CPU of the process's affinity mask
+(os.sched_getaffinity): forked workers write their rows straight into one
+shared mapping laid out as the cache body. No row depends on another, so
+the corpus is the same, byte for byte, whatever the number of workers;
+`taskset -c 0 distatlas generate ...` builds it on one core.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 import os
 import struct
+import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -338,9 +346,44 @@ _CACHE_BLOCKS = (("labels", "<i4"), ("sample_sizes", "<i4"), ("entropy", "<f4"),
                  ("skewness", "<f4"), ("ks_uniform", "<f4"), ("grids", "<f4"))
 
 
-def _block_shape(field: str, n: int, grid_shape: GridShape) -> tuple[int, ...]:
-    """The shape of a block of n entries: one grid row each, else one item each."""
-    return (n, grid_shape.n_cells) if field == "grids" else (n,)
+# rows a worker encodes in one stretch; build_doe deals the rows out in blocks of this many
+ROW_BLOCK = 64
+
+
+def _blocks(n: int, grid_shape: GridShape) -> list[tuple[str, np.dtype, tuple[int, ...]]]:
+    """The body's blocks for n entries, in file order: field, dtype and shape.
+
+    A block holds one grid row per entry for the grids, else one item per entry.
+    """
+    return [(field, np.dtype(dtype), (n, grid_shape.n_cells) if field == "grids" else (n,))
+            for field, dtype in _CACHE_BLOCKS]
+
+
+def worker_count(n: int) -> int:
+    """The processes build_doe encodes n rows in: one per CPU of the affinity
+    mask, but no more than there are ROW_BLOCK blocks of rows."""
+    return max(1, min(len(os.sched_getaffinity(0)), -(-n // ROW_BLOCK)))
+
+
+def _fill_rows(data: LabeledDataset, rows) -> None:
+    """Generate and encode the given rows of data in place; the one per-row path.
+
+    Row family_id * per_family_count + index holds entry index of that
+    family, drawn from mix64(master_seed, family_id, index, 0) and sampled
+    from mix64(master_seed, family_id, index, 1).
+    """
+    for row in rows:
+        family_id, index = divmod(row, data.per_family_count)
+        spec_rng = np.random.default_rng(mix64(data.master_seed, family_id, index, 0))
+        spec = draw_spec(family_id, spec_rng)
+        series = sample_variable(spec, mix64(data.master_seed, family_id, index, 1))
+        grid, stats = describe_series(series.values, data.grid_shape)
+        data.grids[row] = grid.flat()
+        data.labels[row] = family_id
+        data.entropy[row] = stats.entropy
+        data.skewness[row] = stats.skewness
+        data.ks_uniform[row] = stats.ks_uniform
+        data.sample_sizes[row] = spec.sample_size
 
 
 def build_doe(per_family_count: int, grid_shape: GridShape | None = None,
@@ -350,31 +393,58 @@ def build_doe(per_family_count: int, grid_shape: GridShape | None = None,
     Entry seeds derive from (master_seed, family_id, index) through
     mix64 with separate sub-streams for the parameter draw and the
     sampling, so any entry can be regenerated in isolation.
+
+    The arrays are views into one anonymous shared mapping, laid out in
+    _CACHE_BLOCKS order. The rows are dealt out to worker_count(n)
+    processes in ROW_BLOCK blocks, block b to worker b % workers. Worker 0
+    is this process; the others are forked children that write their rows
+    into the mapping and leave through os._exit, never returning into the
+    caller. Each child is waited for, even when this process's own share
+    raised, and a child that fails raises RuntimeError. The children call
+    numpy only on single series; OpenBLAS stops its thread pool before a
+    fork and starts it again on its next call.
     """
     if per_family_count < 1:
         raise ValueError("per_family_count must be >= 1")
     grid_shape = grid_shape or GridShape()
     n = N_FAMILIES * per_family_count
-    # grids first, so that the small blocks cannot split the last corpus's freed grids
-    data = LabeledDataset(
-        grid_shape=grid_shape, master_seed=int(master_seed),
-        per_family_count=int(per_family_count),
-        **{field: np.empty(_block_shape(field, n, grid_shape), dtype)
-           for field, dtype in reversed(_CACHE_BLOCKS)},
-    )
-    for family_id in range(N_FAMILIES):
-        for index in range(per_family_count):
-            row = family_id * per_family_count + index
-            spec_rng = np.random.default_rng(mix64(master_seed, family_id, index, 0))
-            spec = draw_spec(family_id, spec_rng)
-            series = sample_variable(spec, mix64(master_seed, family_id, index, 1))
-            grid, stats = describe_series(series.values, grid_shape)
-            data.grids[row] = grid.flat()
-            data.labels[row] = family_id
-            data.entropy[row] = stats.entropy
-            data.skewness[row] = stats.skewness
-            data.ks_uniform[row] = stats.ks_uniform
-            data.sample_sizes[row] = spec.sample_size
+    blocks = _blocks(n, grid_shape)
+    body = mmap.mmap(-1, sum(dtype.itemsize * math.prod(dims) for _, dtype, dims in blocks))
+    arrays, offset = {}, 0
+    for field, dtype, dims in blocks:
+        arrays[field] = np.frombuffer(body, dtype, math.prod(dims), offset).reshape(dims)
+        offset += arrays[field].nbytes
+    data = LabeledDataset(grid_shape=grid_shape, master_seed=int(master_seed),
+                          per_family_count=int(per_family_count), **arrays)
+    workers = worker_count(n)
+    starts = range(0, n, ROW_BLOCK)
+
+    def share(worker: int):
+        return (row for start in starts[worker::workers]
+                for row in range(start, min(start + ROW_BLOCK, n)))
+
+    children = []
+    try:
+        for worker in range(1, workers):
+            pid = os.fork()
+            if pid == 0:  # a child: its share, then os._exit on every path
+                status = 1
+                try:
+                    _fill_rows(data, share(worker))
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                finally:
+                    os._exit(status)
+            children.append(pid)
+        _fill_rows(data, share(0))
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in children]
+    failed = [f"pid {pid} exit code {os.waitstatus_to_exitcode(status)}"
+              for pid, status in zip(children, statuses) if status]
+    if failed:
+        # a negative exit code is the signal that ended the worker
+        raise RuntimeError(f"corpus workers failed: {', '.join(failed)}")
     return data
 
 
@@ -408,8 +478,7 @@ def load_cache(path) -> LabeledDataset:
         if version != _CACHE_VERSION:
             raise ValueError(f"{path}: unsupported cache version {version}")
         shape = GridShape(x_bins, y_levels)
-        blocks = [(field, np.dtype(dtype), _block_shape(field, n, shape))
-                  for field, dtype in _CACHE_BLOCKS]
+        blocks = _blocks(n, shape)
         body = os.fstat(fh.fileno()).st_size - _CACHE_HEADER.size
         expected = sum(dtype.itemsize * math.prod(dims) for _, dtype, dims in blocks)
         if body != expected:

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -74,6 +77,27 @@ class TestEncodeCdf:
     def test_occupied_cells_bounded_by_sample_size(self, values):
         grid = encode_cdf(values)
         assert np.count_nonzero(grid.cells) <= values.shape[0]
+
+    @pytest.mark.parametrize("shape", [GridShape(), GridShape(16, 15)], ids=["26x25", "16x15"])
+    @pytest.mark.parametrize("size", ["2", "y_levels", "1000"])
+    @given(seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+    @settings(max_examples=20, deadline=None)
+    def test_levels_lie_in_one_to_y_levels(self, shape, size, seed, constant):
+        # reference loop: rank r of n takes level ceil(y_levels * r / n) in exact
+        # fractions, which lies in 1..y_levels; the grid holds exactly those
+        # cells, so no rank falls below level 1 or wraps round to the top
+        n = {"2": 2, "y_levels": shape.y_levels, "1000": 1000}[size]
+        values = np.full(n, 2.5) if constant else np.random.default_rng(seed).standard_normal(n)
+        u, _ = scale_to_unit(values)
+        bins = np.minimum((u * shape.x_bins).astype(np.int64), shape.x_bins - 1)
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[np.argsort(values, kind="stable")] = np.arange(1, n + 1)
+        counts = np.zeros((shape.x_bins, shape.y_levels + 1))
+        for b, r in zip(bins.tolist(), ranks.tolist()):
+            counts[b, math.ceil(Fraction(shape.y_levels * r, n))] += 1
+        assert not counts[:, 0].any()
+        cells = describe_series(values, shape)[0].cells
+        np.testing.assert_array_equal(cells, counts[:, 1:] / counts.max())
 
     def test_min_level_never_decreases_across_bins(self):
         rng = np.random.default_rng(5)

@@ -1,7 +1,10 @@
 import csv
 import io
 import json
+import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -95,6 +98,41 @@ class TestGenerate:
     def test_bad_grid_flag_exits_2(self, tmp_path):
         assert main(["generate", "--per-family", "2", "--grid", "26by25",
                      "--out-dir", str(tmp_path / "x")]) == EXIT_BAD_SPEC
+
+    def test_one_cpu_writes_the_same_cache(self, tmp_path):
+        # 481 rows: a partial last block, and unequal shares on two or more CPUs
+        cpu = min(os.sched_getaffinity(0))
+        env = dict(os.environ, PYTHONPATH=str(Path(distgen.__file__).resolve().parents[1]))
+
+        def generate(out: Path, preexec_fn=None) -> int:
+            subprocess.run([sys.executable, "-m", "distatlas.cli", "generate", "--per-family",
+                            "37", "--seed", "5", "--out-dir", str(out)], env=env,
+                           preexec_fn=preexec_fn, check=True, capture_output=True, timeout=300)
+            return json.loads((out / "run_log.jsonl").read_text())["workers"]
+
+        assert generate(tmp_path / "one", lambda: os.sched_setaffinity(0, {cpu})) == 1
+        assert generate(tmp_path / "all") == distgen.worker_count(481)
+        assert (tmp_path / "one" / "dataset.bin").read_bytes() == \
+            (tmp_path / "all" / "dataset.bin").read_bytes()
+
+    def test_a_failing_worker_fails_generate_and_writes_no_cache(self, tmp_path, monkeypatch):
+        parent = os.getpid()
+        describe_series = distgen.describe_series
+
+        def fails_in_a_worker(values, shape):
+            if os.getpid() != parent:
+                raise RuntimeError("row failure in a worker")
+            return describe_series(values, shape)
+
+        monkeypatch.setattr(distgen, "describe_series", fails_in_a_worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="corpus workers failed: pid [0-9]+ exit code 1"):
+            main(["generate", "--per-family", "37", "--seed", "5", "--out-dir", str(out)])
+        assert not (out / "dataset.bin").exists()
+        # no worker is left behind
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestTrain:
@@ -712,5 +750,8 @@ class TestGradCheckCommand:
 class TestRunLog:
     def test_invocations_logged(self, workspace):
         lines = (workspace / "run_log.jsonl").read_text().splitlines()
-        commands = [json.loads(line)["command"] for line in lines]
-        assert commands[:4] == ["generate", "train", "train", "map"]
+        records = [json.loads(line) for line in lines]
+        assert [r["command"] for r in records[:4]] == ["generate", "train", "train", "map"]
+        # only generate forks workers, and the count is logged next to its argv
+        assert records[0]["workers"] == distgen.worker_count(12 * 13)
+        assert all("workers" not in r for r in records[1:4])

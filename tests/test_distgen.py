@@ -339,6 +339,24 @@ class TestBuildDoe:
         ds = build_doe(1, GridShape(16, 15), master_seed=1)
         assert ds.grids.shape == (N_FAMILIES, 240)
 
+    def test_worker_count(self, monkeypatch):
+        # one worker per CPU of the affinity mask, at most one per ROW_BLOCK rows
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [distgen.worker_count(n) for n in (13, 64, 65, 481, 10**6)] == [1, 1, 2, 4, 4]
+
+    def test_more_workers_than_cores_write_the_same_rows(self, monkeypatch):
+        # 481 rows are 7 full blocks and one of 33: five workers get unequal shares
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = build_doe(37, master_seed=5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
+        assert distgen.worker_count(len(serial)) == 5
+        forked = build_doe(37, master_seed=5)
+        for field, _ in distgen._CACHE_BLOCKS:
+            np.testing.assert_array_equal(getattr(forked, field), getattr(serial, field))
+        # every worker was waited for
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):

@@ -21,7 +21,9 @@ short); Adadelta also steps the latent classifier's (3) in `map`. Last,
 `generate --spec` reads SPEC, which each side writes into its run
 directory as `spec.json`: another master seed and a 16x15 grid, so the
 family table and the cache block list are compared on a second seed,
-through the spec parser, on a non-default grid. Each command's stdout is
+through the spec parser, on a non-default grid, and `generate --per-family
+37` (481 rows), whose last block of rows is partial and whose workers get
+unequal shares on any CPU count. Each command's stdout is
 kept as one more output file, `stdout_<index>_<command>.txt`, so `eval` and
 `grad-check`, which report only there, are compared too. Prints one line per
 output file and exits 1 when a command fails or any file differs or exists on
@@ -82,6 +84,8 @@ COMMANDS = [
     ("adadelta", ["train", "bvae", "--dataset", "two_d/dataset.bin", "--epochs", "2",
                   "--optimizer", "adadelta", "--seed", "7"]),
     ("spec", ["generate", "--spec", "spec.json"]),
+    # 481 rows: 7 full ROW_BLOCK blocks and a partial one, dealt unequally among the workers
+    ("partial_block", ["generate", "--per-family", "37", "--seed", "5"]),
 ]
 
 # runs inside the subprocess: argv[1] is the src directory, argv[2] the JSON command list

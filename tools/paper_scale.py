@@ -9,15 +9,18 @@ The paper trains on 9,000 series per family (117,000 in all). This runs, at
     generate -> train classifier --epochs 1 -> train bvae --epochs 1 -> map
 
 at --seed 1, each in its own subprocess with one BLAS thread, which reports
-its own wall time (of `distatlas.cli.main`, imports excluded) and its own
-peak RSS (`ru_maxrss`). REV (default HEAD) is exported with `git archive`, as
-tools/byte_identity.py does, and each stage runs on the base, then on the
-working tree, before the next stage starts, so that both sides see the
-machine in the same state. rows/s is the corpus size over the stage's wall
+its own wall time (of `distatlas.cli.main`, imports excluded), its own peak
+RSS (`ru_maxrss` of RUSAGE_SELF) and the largest peak RSS among the processes
+it forked (RUSAGE_CHILDREN: `generate`'s corpus workers, whose pages of the
+shared corpus mapping the stage's own figure does not count). REV (default
+HEAD) is exported with `git archive`, as tools/byte_identity.py does, and
+each stage runs on the base, then on the working tree, before the next stage
+starts, so that both sides see the machine in the same state. rows/s is the corpus size over the stage's wall
 time. The output files of the two sides are compared by digest
 (`run_log.jsonl` skipped). Writes one JSON file (--out, relative to the root
 of the repo): the environment, both revisions, and per stage its argv and
-each side's wall_s, rows_per_s and peak_rss_mb with the head/base ratios.
+each side's wall_s, rows_per_s, peak_rss_mb and children_peak_rss_mb, with
+the head/base ratios of wall_s and peak_rss_mb.
 Exits 1 when a stage fails.
 
 At the default size both sides need about 650 MB of disk in --work-dir
@@ -59,8 +62,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     start = time.perf_counter()
     code = main(json.loads(sys.argv[2]))
     wall = time.perf_counter() - start
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": peak}))
+peak, children = (resource.getrusage(who).ru_maxrss / 1024.0
+                  for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": peak,
+                  "children_peak_rss_mb": children}))
 """
 
 
@@ -125,9 +130,11 @@ def main(argv=None) -> int:
                 result = run_stage(src, tmp / side, argv)
                 record[side] = {"wall_s": round(result["wall_s"], 3),
                                 "rows_per_s": round(rows / result["wall_s"], 1),
-                                "peak_rss_mb": round(result["peak_rss_mb"], 1)}
+                                "peak_rss_mb": round(result["peak_rss_mb"], 1),
+                                "children_peak_rss_mb": round(result["children_peak_rss_mb"], 1)}
                 print(f"{name:<17} {side}  {result['wall_s']:8.1f} s  "
-                      f"{result['peak_rss_mb']:7.0f} MB", flush=True)
+                      f"{result['peak_rss_mb']:7.0f} MB  "
+                      f"children {result['children_peak_rss_mb']:5.0f} MB", flush=True)
             record["ratios"] = {key: round(record["head"][key] / record["base"][key], 4)
                                 for key in ("wall_s", "peak_rss_mb")}
             stages.append(record)
