@@ -102,11 +102,10 @@ class VaeModel:
         nets, self.flat, self.grad = build_nets(vae_layers(grid_shape, latent_dim).values(), init)
         self.trunk, self.mu_head, self.logvar_head, self.decoder = nets
 
-    def _forward(self, x: np.ndarray, eps: np.ndarray | None = None):
-        """Trunk, heads and clipped log-variance, then with eps the decode of z.
+    def _forward(self, x: np.ndarray, eps: np.ndarray):
+        """Trunk, heads and clipped log-variance, then the decode of z at the eps draw.
 
-        Returns (x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache)
-        with dec_cache None when eps is None.
+        Returns (x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache).
         """
         # x is also the BCE target, whose 1 - x must not round in float32
         x = np.asarray(x, dtype=np.float64)
@@ -114,14 +113,14 @@ class VaeModel:
         mu_cache = self.mu_head.forward(trunk_cache.output)
         logvar_cache = self.logvar_head.forward(trunk_cache.output)
         logvar = np.clip(logvar_cache.output, -LOGVAR_LIMIT, LOGVAR_LIMIT)
-        dec_cache = None if eps is None else self.decoder.forward(
-            reparameterize(mu_cache.output, logvar, eps))
+        dec_cache = self.decoder.forward(reparameterize(mu_cache.output, logvar, eps))
         return x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache
 
     def encode(self, grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Deterministic (mu, sigma) for a batch of flattened grids."""
-        _, _, mu_cache, _, logvar, _ = self._forward(grids)
-        return mu_cache.output, np.exp(0.5 * logvar)
+        """Deterministic (mu, sigma) for a batch of flattened grids, through cache-free nets."""
+        h = self.trunk(grids)
+        mu = self.mu_head(h)
+        return mu, np.exp(0.5 * np.clip(self.logvar_head(h), -LOGVAR_LIMIT, LOGVAR_LIMIT))
 
     def decode(self, z: np.ndarray) -> np.ndarray:
         """Decoded intensity grids, every cell strictly inside (0, 1)."""

@@ -401,14 +401,11 @@ def cmd_map(args, argv) -> int:
                [distgen.FAMILY_NAMES, *overlap.T])
 
     axes = latentlab.latent_axes(bounds, args.curve_resolution)
-    decoded = betavae.generate_latent_grid(model, axes)
     shape = model.grid_shape
-    n_points = decoded.shape[0]
-    raw = np.empty((n_points, shape.x_bins))
-    repaired = np.empty_like(raw)
-    for k, cells in enumerate(decoded.reshape(n_points, shape.x_bins, shape.y_levels)):
-        raw[k] = cdfrepair.grid_to_curve(cells)
-        repaired[k] = cdfrepair.monotone_repair(raw[k])
+    raw = cdfrepair.grid_to_curve(betavae.generate_latent_grid(model, axes).reshape(
+        -1, shape.x_bins, shape.y_levels))
+    repaired = cdfrepair.monotone_repair(raw)
+    n_points = raw.shape[0]
     _, coordinates = _lattice_columns(axes)
     (point_index, bin_index), (_, bin_center) = _lattice_columns(
         [np.arange(n_points), (np.arange(shape.x_bins) + 0.5) / shape.x_bins])

@@ -28,6 +28,8 @@ DENSITY_FLOOR = 1e-12
 MIN_DENSITY_POINTS = 100
 MINOR_BRANCH_FRAC = 0.10
 BOUNDS_MARGIN = 0.10
+# class_map's slice: the latent classifier's 1,024-wide hidden layer is then 4 MiB
+CLASS_MAP_ROWS = 512
 
 
 def default_latent_bounds(z: np.ndarray) -> list:
@@ -264,11 +266,17 @@ def trajectories(points, n_entropy_bins: int = 20, min_count: int = 20) -> list:
 
 
 def class_map(latent_model, axes) -> np.ndarray:
-    """Arg-max family id at each point of the lattice over the axes, in row-major order."""
+    """Arg-max family id at each point of the lattice over the axes, in row-major order.
+
+    The points go through the model CLASS_MAP_ROWS at a time, and each
+    slice writes only its labels into the result.
+    """
     points = lattice(axes)
-    return np.concatenate(_map_batches(
-        lambda rows: np.argmax(latent_model.predict_proba(points[rows]), axis=1),
-        points.shape[0], 4096))
+    labels = np.empty(points.shape[0], dtype=np.intp)
+    _map_batches(lambda rows: np.argmax(latent_model.predict_proba(points[rows]), axis=1,
+                                        out=labels[rows]),
+                 points.shape[0], CLASS_MAP_ROWS)
+    return labels
 
 
 def overlap_matrix(points) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 A deliberately small engine sized for the grid-image models: forward
 caches that keep each layer's activation only (the ReLU and sigmoid
-backward read their masks and slopes from it), analytic gradients for
-every activation and loss, one allocation per model (build_nets) whose
-nets are views of its parameter and gradient vectors, a backward that
+backward read their masks and slopes from it), a cache-free forward for
+inference (calling a net), which holds only the layer it computes and
+its input, analytic gradients for every activation and loss, one
+allocation per model (build_nets) whose nets are views of its parameter
+and gradient vectors, a backward that
 skips the input gradient no caller reads, RMSprop and Adadelta stepping
 those vectors in cache-sized slices (STEP_CHUNK entries through a
 slice-sized scratch, so no step allocates a whole-vector temporary), the
@@ -15,9 +17,10 @@ models pass their own fields, nets and accepted kinds). DenseNet.forward
 is the one input-width check, and converts its input to float64 exactly,
 so trainers pass the float32 rows of a batch as they gather them, and
 writes each layer's output once: the bias and the activation go into the
-matmul's buffer in place. The activations and the BCE value and gradient
-keep the operations of their whole-expression forms in the same order, so
-bit for bit. Everything is deterministic given (seed, data, config).
+matmul's buffer in place; the sigmoid works through it in STEP_CHUNK
+pieces. The activations and the BCE value and gradient keep the
+operations of their whole-expression forms in the same order, so bit for
+bit. Everything is deterministic given (seed, data, config).
 """
 
 from __future__ import annotations
@@ -89,15 +92,30 @@ class TrainConfig:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic sigmoid, written into z: the caller gives z up."""
-    # exp(-|z|) without abs, which would flip a NaN's sign bit; then 1 / (1 + e) where
-    # z >= 0 and e / (1 + e) elsewhere, as one division into the selected numerators
-    e = np.negative(z)
-    np.exp(np.minimum(z, e, out=e), out=e)
-    ge = z >= 0
-    np.copyto(z, e)
-    np.copyto(z, 1.0, where=ge)
-    return np.divide(z, np.add(e, 1.0, out=e), out=z)
+    """Logistic sigmoid, written into the C-contiguous z: the caller gives z up.
+
+    It walks z in STEP_CHUNK pieces through a scratch of one piece, so it
+    allocates nothing the size of z; every entry is computed alone, so the
+    result is the whole-array expression's bit for bit.
+    """
+    flat = z.reshape(-1)
+    e = np.empty(min(STEP_CHUNK, flat.size))
+    ge = np.empty(e.size, dtype=bool)
+
+    def sigmoid_slice(rows: slice) -> None:
+        # exp(-|v|) without abs, which would flip a NaN's sign bit; then 1 / (1 + e) where
+        # v >= 0 and e / (1 + e) elsewhere, as one division into the selected numerators
+        v = flat[rows]
+        s, g = e[:v.size], ge[:v.size]
+        np.negative(v, out=s)
+        np.exp(np.minimum(v, s, out=s), out=s)
+        np.greater_equal(v, 0, out=g)
+        np.copyto(v, s)
+        np.copyto(v, 1.0, where=g)
+        np.divide(v, np.add(s, 1.0, out=s), out=v)
+
+    _map_batches(sigmoid_slice, flat.size, STEP_CHUNK)
+    return z
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -210,22 +228,28 @@ class DenseNet:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def forward(self, x: np.ndarray) -> ForwardCache:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[1] != self.in_dim:
+    def forward(self, x: np.ndarray, cache: bool = True):
+        """The layers over a batch: a ForwardCache, or with ``cache`` False the output alone.
+
+        Without the cache each layer's output is dropped once the next
+        one is computed, and so is the float64 copy of x; the values are
+        the same bit for bit.
+        """
+        a = np.asarray(x, dtype=np.float64)
+        if a.ndim != 2 or a.shape[1] != self.in_dim:
             raise ShapeMismatchError(
-                f"expected input of width {self.in_dim}, got shape {x.shape}")
-        cache = ForwardCache(x=x)
-        a = x
+                f"expected input of width {self.in_dim}, got shape {a.shape}")
+        kept = ForwardCache(x=a) if cache else None
         for spec, w, b in zip(self.layers, self.params[0::2], self.params[1::2]):
             # a @ w + b in one buffer; added in place, a one-element z would keep b's NaN, not z's
             z = np.matmul(a, w)
             a = _activate(spec.activation, np.add(z, b, out=z if z.size > 1 else None))
-            cache.acts.append(a)
-        return cache
+            if kept is not None:
+                kept.acts.append(a)
+        return a if kept is None else kept
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.forward(x).output
+        return self.forward(x, cache=False)
 
     def backward(self, cache: ForwardCache, grad_output: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:

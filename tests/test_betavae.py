@@ -121,6 +121,16 @@ class TestModel:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    def test_encode_matches_the_cached_forward_bit_for_bit(self):
+        model = VaeModel(GridShape(), seed=4)
+        grids = np.random.default_rng(2).random((7, 650)).astype(np.float32)
+        grids[3] = np.nan
+        with np.errstate(invalid="ignore"):
+            mu, sigma = model.encode(grids)
+            _, _, mu_cache, _, logvar, _ = model._forward(grids, np.zeros((7, 2)))
+        np.testing.assert_array_equal(mu.view(np.int64), mu_cache.output.view(np.int64))
+        np.testing.assert_array_equal(sigma.view(np.int64), np.exp(0.5 * logvar).view(np.int64))
+
     def test_shape_mismatch(self):
         model = VaeModel(GridShape(), seed=3)
         with pytest.raises(ShapeMismatchError):
@@ -278,6 +288,18 @@ class TestEncodeDataset:
 
 
 class TestLatentGrid:
+    def test_peak_stays_near_the_decoded_lattice(self):
+        # 50x50 points decoded in one batch: the 13 MB output and its 512-wide layer (10 MB)
+        model = VaeModel(GridShape(), seed=1)
+        axes = latent_axes([(-3.0, 3.0), (-3.0, 3.0)], 50)
+        tracemalloc.start()
+        try:
+            generate_latent_grid(model, axes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 30_000_000
+
     def test_two_by_two(self, tiny_model):
         model, _ = tiny_model
         decoded = generate_latent_grid(model, latent_axes([(-1, 1), (-1, 1)], 2))

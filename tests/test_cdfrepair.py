@@ -5,7 +5,39 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from distatlas.cdfcodec import GridShape, encode_cdf
-from distatlas.cdfrepair import grid_to_curve, isotonic_fit, monotone_repair
+from distatlas.cdfrepair import WEIGHT_FLOOR, grid_to_curve, isotonic_fit, monotone_repair
+
+
+# the one-grid and one-curve loops that the batched forms replaced, kept as their reference
+def reference_curve(cells):
+    levels = np.arange(1, cells.shape[1] + 1, dtype=np.float64) / cells.shape[1]
+    weight = cells.sum(axis=1)
+    resolved = weight >= WEIGHT_FLOOR
+    if not resolved.any():
+        raise ValueError("all-zero intensity grid has no curve")
+    curve = np.empty(cells.shape[0])
+    curve[resolved] = (cells[resolved] @ levels) / weight[resolved]
+    idx = np.arange(cells.shape[0], dtype=np.float64)
+    curve[~resolved] = np.interp(idx[~resolved], idx[resolved], curve[resolved])
+    return curve
+
+
+def reference_isotonic(values):
+    block_val, block_len = [], []
+    for v in values.tolist():
+        block_val.append(v)
+        block_len.append(1)
+        while len(block_val) > 1 and block_val[-2] > block_val[-1]:
+            v2, c2 = block_val.pop(), block_len.pop()
+            c1 = block_len[-1]
+            block_val[-1] = (block_val[-1] * c1 + v2 * c2) / (c1 + c2)
+            block_len[-1] = c1 + c2
+    return np.repeat(block_val, block_len)
+
+
+def assert_bits_equal(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def brute_force_isotonic(y):
@@ -138,3 +170,61 @@ class TestGridToCurve:
     def test_accepts_cdfgrid(self):
         grid = encode_cdf(np.arange(26) / 25.0)
         assert grid_to_curve(grid).shape == (26,)
+
+
+class TestBatched:
+    """A stack of grids or curves in one call equals the one-row path per row, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [(300, 26, 25), (40, 16, 15), (30, 1, 9), (30, 7, 1)])
+    def test_curves_match_the_per_grid_reference(self, shape):
+        rng = np.random.default_rng(shape[1])
+        cells = rng.random(shape)
+        # unresolved bins in some grids, interpolated inside and extended at the ends
+        cells[rng.random(shape[:2]) < 0.15] = 0.0
+        cells[np.arange(shape[0]), rng.integers(0, shape[1], shape[0])] += 0.5
+        cells[5, :-1] = 0.0
+        want = np.array([reference_curve(c) for c in cells])
+        assert_bits_equal(grid_to_curve(cells), want)
+        assert_bits_equal(grid_to_curve(cells[5]), want[5])
+
+    def test_a_decoder_lattice_matches_the_per_grid_reference(self):
+        # strictly positive sigmoid outputs: every bin resolved, the whole stack in one matmul
+        rng = np.random.default_rng(7)
+        cells = 1.0 / (1.0 + np.exp(-rng.normal(scale=3.0, size=(2500, 26, 25))))
+        assert_bits_equal(grid_to_curve(cells), np.array([reference_curve(c) for c in cells]))
+
+    def test_an_all_zero_grid_in_a_stack_raises(self):
+        cells = np.random.default_rng(8).random((4, 26, 25))
+        cells[2] = 0.0
+        with pytest.raises(ValueError, match="all-zero"):
+            grid_to_curve(cells)
+
+    def test_rejects_other_ranks(self):
+        for bad in (np.ones(5), np.ones((2, 3, 4, 5))):
+            with pytest.raises(ValueError):
+                grid_to_curve(bad)
+
+    @pytest.mark.parametrize("m", [26, 5, 1])
+    def test_isotonic_rows_match_the_one_row_reference(self, m):
+        rng = np.random.default_rng(m)
+        rows = np.vstack([
+            rng.normal(size=(200, m)),
+            rng.integers(0, 4, size=(100, m)) / 4.0,          # ties
+            np.sort(rng.random((50, m)), axis=1),              # already nondecreasing
+            np.sort(rng.random((50, m)), axis=1)[:, ::-1],     # one block
+            np.full((5, m), 0.25),
+        ])
+        want = np.array([reference_isotonic(r) for r in rows])
+        assert_bits_equal(isotonic_fit(rows), want)
+        assert_bits_equal(monotone_repair(rows), np.clip(want, 0.0, 1.0))
+        for k in (0, 250, 399):
+            assert_bits_equal(isotonic_fit(rows[k]), want[k])
+
+    def test_isotonic_keeps_empty_shapes(self):
+        assert isotonic_fit(np.empty(0)).shape == (0,)
+        assert isotonic_fit(np.empty((3, 0))).shape == (3, 0)
+        assert isotonic_fit(np.empty((0, 4))).shape == (0, 4)
+
+    def test_isotonic_rejects_other_ranks(self):
+        with pytest.raises(ValueError):
+            isotonic_fit(np.ones((2, 2, 2)))

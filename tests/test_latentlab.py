@@ -9,6 +9,7 @@ from distatlas.latentlab import (
     estimate_density,
     class_map,
     latent_axes,
+    lattice,
     overlap_matrix,
     segment,
     segment_names,
@@ -230,17 +231,25 @@ class TestClassMap:
         cmap = class_map(self.ConstantModel(), latent_axes([(-2, 2)], 7))
         assert cmap.shape == (7,)
 
-    def test_peak_stays_near_one_layer_output(self):
-        # a 64x64 lattice is one 4,096-row slice; its 1,024-wide layer is the largest array
+    def test_labels_are_the_arg_max_of_the_model(self):
+        # 23x23 points: one full 512-row slice and a 17-row tail
         (net,), _, _ = build_nets([latent_classifier_layers(2)], [3])
-        layer_bytes = 4096 * 1024 * 8
+        axes = latent_axes([(-3.0, 3.0), (-3.0, 3.0)], 23)
+        cmap = class_map(Classifier(net), axes)
+        assert cmap.dtype == np.intp
+        np.testing.assert_array_equal(cmap, np.argmax(net(lattice(axes)), axis=1))
+
+    def test_peak_stays_near_one_layer_output(self):
+        # a 100x100 lattice is 19 full 512-row slices and a tail; one slice's 1,024-wide
+        # layer (4 MiB) is the largest array, beside the 160 kB lattice and the labels
+        (net,), _, _ = build_nets([latent_classifier_layers(2)], [3])
         tracemalloc.start()
         try:
-            class_map(Classifier(net), latent_axes([(-3.0, 3.0), (-3.0, 3.0)], 64))
+            class_map(Classifier(net), latent_axes([(-3.0, 3.0), (-3.0, 3.0)], 100))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.25 * layer_bytes
+        assert peak < 8_000_000
 
 
 class TestOverlap:

@@ -150,6 +150,63 @@ class TestForward:
         expected[~pos] = np.exp(z[~pos]) / (1.0 + np.exp(z[~pos]))
         np.testing.assert_array_equal(_sigmoid(z).view(np.int64), expected.view(np.int64))
 
+    def test_chunked_sigmoid_matches_the_whole_array_expression_bit_for_bit(self):
+        # the special values straddle each STEP_CHUNK edge, and the array ends in a short piece
+        special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 800.0, -800.0]
+        z = np.random.default_rng(3).normal(scale=30.0, size=(2 * STEP_CHUNK + 37) // 3 * 3)
+        for start in (0, STEP_CHUNK - 4, 2 * STEP_CHUNK - 4, z.size - 8):
+            z[start:start + 8] = special
+        # the one-buffer form over the whole array: exp(min(z, -z)), then the selected division
+        e = np.exp(np.minimum(z, -z))
+        expected = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        got = z.reshape(-1, 3)
+        with np.errstate(all="ignore"):
+            assert _sigmoid(got) is got
+        np.testing.assert_array_equal(got.ravel().view(np.int64), expected.view(np.int64))
+
+    def test_sigmoid_allocates_one_piece_not_the_array(self):
+        z = np.random.default_rng(4).normal(size=(2500, 650))
+        tracemalloc.start()
+        try:
+            _sigmoid(z)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 9 * STEP_CHUNK
+
+    @pytest.mark.parametrize("width", [5, 1])
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_cache_free_forward_matches_the_cached_output_bit_for_bit(self, activation, width):
+        # NaN rows, and one-row batches through a one-unit layer (the z.size == 1 rule)
+        rng = np.random.default_rng(6)
+        x = rng.normal(scale=4.0, size=(9, 3))
+        x[[2, 5]] = np.nan
+        x[7, 1] = np.inf
+        hidden = "identity" if activation == "softmax" else activation
+        net = make_net([LayerSpec(3, 4, hidden), LayerSpec(4, width, activation)], seed=9)
+        net.params[-1][:] = np.resize([np.nan, 1.0, -np.nan], width)
+        for rows in [slice(None)] + [slice(i, i + 1) for i in range(x.shape[0])]:
+            with np.errstate(all="ignore"):
+                cached, free = net.forward(x[rows]).output, net.forward(x[rows], cache=False)
+                called = net(x[rows])
+            assert isinstance(free, np.ndarray)
+            for got in (free, called):
+                np.testing.assert_array_equal(got.view(np.int64), cached.view(np.int64))
+
+    def test_cache_free_forward_holds_one_layer_at_a_time(self):
+        # a 1,024-row batch through three hidden layers of 8 MiB each: a cache would hold all
+        net = make_net([LayerSpec(2, 1024, "relu"), LayerSpec(1024, 1024, "relu"),
+                        LayerSpec(1024, 1024, "sigmoid"), LayerSpec(1024, 13, "softmax")], seed=1)
+        x = np.random.default_rng(2).normal(size=(1024, 2))
+        layer_bytes = 1024 * 1024 * 8
+        tracemalloc.start()
+        try:
+            net(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * layer_bytes
+
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @pytest.mark.parametrize("width", [5, 1])
     @pytest.mark.parametrize("activation", ACTIVATIONS)

@@ -9,10 +9,11 @@ its own subprocess with one BLAS thread:
     generate -> train classifier -> eval -> train bvae -> map -> describe --segments
 
 once with a 2-D latent and once with `train bvae --latent-dim 1` (which reuses
-the 2-D run's corpus and classifier). Two more 2-D `map` runs, each in its own
-directory, compare the lattices at their edges: one-point lattices (every
-resolution 1), and a 65x65 class map, one full 4,096-row slice of
-`class_map` plus a tail, beside a 7x7 density and a 3x3 curve lattice. Then
+the 2-D run's corpus and classifier). Three more 2-D `map` runs, each in its
+own directory, compare the lattices at their edges: one-point lattices (every
+resolution 1), a 23x23 class map, one full 512-row slice of `class_map` plus
+a 17-row tail, and a 300x300 class map, 175 full slices plus a 400-row tail,
+each beside a 7x7 density and a 3x3 curve lattice. Then
 `grad-check --arch both`, which
 builds fresh nets outside training, then `train classifier` and `train bvae`
 with `--optimizer adadelta`, so that both optimizers step the grid
@@ -70,13 +71,17 @@ COMMANDS = [
                "--latent-epochs", "5", "--seed", "7", "--w-star", "1.0", "--p-min", "0.01"]),
     ("one_d", ["describe", "--data", "{data}", "--classifier", "two_d/classifier.ckpt",
                "--vae", "one_d/bvae.ckpt", "--segments", "one_d/segments.csv"]),
-    # lattices of one point, and a class map of one full 4,096-row slice plus a tail
+    # lattices of one point; class maps of one full 512-row slice plus a 17-row tail,
+    # and of 175 full slices plus a 400-row tail
     ("map_res_1", ["map", "--vae", "two_d/bvae.ckpt", "--dataset", "two_d/dataset.bin",
                    "--latent-epochs", "5", "--seed", "7", "--density-resolution", "1",
                    "--class-map-resolution", "1", "--curve-resolution", "1"]),
-    ("map_res_65", ["map", "--vae", "two_d/bvae.ckpt", "--dataset", "two_d/dataset.bin",
+    ("map_res_23", ["map", "--vae", "two_d/bvae.ckpt", "--dataset", "two_d/dataset.bin",
                     "--latent-epochs", "5", "--seed", "7", "--density-resolution", "7",
-                    "--class-map-resolution", "65", "--curve-resolution", "3"]),
+                    "--class-map-resolution", "23", "--curve-resolution", "3"]),
+    ("map_res_300", ["map", "--vae", "two_d/bvae.ckpt", "--dataset", "two_d/dataset.bin",
+                     "--latent-epochs", "5", "--seed", "7", "--density-resolution", "7",
+                     "--class-map-resolution", "300", "--curve-resolution", "3"]),
     ("grad_check", ["grad-check", "--arch", "both", "--seed", "7"]),
     # Adadelta on the grid classifier (3 optimizer slices) and the beta-VAE (23, with a tail)
     ("adadelta", ["train", "classifier", "--dataset", "two_d/dataset.bin", "--epochs", "3",
