@@ -56,11 +56,6 @@ def kl_per_example(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     return -0.5 * np.sum(1.0 + logvar - mu * mu - np.exp(logvar), axis=1)
 
 
-def kl_term(mu: np.ndarray, logvar: np.ndarray) -> float:
-    """Total KL of one latent vector, or of every row of a batch."""
-    return float(np.sum(kl_per_example(np.atleast_2d(mu), np.atleast_2d(logvar))))
-
-
 def reparameterize(mu: np.ndarray, logvar: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """z = mu + exp(logvar / 2) * eps with eps an external normal draw."""
     return mu + np.exp(0.5 * np.asarray(logvar, dtype=np.float64)) * eps
@@ -79,10 +74,6 @@ class LatentPoints:
 
     def __len__(self) -> int:
         return int(self.z.shape[0])
-
-    @property
-    def latent_dim(self) -> int:
-        return int(self.z.shape[1])
 
 
 class VaeModel:
@@ -183,8 +174,8 @@ def _dataset_eval(model: VaeModel, grids: np.ndarray, idx: np.ndarray):
     return sum(bces) / n, sum(kls) / n
 
 
-def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
-               config: TrainConfig | None = None):
+def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2, *,
+               config: TrainConfig):
     """Train the autoencoder on a 67/33 split of the dataset.
 
     Returns (model, history); history row 0 is the pre-training
@@ -192,7 +183,6 @@ def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2,
     computed at the encoder mean, so they are deterministic per epoch.
     Each batch gathers its float32 rows; the grids are never copied whole.
     """
-    config = config or TrainConfig(epochs=100)
     model = VaeModel(dataset.grid_shape, beta=beta, latent_dim=latent_dim,
                      seed=mix64(config.rng_seed, 11))
     train_idx, test_idx = split_indices(len(dataset), config.rng_seed)

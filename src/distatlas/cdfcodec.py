@@ -124,13 +124,16 @@ def describe_series(values: np.ndarray,
     cell count. A constant series puts all mass in x-bin 0 while the
     ranks still spread over the levels.
 
-    Statistics: the entropy is that of the grid's per-bin totals. d_pos
+    Statistics: the entropy is that of the grid's per-bin totals, divided
+    by log2 of x_bins (26 by default) so that it lies in [0, 1]: 1.0 for
+    an equal split over the bins, 0.0 when all mass falls in one. d_pos
     is the maximal excess of the scaled ECDF above the diagonal and
     d_neg the maximal shortfall below it, each evaluated at both sides
     of every step. d_neg is the d_pos of (hi - x) / (hi - lo), which is
     bit for bit what scaling the negated series gives; negating a series
     therefore swaps d_pos/d_neg exactly and negates the skewness. A
-    constant series has all statistics but the entropy zero.
+    constant series has all statistics but the entropy zero. Fewer than
+    2 values raise ValueError.
     """
     shape = shape or GridShape()
     values = np.asarray(values, dtype=np.float64)
@@ -166,20 +169,3 @@ def describe_series(values: np.ndarray,
 def encode_cdf(values: np.ndarray, shape: GridShape | None = None) -> CdfGrid:
     """Encode a series as its rank-level CDF grid (see describe_series)."""
     return describe_series(values, shape)[0]
-
-
-def signed_ks(values: np.ndarray) -> SeriesStats:
-    """Entropy and signed K-S deviation from uniform (see describe_series)."""
-    return describe_series(values)[1]
-
-
-def entropy(values: np.ndarray) -> float:
-    """Normalized Shannon entropy of the scaled series' bin histogram (see describe_series).
-
-    Bin probabilities come from the grid's x-binning (DEFAULT_X_BINS
-    bins); the log2 sum is divided by log2(DEFAULT_X_BINS) so the result
-    lies in [0, 1], with 1.0 for an exactly equal split and 0.0 when all
-    mass falls in one bin. Like describe_series, fewer than 2 values
-    raise ValueError.
-    """
-    return describe_series(values)[1].entropy

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cdfcodec import CdfGrid, GridShape
+from .cdfcodec import GridShape
 from .distgen import FAMILIES, N_FAMILIES, LabeledDataset, mix64
 from .neuralcore import (
     DenseNet,
@@ -36,7 +36,7 @@ from .neuralcore import (
 PARAM_COUNTS = np.array([FAMILIES[i].varying_params for i in range(N_FAMILIES)])
 
 
-def default_latent_train_config(epochs: int = 50, seed: int = 0) -> TrainConfig:
+def default_latent_train_config(epochs: int, seed: int) -> TrainConfig:
     """Adadelta defaults; its step size is a multiplier, so lr stays 1."""
     return TrainConfig(epochs=epochs, batch_size=128, learning_rate=1.0,
                        rho=0.95, epsilon=1e-6, optimizer="adadelta", rng_seed=seed)
@@ -96,9 +96,8 @@ class Classifier:
 
 
 def predict(model, grid) -> np.ndarray:
-    """Class probabilities of one grid (CdfGrid or flat array)."""
-    flat = grid.flat() if isinstance(grid, CdfGrid) else np.asarray(grid, dtype=np.float64).reshape(-1)
-    return model.predict_proba(flat[None, :])[0]
+    """Class probabilities of one CdfGrid."""
+    return model.predict_proba(grid.flat()[None, :])[0]
 
 
 def _batched_argmax(net: DenseNet, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -149,19 +148,17 @@ def latent_classifier_layers(latent_dim: int) -> list:
             LayerSpec(64, N_FAMILIES, "softmax")]
 
 
-def train_classifier(dataset: LabeledDataset, config: TrainConfig | None = None):
+def train_classifier(dataset: LabeledDataset, config: TrainConfig):
     """Train the grid classifier on a 67/33 split; returns (model, history)."""
-    config = config or TrainConfig(epochs=50)
     net, history = _train_softmax_net(grid_classifier_layers(dataset.grid_shape.n_cells),
                                       dataset.grids, dataset.labels.astype(np.int64), config)
     return Classifier(net, dataset.grid_shape), history
 
 
-def train_latent_classifier(points, config: TrainConfig | None = None):
+def train_latent_classifier(points, config: TrainConfig):
     """Train the latent-vector classifier; points needs .z and .labels."""
     z = np.asarray(points.z, dtype=np.float64)
     labels = np.asarray(points.labels, dtype=np.int64)
-    config = config or default_latent_train_config()
     net, history = _train_softmax_net(latent_classifier_layers(z.shape[1]), z, labels, config)
     return Classifier(net), history
 

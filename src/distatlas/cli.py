@@ -697,8 +697,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.seed < 0:
-            raise CliError(EXIT_BAD_SPEC, f"--seed must be >= 0, got {args.seed}")
+        # seeds enter mix64 and the cache header modulo 2**64, so a larger one would alias
+        if not 0 <= args.seed <= distgen.M64:
+            raise CliError(EXIT_BAD_SPEC, f"--seed must be in [0, 2**64), got {args.seed}")
         return args.func(args, argv)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

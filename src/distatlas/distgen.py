@@ -36,8 +36,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 MIN_SAMPLE_SIZE = 35
 MAX_SAMPLE_SIZE = 1000
 
-DEFAULT_GRID = GridShape()
-
 
 class InvalidFamilyError(ValueError):
     """Raised for a family id outside 0..12."""
@@ -274,11 +272,9 @@ class DistSpec:
 
 @dataclass(frozen=True)
 class RawSeries:
-    """A sampled series together with the recipe and seed that made it."""
+    """A sampled series."""
 
     values: np.ndarray
-    spec: DistSpec
-    seed: int
 
 
 def draw_params(family_id: int, rng: np.random.Generator) -> dict:
@@ -308,8 +304,7 @@ def sample_variable(spec: DistSpec, seed: int) -> RawSeries:
     family = _require_family(spec.family_id)
     validate_params(spec.family_id, spec.params)
     rng = np.random.default_rng(int(seed) & M64)
-    values = family.sample(rng, spec.params, spec.sample_size)
-    return RawSeries(values=values, spec=spec, seed=int(seed))
+    return RawSeries(family.sample(rng, spec.params, spec.sample_size))
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +502,11 @@ def parse_dataset_spec(obj: dict) -> tuple[int, int, GridShape]:
     try:
         master_seed = int(obj["master_seed"])
         per_family = int(obj["per_family_count"])
-        shape = GridShape.from_json({**asdict(DEFAULT_GRID), **obj.get("grid", {})})
+        shape = GridShape.from_json({**asdict(GridShape()), **obj.get("grid", {})})
     except (KeyError, OverflowError, TypeError, ValueError) as exc:
         raise ValueError(str(exc)) from exc
     if per_family < 1:
         raise ValueError("per_family_count must be >= 1")
-    if master_seed < 0:
-        raise ValueError("master_seed must be non-negative")
+    if not 0 <= master_seed <= M64:
+        raise ValueError("master_seed must be in [0, 2**64)")
     return master_seed, per_family, shape

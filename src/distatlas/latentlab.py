@@ -59,7 +59,6 @@ class DensityField:
 
     bounds: list                 # [(lo, hi)] per dimension
     density: np.ndarray          # (nx,) or (nx, ny), nonnegative
-    bandwidth: tuple
 
     @property
     def ndim(self) -> int:
@@ -130,8 +129,7 @@ def estimate_density(points, resolution: int = DEFAULT_DENSITY_RESOLUTION,
             bounds.append((lo - pad, hi + pad))
     bounds = [tuple(map(float, b)) for b in bounds]
     bandwidth = silverman_bandwidth(z)
-    field = DensityField(bounds=bounds, density=np.zeros((resolution,) * d),
-                         bandwidth=bandwidth)
+    field = DensityField(bounds=bounds, density=np.zeros((resolution,) * d))
     axes = [field.centers(j) for j in range(d)]
 
     def kernel(j: int, rows: slice) -> np.ndarray:
@@ -173,8 +171,7 @@ def woe_map(field: DensityField) -> WoeField:
     woe = np.full(field.density.shape, np.nan)
     with np.errstate(divide="ignore"):
         woe[valid] = np.log(field.density[valid]) - standard_normal_logpdf(field)[valid]
-    return WoeField(bounds=field.bounds, density=field.density,
-                    bandwidth=field.bandwidth, woe=woe, valid=valid)
+    return WoeField(bounds=field.bounds, density=field.density, woe=woe, valid=valid)
 
 
 def segment(woe_field: WoeField, w_star: float = DEFAULT_W_STAR,

@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from distatlas import betavae, cdfrepair, classifier, distgen, latentlab
-from distatlas.cdfcodec import GridShape, entropy, signed_ks
+from distatlas.cdfcodec import GridShape, describe_series
 from distatlas.cli import main as cli_main
 from distatlas.neuralcore import TrainConfig, build_nets, grad_check, one_hot, split_indices
 
@@ -112,11 +112,11 @@ def test_criterion_02_gradient_correctness(desk_dataset):
 
 def test_criterion_03_kl_closed_form():
     """Closed-form KL vs a 1e6-sample Monte-Carlo estimate within 1 percent."""
-    exact_zero = betavae.kl_term(np.zeros(2), np.zeros(2))
+    exact_zero = float(np.sum(betavae.kl_per_example(np.zeros((1, 2)), np.zeros((1, 2)))))
     mu = np.array([0.5, -1.0])
     sigma = np.array([0.7, 1.3])
     logvar = 2.0 * np.log(sigma)
-    analytic = betavae.kl_term(mu, logvar)
+    analytic = float(np.sum(betavae.kl_per_example(np.atleast_2d(mu), np.atleast_2d(logvar))))
     rng = np.random.default_rng(3)
     z = mu + sigma * rng.standard_normal((1_000_000, 2))
     log_q = -0.5 * np.sum(((z - mu) / sigma) ** 2, axis=1) - np.log(sigma).sum()
@@ -130,9 +130,9 @@ def test_criterion_03_kl_closed_form():
 
 def test_criterion_04_entropy_reference_points():
     """Equal 26-bin split -> 1; one bin -> 0; two equal bins -> 1/log2(26)."""
-    equal = entropy(np.arange(26) / 25.0)
-    single = entropy(np.full(64, 3.0))
-    two_bins = entropy(np.array([0.0, 0.0, 1.0, 1.0]))
+    equal = describe_series(np.arange(26) / 25.0)[1].entropy
+    single = describe_series(np.full(64, 3.0))[1].entropy
+    two_bins = describe_series(np.array([0.0, 0.0, 1.0, 1.0]))[1].entropy
     expected_two = 1.0 / np.log2(26)
     ok = (abs(equal - 1.0) < 1e-12 and single == 0.0
           and abs(two_bins - expected_two) < 1e-12)
@@ -153,11 +153,11 @@ def test_criterion_05_signed_ks_skewness():
     for i in range(n_runs):
         exp_values = distgen.sample_variable(exp_spec, distgen.mix64(5, 0, i)).values
         gl_values = distgen.sample_variable(gl_spec, distgen.mix64(5, 1, i)).values
-        s_exp = signed_ks(exp_values)
-        s_gl = signed_ks(gl_values)
+        s_exp = describe_series(exp_values)[1]
+        s_gl = describe_series(gl_values)[1]
         exp_pos += s_exp.skewness > 0
         gl_neg += s_gl.skewness < 0
-        mirrored = signed_ks(-exp_values)
+        mirrored = describe_series(-exp_values)[1]
         mirror_exact &= (mirrored.skewness == -s_exp.skewness
                          and mirrored.ks_uniform == s_exp.ks_uniform)
     ok = exp_pos >= 0.99 * n_runs and gl_neg >= 0.90 * n_runs and mirror_exact
@@ -213,8 +213,7 @@ def test_criterion_07_woe_reference():
     worst_estimated = float(np.nanmax(np.abs(woe.woe[heavy])))
 
     analytic = latentlab.DensityField(
-        bounds=[(-5.0, 5.0), (-5.0, 5.0)], density=np.zeros((101, 101)),
-        bandwidth=(1.0, 1.0))
+        bounds=[(-5.0, 5.0), (-5.0, 5.0)], density=np.zeros((101, 101)))
     analytic.density = np.exp(latentlab.standard_normal_logpdf(analytic))
     woe_exact = latentlab.woe_map(analytic)
     worst_analytic = float(np.nanmax(np.abs(woe_exact.woe[woe_exact.valid])))

@@ -11,7 +11,6 @@ from distatlas.betavae import (
     encode_dataset,
     generate_latent_grid,
     kl_per_example,
-    kl_term,
     load_vae,
     reparameterize,
     save_vae,
@@ -45,18 +44,19 @@ def tiny_model(tiny_dataset):
 
 class TestKl:
     def test_zero_at_standard_normal(self):
-        assert kl_term(np.zeros(2), np.zeros(2)) == 0.0
+        assert kl_per_example(np.zeros((1, 2)), np.zeros((1, 2))).sum() == 0.0
 
     def test_hand_value(self):
         # mu = (1, 0), logvar = 0: KL = 0.5 * mu^2 = 0.5
-        assert kl_term(np.array([1.0, 0.0]), np.zeros(2)) == pytest.approx(0.5, abs=1e-15)
+        kl = kl_per_example(np.array([[1.0, 0.0]]), np.zeros((1, 2))).sum()
+        assert kl == pytest.approx(0.5, abs=1e-15)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             mu = rng.normal(size=2)
             logvar = rng.normal(size=2)
-            assert kl_term(mu, logvar) >= 0.0
+            assert kl_per_example(mu[None], logvar[None]).sum() >= 0.0
 
     def test_monte_carlo_agreement(self):
         # analytic KL vs sample estimate of E_q[log q - log p]
@@ -68,7 +68,7 @@ class TestKl:
         log_q = -0.5 * np.sum(((z - mu) / sigma) ** 2, axis=1) - np.log(sigma).sum()
         log_p = -0.5 * np.sum(z ** 2, axis=1)
         estimate = float(np.mean(log_q - log_p))
-        assert kl_term(mu, logvar) == pytest.approx(estimate, rel=0.01)
+        assert kl_per_example(mu[None], logvar[None]).sum() == pytest.approx(estimate, rel=0.01)
 
     def test_batch_version(self):
         mu = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -275,7 +275,7 @@ class TestEncodeDataset:
         model, _ = tiny_model
         points = encode_dataset(model, tiny_dataset)
         assert len(points) == len(tiny_dataset)
-        assert points.latent_dim == 2
+        assert points.z.shape[1] == 2
         np.testing.assert_array_equal(points.labels, tiny_dataset.labels)
         np.testing.assert_allclose(points.entropy, tiny_dataset.entropy, rtol=1e-6)
 

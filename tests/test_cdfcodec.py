@@ -10,9 +10,7 @@ from distatlas.cdfcodec import (
     GridShape,
     describe_series,
     encode_cdf,
-    entropy,
     scale_to_unit,
-    signed_ks,
 )
 
 finite_series = st.lists(
@@ -135,28 +133,28 @@ class TestEncodeCdf:
 class TestEntropy:
     def test_equal_mass_over_all_bins_is_one(self):
         values = np.arange(26) / 25.0  # one value per bin
-        assert entropy(values) == pytest.approx(1.0, abs=1e-12)
+        assert describe_series(values)[1].entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_equal_mass_is_one(self):
         values = np.repeat(np.arange(26) / 25.0, 7)
-        assert entropy(values) == pytest.approx(1.0, abs=1e-12)
+        assert describe_series(values)[1].entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_series_is_zero(self):
-        assert entropy(np.full(100, 2.5)) == 0.0
+        assert describe_series(np.full(100, 2.5))[1].entropy == 0.0
 
     def test_two_equal_bins(self):
         # mass split between bins 0 and 25 only
         values = np.array([0.0, 0.0, 1.0, 1.0])
-        assert entropy(values) == pytest.approx(1.0 / np.log2(26), abs=1e-12)
+        assert describe_series(values)[1].entropy == pytest.approx(1.0 / np.log2(26), abs=1e-12)
 
     def test_one_value_raises(self):
         with pytest.raises(ValueError):
-            entropy(np.array([2.5]))
+            describe_series(np.array([2.5]))
 
     @given(finite_series)
     @settings(max_examples=100, deadline=None)
     def test_range(self, values):
-        e = entropy(values)
+        e = describe_series(values)[1].entropy
         assert 0.0 <= e <= 1.0 + 1e-12
 
 
@@ -164,15 +162,15 @@ class TestSignedKs:
     def test_diagonal_crossings_have_tiny_skew(self):
         for n in (10, 100, 1000):
             values = (np.arange(1, n + 1) - 0.5) / n
-            stats = signed_ks(values)
+            stats = describe_series(values)[1]
             assert abs(stats.skewness) <= 1.0 / (2 * n)
 
     @given(finite_series)
     @example(EXTREME)
     @settings(max_examples=150, deadline=None)
     def test_mirror_negates_exactly(self, values):
-        fwd = signed_ks(values)
-        rev = signed_ks(-values)
+        fwd = describe_series(values)[1]
+        rev = describe_series(-values)[1]
         assert rev.skewness == -fwd.skewness
         assert rev.ks_uniform == fwd.ks_uniform
         assert (rev.d_pos, rev.d_neg) == (fwd.d_neg, fwd.d_pos)
@@ -180,7 +178,7 @@ class TestSignedKs:
     @given(finite_series)
     @settings(max_examples=100, deadline=None)
     def test_ks_bounds_skew(self, values):
-        stats = signed_ks(values)
+        stats = describe_series(values)[1]
         assert stats.ks_uniform == max(stats.d_pos, stats.d_neg)
         assert stats.ks_uniform >= abs(stats.skewness) - 1e-15
         assert -1.0 <= stats.skewness <= 1.0
@@ -188,18 +186,18 @@ class TestSignedKs:
 
     def test_exponential_samples_skew_positive(self):
         rng = np.random.default_rng(3)
-        hits = sum(signed_ks(-np.log1p(-rng.random(1000))).skewness > 0
+        hits = sum(describe_series(-np.log1p(-rng.random(1000)))[1].skewness > 0
                    for _ in range(50))
         assert hits >= 49
 
     def test_degenerate_series(self):
-        stats = signed_ks(np.full(40, 1.25))
+        stats = describe_series(np.full(40, 1.25))[1]
         assert stats.skewness == 0.0 and stats.ks_uniform == 0.0
         assert stats.entropy == 0.0
 
     def test_carries_entropy(self):
         values = np.arange(26) / 25.0
-        assert signed_ks(values).entropy == pytest.approx(1.0, abs=1e-12)
+        assert describe_series(values)[1].entropy == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDescribeSeries:

@@ -103,7 +103,7 @@ class TestTrainClassifier:
             skewness=np.empty(0, dtype=np.float32), ks_uniform=np.empty(0, dtype=np.float32),
             sample_sizes=np.empty(0, dtype=np.int32), master_seed=0, per_family_count=0)
         with pytest.raises(ValueError):
-            train_classifier(empty)
+            train_classifier(empty, TrainConfig())
 
 
 class TestPredict:
@@ -174,7 +174,8 @@ class TestLatentClassifier:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            train_latent_classifier(FakePoints(np.empty((0, 2)), np.empty(0, dtype=int)))
+            train_latent_classifier(FakePoints(np.empty((0, 2)), np.empty(0, dtype=int)),
+                                    default_latent_train_config(epochs=50, seed=0))
 
 
 class TestCheckpoints:

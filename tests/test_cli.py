@@ -242,6 +242,9 @@ class TestTrain:
     ("map", ["--out-dir", "{tmp}/a_file/sub"]),
     ("describe", ["--out", "{tmp}"]),
     ("describe", ["--out", "{tmp}/missing/metadata.jsonl"]),
+    # seeds of 2**64 and above, which would alias a seed below 2**64
+    ("generate", ["--seed", str(2 ** 64)]),
+    ("generate", ["--spec", {"master_seed": 2 ** 64, "per_family_count": 1}]),
 ])
 def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags):
     out = tmp_path / "bad"

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
-and every default of a public function is overridden by some caller."""
+every public definition is named by code other than the tests, and every
+default of a public function is overridden by some caller."""
 
 import ast
 import os
@@ -65,6 +66,53 @@ def test_checker_flags_an_unreferenced_private():
                        "class _Dead:\n    pass\n",
                "b.py": "from a import _used\n_used()\n"}
     assert unreferenced_privates(sources) == ["a.py:_Dead", "a.py:_recursive"]
+
+
+def public_definitions(tree):
+    """(label, node) of a module's public functions and classes and their public methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"))
+
+
+def unnamed_publics(sources: dict, callers) -> list:
+    """Public definitions of the package sources that neither they nor callers name
+    outside the definition's own body.
+
+    Matching is by name, bare or as an attribute, so a definition whose
+    name is also some other object's attribute counts as named: a module
+    function ``entropy`` escapes through ``SeriesStats.entropy``, say.
+    """
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = sum((names_used(tree) for tree in [*trees.values(), *map(ast.parse, callers)]),
+               Counter())
+    return sorted(f"{module}:{label}" for module, tree in trees.items()
+                  for label, node in public_definitions(tree)
+                  if used[node.name] == names_used(node)[node.name])
+
+
+def test_every_public_definition_is_named_outside_the_tests():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    callers = [p.read_text(encoding="utf-8") for folder in ("bench", "tools")
+               for p in sorted((ROOT / folder).rglob("*.py"))]
+    assert unnamed_publics(sources, callers) == []
+
+
+def test_checker_flags_an_unnamed_public():
+    sources = {"a.py": "def used():\n    pass\n\n"
+                       "def recursive(n):\n    return recursive(n - 1)\n\n"
+                       "def tested():\n    pass\n\n"
+                       "def shadowed():\n    pass\n\n"
+                       "class Dead:\n    def again(self):\n        return self.again()\n\n"
+                       "class Live:\n    def called(self):\n        pass\n\n"
+                       "    def dead(self):\n        pass\n\n"
+                       "    def _private(self):\n        pass\n"}
+    callers = ["import a\na.used()\na.Live().called()\nprint(a.Live().shadowed)\n"]
+    assert unnamed_publics(sources, callers) == ["a.py:Dead", "a.py:Dead.again", "a.py:Live.dead",
+                                                 "a.py:recursive", "a.py:tested"]
 
 
 def public_callables(tree):

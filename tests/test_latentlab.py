@@ -31,9 +31,7 @@ class FakePoints:
 
 
 def analytic_normal_field(bounds=((-5.0, 5.0), (-5.0, 5.0)), resolution=101):
-    field = DensityField(bounds=list(bounds),
-                         density=np.zeros((resolution, resolution)),
-                         bandwidth=(1.0, 1.0))
+    field = DensityField(bounds=list(bounds), density=np.zeros((resolution, resolution)))
     field.density = np.exp(standard_normal_logpdf(field))
     return field
 

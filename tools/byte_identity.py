@@ -30,6 +30,7 @@ kept as one more output file, `stdout_<index>_<command>.txt`, so `eval` and
 output file and exits 1 when a command fails or any file differs or exists on
 one side only. `run_log.jsonl` is skipped: it records the wall-clock time of
 each run; so is the input `spec.json`.
+`run_argvs` runs the commands for this tool and for tools/paper_scale.py.
 Needs only numpy and scipy, and runs in well under a minute on 2 cores.
 """
 
@@ -93,17 +94,23 @@ COMMANDS = [
     ("partial_block", ["generate", "--per-family", "37", "--seed", "5"]),
 ]
 
-# runs inside the subprocess: argv[1] is the src directory, argv[2] the JSON command list
-DRIVER = """
-import contextlib, io, json, pathlib, sys
+# runs inside the subprocess: argv[1] is the src directory, argv[2] the index of the
+# first command, argv[3] the JSON command list; prints one JSON line per command
+RUNNER = """
+import contextlib, io, json, pathlib, resource, sys, time
 sys.path.insert(0, sys.argv[1])
 import distatlas
 from distatlas.cli import main
 assert distatlas.__file__.startswith(sys.argv[1]), distatlas.__file__
-for index, argv in enumerate(json.loads(sys.argv[2])):
+for index, argv in enumerate(json.loads(sys.argv[3]), int(sys.argv[2])):
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        start = time.perf_counter()
         code = main(argv)
+        wall = time.perf_counter() - start
     pathlib.Path(f"stdout_{index:02d}_{argv[0]}.txt").write_text(stdout.getvalue())
+    peak, children = (resource.getrusage(who).ru_maxrss / 1024.0
+                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    print(json.dumps({"wall_s": wall, "peak_rss_mb": peak, "children_peak_rss_mb": children}))
     if code != 0:
         sys.exit(f"exit {code}: distatlas {' '.join(argv)}")
 """
@@ -144,16 +151,30 @@ def export_base(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def run_argvs(src: Path, work: Path, argvs: list, first: int = 0) -> list:
+    """Run CLI argvs in order in one subprocess in work, on the package in src.
+
+    The subprocess has one BLAS thread. Each command's stdout goes to
+    ``stdout_<index>_<command>.txt`` in work, indices counting from first.
+    Returns per command its wall_s (of `distatlas.cli.main`, imports
+    excluded), its peak_rss_mb (ru_maxrss of RUSAGE_SELF, so far in the
+    process) and children_peak_rss_mb (the largest of the processes it
+    forked, RUSAGE_CHILDREN). A failed command ends the run with SystemExit.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH="")
+    done = subprocess.run([sys.executable, "-c", RUNNER, str(src), str(first), json.dumps(argvs)],
+                          cwd=work, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"{work.name}: {(done.stderr.strip().splitlines() or ['no output'])[-1]}")
+    return [json.loads(line) for line in done.stdout.splitlines()]
+
+
 def run_side(src: Path, work: Path, data: Path) -> None:
     argvs = [[*(str(data) if a == "{data}" else a for a in argv), "--out-dir", out]
              for out, argv in COMMANDS]
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH="")
     work.mkdir(parents=True)
     (work / "spec.json").write_text(json.dumps(SPEC), encoding="utf-8")
-    done = subprocess.run([sys.executable, "-c", DRIVER, str(src), json.dumps(argvs)],
-                          cwd=work, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{work.name}: {done.stderr.strip().splitlines()[-1]}")
+    run_argvs(src, work, argvs)
 
 
 def digests(work: Path) -> dict:

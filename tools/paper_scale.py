@@ -8,19 +8,21 @@ The paper trains on 9,000 series per family (117,000 in all). This runs, at
 
     generate -> train classifier --epochs 1 -> train bvae --epochs 1 -> map
 
-at --seed 1, each in its own subprocess with one BLAS thread, which reports
-its own wall time (of `distatlas.cli.main`, imports excluded), its own peak
-RSS (`ru_maxrss` of RUSAGE_SELF) and the largest peak RSS among the processes
-it forked (RUSAGE_CHILDREN: `generate`'s corpus workers, whose pages of the
+at --seed 1, each in its own subprocess with one BLAS thread
+(byte_identity.run_argvs, shared with that tool), which reports its own
+wall time (of `distatlas.cli.main`, imports excluded), its own peak RSS
+(`ru_maxrss` of RUSAGE_SELF) and the largest peak RSS among the processes it
+forked (RUSAGE_CHILDREN: `generate`'s corpus workers, whose pages of the
 shared corpus mapping the stage's own figure does not count). REV (default
-HEAD) is exported with `git archive`, as tools/byte_identity.py does, and
-each stage runs on the base, then on the working tree, before the next stage
-starts, so that both sides see the machine in the same state. rows/s is the corpus size over the stage's wall
-time. The output files of the two sides are compared by digest
-(`run_log.jsonl` skipped). Writes one JSON file (--out, relative to the root
-of the repo): the environment, both revisions, and per stage its argv and
-each side's wall_s, rows_per_s, peak_rss_mb and children_peak_rss_mb, with
-the head/base ratios of wall_s and peak_rss_mb.
+HEAD) is exported with `git archive`, as tools/byte_identity.py does, and each
+stage runs on the base, then on the working tree, before the next stage
+starts, so that both sides see the machine in the same state. rows/s is the
+corpus size over the stage's wall time. The output files of the two sides,
+each stage's stdout among them, are compared by digest (`run_log.jsonl`
+skipped). Writes one JSON file (--out, relative to the root of the repo): the
+environment, both revisions, and per stage its argv and each side's wall_s,
+rows_per_s, peak_rss_mb and children_peak_rss_mb, with the head/base ratios of
+wall_s and peak_rss_mb.
 Exits 1 when a stage fails.
 
 At the default size both sides need about 650 MB of disk in --work-dir
@@ -40,7 +42,7 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from byte_identity import ROOT, digests, export_base  # noqa: E402
+from byte_identity import ROOT, digests, export_base, run_argvs  # noqa: E402
 
 SEED = 1
 # (stage name, argv before --seed and --out-dir); every stage writes into out/
@@ -50,24 +52,6 @@ STAGES = [
     ("train_bvae", ["train", "bvae", "--dataset", "out/dataset.bin", "--epochs", "1"]),
     ("map", ["map", "--vae", "out/bvae.ckpt", "--dataset", "out/dataset.bin"]),
 ]
-
-# runs inside the subprocess: argv[1] is the src directory, argv[2] the JSON argv
-DRIVER = """
-import contextlib, io, json, resource, sys, time
-sys.path.insert(0, sys.argv[1])
-import distatlas
-from distatlas.cli import main
-assert distatlas.__file__.startswith(sys.argv[1]), distatlas.__file__
-with contextlib.redirect_stdout(io.StringIO()):
-    start = time.perf_counter()
-    code = main(json.loads(sys.argv[2]))
-    wall = time.perf_counter() - start
-peak, children = (resource.getrusage(who).ru_maxrss / 1024.0
-                  for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
-print(json.dumps({"exit": code, "wall_s": wall, "peak_rss_mb": peak,
-                  "children_peak_rss_mb": children}))
-"""
-
 
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
@@ -94,19 +78,6 @@ def environment() -> dict:
     }
 
 
-def run_stage(src: Path, work: Path, argv: list) -> dict:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH="")
-    done = subprocess.run([sys.executable, "-c", DRIVER, str(src), json.dumps(argv)],
-                          cwd=work, env=env, capture_output=True, text=True)
-    if done.returncode != 0:
-        raise SystemExit(f"{work.name}: distatlas {' '.join(argv)}: "
-                         f"{(done.stderr.strip().splitlines() or ['no output'])[-1]}")
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    if result.pop("exit") != 0:
-        raise SystemExit(f"{work.name}: distatlas {' '.join(argv)} failed")
-    return result
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="JSON file to write, under the repo root")
@@ -122,12 +93,12 @@ def main(argv=None) -> int:
         sides = {"base": tmp / "base_tree" / "src", "head": ROOT / "src"}
         for side in sides:
             (tmp / side).mkdir()
-        for name, stage_argv in STAGES:
+        for index, (name, stage_argv) in enumerate(STAGES):
             argv = [a.replace("{n}", str(args.per_family)) for a in stage_argv]
             argv += ["--seed", str(SEED), "--out-dir", "out"]
             record = {"stage": name, "argv": argv}
             for side, src in sides.items():
-                result = run_stage(src, tmp / side, argv)
+                (result,) = run_argvs(src, tmp / side, [argv], index)
                 record[side] = {"wall_s": round(result["wall_s"], 3),
                                 "rows_per_s": round(rows / result["wall_s"], 1),
                                 "peak_rss_mb": round(result["peak_rss_mb"], 1),
