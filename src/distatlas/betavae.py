@@ -5,7 +5,10 @@ Encoder trunk 650-512-64 with linear mean/log-variance heads, decoder
 summed over the grid cells plus beta times the closed-form KL pull
 toward a standard isotropic normal, both averaged over the batch.
 The latent map coordinate of a grid is the encoder mean, which keeps
-encoding deterministic.
+encoding deterministic. The held-out evaluation gathers 1,024 float32
+rows at a time and passes them as they are to the encoder and to the
+BCE, both of which convert them to float64 exactly; a training step
+converts its 128-row batch once, since the BCE gradient reads 1 - x too.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class VaeModel:
 
         Returns (x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache).
         """
-        # x is also the BCE target, whose 1 - x must not round in float32
+        # x is also the target of the BCE gradient, whose 1 - x must not round in float32
         x = np.asarray(x, dtype=np.float64)
         trunk_cache = self.trunk.forward(x)
         mu_cache = self.mu_head.forward(trunk_cache.output)
@@ -162,9 +165,13 @@ class VaeEpoch:
 
 
 def _dataset_eval(model: VaeModel, grids: np.ndarray, idx: np.ndarray):
-    """Mean (BCE, KL) over rows grids[idx], gathered 1024 at a time, at the encoder mean."""
+    """Mean (BCE, KL) over rows grids[idx], gathered 1024 at a time, at the encoder mean.
+
+    The gathered rows stay in the grids' dtype: the trunk converts its input
+    to float64 exactly, and so does the BCE its target, piece by piece.
+    """
     def batch_sums(rows: slice):
-        x = grids[idx[rows]].astype(np.float64)
+        x = grids[idx[rows]]
         mu, sigma = model.encode(x)
         return (binary_cross_entropy(model.decode(mu), x) * x.shape[0],
                 float(np.sum(kl_per_example(mu, 2.0 * np.log(sigma)))))

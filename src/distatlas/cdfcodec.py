@@ -107,11 +107,9 @@ def _normalized_entropy(counts: np.ndarray) -> float:
     return float(-(p @ np.log2(p)) / np.log2(counts.size))
 
 
-def _d_above(u_sorted: np.ndarray) -> float:
-    """Largest deviation of the ECDF above the diagonal, clamped at 0."""
-    n = u_sorted.shape[0]
-    steps = np.arange(1, n + 1, dtype=np.float64) / n
-    return max(0.0, float(np.max(steps - u_sorted)))
+def _d_above(steps: np.ndarray, u_sorted: np.ndarray) -> float:
+    """Largest deviation of the ECDF (its steps k / n) above the diagonal, clamped at 0."""
+    return max(0.0, float((steps - u_sorted).max()))
 
 
 def describe_series(values: np.ndarray,
@@ -140,23 +138,25 @@ def describe_series(values: np.ndarray,
     n = values.shape[0]
     if n < 2:
         raise ValueError("need at least 2 observations to form a CDF grid")
-    u, degenerate = scale_to_unit(values)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = np.arange(1, n + 1)
-    # integer ceil keeps the level map exact: ranks 1..n map into 1..y_levels,
-    # and rank n always hits the top level
-    levels = (shape.y_levels * ranks + n - 1) // n
-    counts = np.zeros((shape.x_bins, shape.y_levels), dtype=np.float64)
-    np.add.at(counts, (_bin_indices(u, shape.x_bins), levels - 1), 1.0)
+    # one sort: sorted position k - 1 holds the value of rank k, and every later step
+    # reads the sorted values
+    ordered = values[np.argsort(values, kind="stable")]
+    u, degenerate = scale_to_unit(ordered)
+    k = np.arange(1, n + 1)
+    # rank k takes level ceil(y_levels * k / n), one of 1..y_levels; the integer floor
+    # (y_levels * k - 1) // n is that level less one, exactly, and rank n takes the top level
+    levels = (shape.y_levels * k - 1) // n
+    # a histogram of the (bin, level) cells, whose counts do not depend on the entries' order
+    counts = np.bincount(_bin_indices(u, shape.x_bins) * shape.y_levels + levels,
+                         minlength=shape.n_cells).reshape(shape.x_bins, shape.y_levels)
     grid = CdfGrid(shape, counts / counts.max())
     ent = _normalized_entropy(counts.sum(axis=1))
     if degenerate:
         return grid, SeriesStats(entropy=ent, skewness=0.0, ks_uniform=0.0, d_pos=0.0, d_neg=0.0)
-    lo = float(values.min())
-    hi = float(values.max())
-    d_pos = _d_above(u[order])
-    d_neg = _d_above(_span_ratio(hi, values[order[::-1]], lo, hi))
+    steps = k / n
+    lo, hi = float(ordered[0]), float(ordered[-1])
+    d_pos = _d_above(steps, u)
+    d_neg = _d_above(steps, _span_ratio(hi, ordered[::-1], lo, hi))
     return grid, SeriesStats(
         entropy=ent,
         skewness=d_pos - d_neg,

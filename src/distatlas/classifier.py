@@ -106,9 +106,14 @@ def _batched_argmax(net: DenseNet, x: np.ndarray, idx: np.ndarray) -> np.ndarray
                                        idx.shape[0], 2048))
 
 
-def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig):
-    """Train a fresh softmax net on a 67/33 split of (x, y); returns (net, history).
+def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig,
+                       every_epoch: bool):
+    """Train a fresh softmax net on a 67/33 split of (x, y).
 
+    Returns (net, history), a ClassifierEpoch before training and after
+    each epoch; with ``every_epoch`` False, (net, final test accuracy),
+    skipping the loss and accuracy passes of the epochs before the last.
+    Those passes read the net only, so it trains the same either way.
     x is never copied whole: each batch gathers its rows, which forward converts to float64.
     """
     train_idx, test_idx = split_indices(x.shape[0], config.rng_seed)
@@ -132,9 +137,14 @@ def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig
         net.backward(cache, categorical_cross_entropy_grad(cache.output, target), input_grad=False)
         return net.grad, (loss,)
 
+    epochs = train_epochs(net.flat, config, train_idx.shape[0], mix64(config.rng_seed, 2),
+                          batch_step)
+    if not every_epoch:
+        for _ in epochs:
+            pass
+        return net, test_accuracy()
     history = [ClassifierEpoch(0, full_loss(), test_accuracy())]
-    history += [ClassifierEpoch(epoch, loss, test_accuracy()) for epoch, (loss,) in train_epochs(
-        net.flat, config, train_idx.shape[0], mix64(config.rng_seed, 2), batch_step)]
+    history += [ClassifierEpoch(epoch, loss, test_accuracy()) for epoch, (loss,) in epochs]
     return net, history
 
 
@@ -151,16 +161,21 @@ def latent_classifier_layers(latent_dim: int) -> list:
 def train_classifier(dataset: LabeledDataset, config: TrainConfig):
     """Train the grid classifier on a 67/33 split; returns (model, history)."""
     net, history = _train_softmax_net(grid_classifier_layers(dataset.grid_shape.n_cells),
-                                      dataset.grids, dataset.labels.astype(np.int64), config)
+                                      dataset.grids, dataset.labels.astype(np.int64), config,
+                                      every_epoch=True)
     return Classifier(net, dataset.grid_shape), history
 
 
 def train_latent_classifier(points, config: TrainConfig):
-    """Train the latent-vector classifier; points needs .z and .labels."""
+    """Train the latent-vector classifier; returns (model, final test accuracy).
+
+    points needs .z and .labels.
+    """
     z = np.asarray(points.z, dtype=np.float64)
     labels = np.asarray(points.labels, dtype=np.int64)
-    net, history = _train_softmax_net(latent_classifier_layers(z.shape[1]), z, labels, config)
-    return Classifier(net), history
+    net, accuracy = _train_softmax_net(latent_classifier_layers(z.shape[1]), z, labels, config,
+                                       every_epoch=False)
+    return Classifier(net), accuracy
 
 
 def evaluate(model, grids: np.ndarray, labels: np.ndarray, indices: np.ndarray) -> ConfusionMatrix:

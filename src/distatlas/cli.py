@@ -388,7 +388,7 @@ def cmd_map(args, argv) -> int:
 
     latent_config = classifier.default_latent_train_config(
         epochs=args.latent_epochs, seed=distgen.mix64(args.seed, 21))
-    latent_model, latent_history = classifier.train_latent_classifier(points, latent_config)
+    latent_model, latent_accuracy = classifier.train_latent_classifier(points, latent_config)
     classifier.save_classifier(out / "latent_classifier.ckpt", latent_model, latent_config)
     axes = latentlab.latent_axes(bounds, args.class_map_resolution)
     cmap = latentlab.class_map(latent_model, axes)
@@ -415,7 +415,7 @@ def cmd_map(args, argv) -> int:
                 bin_index, bin_center, raw.ravel(), repaired.ravel()])
 
     print(f"mapped {len(points)} points; latent classifier test accuracy "
-          f"{latent_history[-1].test_accuracy:.4f}; exports in {out}")
+          f"{latent_accuracy:.4f}; exports in {out}")
     return 0
 
 

@@ -18,9 +18,13 @@ is the one input-width check, and converts its input to float64 exactly,
 so trainers pass the float32 rows of a batch as they gather them, and
 writes each layer's output once: the bias and the activation go into the
 matmul's buffer in place; the sigmoid works through it in STEP_CHUNK
-pieces. The activations and the BCE value and gradient keep the
-operations of their whole-expression forms in the same order, so bit for
-bit. Everything is deterministic given (seed, data, config).
+pieces. The BCE value writes each unit's term into one buffer shaped like
+its input, piece by piece through a scratch of two pieces (STEP_CHUNK
+entries, the last piece taking the remainder), upcasting a float32
+target exactly, and sums that buffer once: it holds no other temporary
+the size of its input. The activations and the BCE value and gradient
+keep the operations of their whole-expression forms in the same order,
+so bit for bit. Everything is deterministic given (seed, data, config).
 """
 
 from __future__ import annotations
@@ -296,15 +300,38 @@ def categorical_cross_entropy_grad(probs: np.ndarray, onehot: np.ndarray) -> np.
 
 
 def binary_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
-    """Binary cross entropy summed over units, averaged over the batch (float64 pred)."""
-    # target * log(p) + (1 - target) * log1p(-p) op by op, operands in that order so that
-    # NaNs propagate alike, each result in its second operand: numpy adds into a
-    # one-element first operand as a reduction, which keeps the other operand's NaN
-    p = np.clip(pred, LOSS_EPS, 1.0 - LOSS_EPS)
-    log_p = np.log(p)
-    np.multiply(target, log_p, out=log_p)
-    np.multiply(1.0 - target, np.log1p(np.negative(p, out=p), out=p), out=p)
-    return float(-np.add(log_p, p, out=p).sum() / pred.shape[0])
+    """Binary cross entropy summed over units, averaged over the batch (float64 pred).
+
+    Each unit's term goes into one float64 buffer shaped like pred, filled
+    piece by piece through a scratch of two pieces, and the buffer is summed
+    once; every term sees the whole-array expression's operations in the
+    same order, so the value is its bit for bit. The pieces are STEP_CHUNK
+    entries long and the last one takes the remainder: numpy runs a short
+    array through other loops than the tail of a long one, and where two
+    NaNs meet they keep the other operand's. A float32 target is upcast
+    exactly, piece by piece, before its 1 - target, which therefore never
+    rounds in float32.
+    """
+    flat = pred.reshape(-1)
+    goal = np.broadcast_to(target, pred.shape).reshape(-1)
+    terms = np.empty(pred.shape)
+    out = terms.reshape(-1)
+    starts = range(0, max(flat.size - STEP_CHUNK, 0) + 1, STEP_CHUNK)
+    scratch = np.empty((2, flat.size - starts[-1]))
+    for rows in map(slice, starts, [*starts[1:], flat.size]):
+        # target * log(p) + (1 - target) * log1p(-p) op by op, operands in that order so that
+        # NaNs propagate alike, each result in its second operand: numpy adds into a
+        # one-element first operand as a reduction, which keeps the other operand's NaN
+        o = out[rows]
+        p, t = scratch[:, :o.size]
+        np.clip(flat[rows], LOSS_EPS, 1.0 - LOSS_EPS, out=p)
+        np.log1p(np.negative(p, out=o), out=o)
+        np.log(p, out=p)
+        np.copyto(t, goal[rows])
+        np.multiply(t, p, out=p)
+        np.multiply(np.subtract(1.0, t, out=t), o, out=o)
+        np.add(p, o, out=o)
+    return float(-terms.sum() / pred.shape[0])
 
 
 def binary_cross_entropy_grad(pred: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -270,6 +270,22 @@ class TestCorpusMemory:
         assert peaks[1] - peaks[0] < 8 * n * GridShape(16, 15).n_cells
 
 
+class TestHeldOutMemory:
+    def test_one_pass_over_a_full_slice_peaks_under_15_mb(self):
+        # 1,024 float32 rows of the 26x25 grid: the gathered rows, the decoded output and
+        # the BCE's buffer of terms; float64 rows beside three slice-sized BCE temporaries
+        # peaked at 26.7 MB
+        grids = np.random.default_rng(3).random((1024, 650), dtype=np.float32)
+        model = VaeModel(GridShape(), seed=1)
+        tracemalloc.start()
+        try:
+            betavae._dataset_eval(model, grids, np.arange(1024))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 15_000_000
+
+
 class TestEncodeDataset:
     def test_carries_stats(self, tiny_model, tiny_dataset):
         model, _ = tiny_model

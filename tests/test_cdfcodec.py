@@ -211,6 +211,68 @@ class TestDescribeSeries:
         assert describe_series(values)[1].entropy == float(-(p @ np.log2(p)) / np.log2(26))
 
 
+def _ranked_describe_series(values, shape):
+    """describe_series as it ranked, scattered and added at, kept as the one-sort pass's reference.
+
+    Returns the grid cells and the five statistics in SeriesStats order.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    u, degenerate = scale_to_unit(values)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = np.arange(1, n + 1)
+    levels = (shape.y_levels * ranks + n - 1) // n
+    counts = np.zeros((shape.x_bins, shape.y_levels), dtype=np.float64)
+    bins = np.minimum((u * shape.x_bins).astype(np.int64), shape.x_bins - 1)
+    np.add.at(counts, (bins, levels - 1), 1.0)
+    totals = counts.sum(axis=1)
+    p = totals[totals > 0] / totals.sum()
+    ent = float(-(p @ np.log2(p)) / np.log2(totals.size))
+    if degenerate:
+        return counts / counts.max(), (ent, 0.0, 0.0, 0.0, 0.0)
+    lo, hi = float(values.min()), float(values.max())
+    steps = np.arange(1, n + 1, dtype=np.float64) / n
+    mirrored = values[order[::-1]]
+    if math.isinf(hi - lo):
+        flipped = (0.5 * hi - 0.5 * mirrored) / (0.5 * hi - 0.5 * lo)
+    else:
+        flipped = (hi - mirrored) / (hi - lo)
+    d_pos = max(0.0, float(np.max(steps - u[order])))
+    d_neg = max(0.0, float(np.max(steps - flipped)))
+    return counts / counts.max(), (ent, d_pos - d_neg, max(d_pos, d_neg), d_pos, d_neg)
+
+
+# a few values drawn with repeats: ties, signed zeros, a range that overflows, constants
+TRICKY = [0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 5e-324]
+
+
+@st.composite
+def tricky_series(draw):
+    n = draw(st.sampled_from([2, 1000]) | st.integers(2, 1000))
+    pool = np.array(draw(st.lists(
+        st.sampled_from(TRICKY) | st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=6)))
+    return pool[np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(0, pool.size, n)]
+
+
+class TestOneSortedPass:
+    @pytest.mark.parametrize("shape", [GridShape(), GridShape(16, 15)], ids=["26x25", "16x15"])
+    @given(values=tricky_series() | finite_series)
+    @example(values=np.array([0.0, -0.0]))
+    @example(values=np.array([-0.0, 0.0, 0.0, -0.0, 1.0]))
+    @example(values=np.full(1000, 3.5))
+    @example(values=np.array([1e308, -1e308]))
+    @example(values=EXTREME)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_ranked_reference_bit_for_bit(self, shape, values):
+        grid, stats = describe_series(values, shape)
+        cells, expected = _ranked_describe_series(values, shape)
+        assert grid.cells.dtype == np.float64 and grid.cells.shape == cells.shape
+        assert grid.cells.tobytes() == cells.tobytes()
+        got = (stats.entropy, stats.skewness, stats.ks_uniform, stats.d_pos, stats.d_neg)
+        assert np.array(got).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+
 class TestScaleToUnit:
     def test_basic(self):
         u, degenerate = scale_to_unit(np.array([2.0, 4.0, 6.0]))

@@ -382,6 +382,71 @@ class TestLosses:
             np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
             np.testing.assert_array_equal(pred.view(np.int64), kept.view(np.int64))
 
+    @staticmethod
+    def _whole_array_bce(pred, target):
+        """The BCE value as one whole-array pass computed it, the reference of its piecewise walk.
+
+        A float32 target is upcast first, as the walk upcasts each piece.
+        """
+        target = np.asarray(target, dtype=np.float64)
+        p = np.clip(pred, LOSS_EPS, 1.0 - LOSS_EPS)
+        log_p = np.log(p)
+        np.multiply(target, log_p, out=log_p)
+        np.multiply(1.0 - target, np.log1p(np.negative(p, out=p), out=p), out=p)
+        return float(-np.add(log_p, p, out=p).sum() / pred.shape[0])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(5, 13), (4, STEP_CHUNK // 4), (3, STEP_CHUNK // 3 + 5),
+                                       (1024, 650)], ids=["below", "at", "above", "slice"])
+    def test_bce_walk_matches_the_whole_array_pass_bit_for_bit(self, shape, dtype):
+        # the clamp's edges at the start and straddling each STEP_CHUNK edge; targets of
+        # exactly 0 and 1, and 1e-9, whose 1 - x rounds to 1 in float32 but not in float64
+        rng = np.random.default_rng(shape[0])
+        pred = _sigmoid(rng.normal(scale=8.0, size=shape))
+        target = rng.random(shape)
+        edges = [0.0, 1.0, LOSS_EPS, 1.0 - LOSS_EPS, LOSS_EPS / 2, 1.0 - LOSS_EPS / 2]
+        for start in range(0, pred.size - len(edges) + 1, STEP_CHUNK):
+            at = slice(max(start - 3, 0), max(start - 3, 0) + len(edges))
+            pred.reshape(-1)[at] = edges
+            target.reshape(-1)[at] = [1e-9, 0.0, 1.0, 1e-9, 1.0, 0.0]
+        target = target.astype(dtype)
+        assert np.float32(1.0) - np.float32(1e-9) == 1.0
+        kept = pred.copy()
+        got = binary_cross_entropy(pred, target)
+        expected = self._whole_array_bce(pred.copy(), target)
+        assert np.isfinite(got)
+        assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+        np.testing.assert_array_equal(pred.view(np.int64), kept.view(np.int64))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("size", [1, 7, 9, STEP_CHUNK + 1, 2 * STEP_CHUNK + 7])
+    def test_bce_keeps_the_sign_of_a_nan_pred(self, size, dtype):
+        # a NaN of either sign, alone, among other preds, and in the last entries of a long
+        # pred, which numpy's loops treat otherwise than a short array's
+        pred = np.full((1, size), 0.25)
+        target = np.full((1, size), 0.5, dtype=dtype)
+        for nan in (np.nan, -np.nan):
+            pred[0, -1] = nan
+            with np.errstate(invalid="ignore"):
+                got = binary_cross_entropy(pred, target)
+            expected = self._whole_array_bce(pred.copy(), target)
+            assert np.isnan(got)
+            assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+
+    def test_bce_allocates_one_buffer_of_terms(self):
+        # a 1,024-row slice of the 26x25 grid against float32 targets: the terms and a
+        # two-piece scratch, where the whole-array pass held three slice-sized temporaries
+        rng = np.random.default_rng(12)
+        pred = rng.random((1024, 650))
+        target = rng.random((1024, 650), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            binary_cross_entropy(pred, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < pred.nbytes + 3 * 8 * STEP_CHUNK
+
 
 class TestOptimizers:
     def test_zero_gradient_keeps_params(self):

@@ -24,7 +24,11 @@ directory as `spec.json`: another master seed and a 16x15 grid, so the
 family table and the cache block list are compared on a second seed,
 through the spec parser, on a non-default grid, and `generate --per-family
 37` (481 rows), whose last block of rows is partial and whose workers get
-unequal shares on any CPU count. Each command's stdout is
+unequal shares on any CPU count, and `generate --per-family 120` (1,560
+rows) with `train bvae --epochs 1`: the first held-out evaluation reads
+the 1,045 training rows as two 1,024-row slices, so the BCE of float32
+rows is compared over a slice edge and over a last piece longer than
+STEP_CHUNK entries. Each command's stdout is
 kept as one more output file, `stdout_<index>_<command>.txt`, so `eval` and
 `grad-check`, which report only there, are compared too. Prints one line per
 output file and exits 1 when a command fails or any file differs or exists on
@@ -92,6 +96,10 @@ COMMANDS = [
     ("spec", ["generate", "--spec", "spec.json"]),
     # 481 rows: 7 full ROW_BLOCK blocks and a partial one, dealt unequally among the workers
     ("partial_block", ["generate", "--per-family", "37", "--seed", "5"]),
+    # 1,045 training rows: a held-out evaluation of a full 1,024-row slice and a 21-row one
+    ("heldout", ["generate", "--per-family", "120", "--seed", "9"]),
+    ("heldout", ["train", "bvae", "--dataset", "heldout/dataset.bin", "--epochs", "1",
+                 "--seed", "9"]),
 ]
 
 # runs inside the subprocess: argv[1] is the src directory, argv[2] the index of the
