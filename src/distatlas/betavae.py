@@ -82,7 +82,7 @@ class LatentPoints:
 class VaeModel:
     """Encoder/decoder pair with the beta weight and latent size."""
 
-    def __init__(self, grid_shape: GridShape, beta: float = 3.0, latent_dim: int = 2,
+    def __init__(self, grid_shape: GridShape, beta: float, latent_dim: int,
                  seed: int = 0, block: np.ndarray | None = None):
         if latent_dim not in (1, 2):
             raise ValueError("latent_dim must be 1 or 2")
@@ -181,8 +181,7 @@ def _dataset_eval(model: VaeModel, grids: np.ndarray, idx: np.ndarray):
     return sum(bces) / n, sum(kls) / n
 
 
-def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2, *,
-               config: TrainConfig):
+def train_bvae(dataset: LabeledDataset, beta: float, latent_dim: int, *, config: TrainConfig):
     """Train the autoencoder on a 67/33 split of the dataset.
 
     Returns (model, history); history row 0 is the pre-training
@@ -211,21 +210,21 @@ def train_bvae(dataset: LabeledDataset, beta: float = 3.0, latent_dim: int = 2, 
     return model, history
 
 
-def encode_dataset(model: VaeModel, dataset: LabeledDataset,
-                   indices: np.ndarray | None = None) -> LatentPoints:
-    """Encode dataset grids (optionally a subset) into LatentPoints."""
-    if indices is None:
-        indices = np.arange(len(dataset))
-    mus, sigmas = zip(*_map_batches(
-        lambda rows: model.encode(dataset.grids[indices[rows]]),
-        indices.shape[0], 2048))
+def encode_dataset(model: VaeModel, dataset: LabeledDataset) -> LatentPoints:
+    """Encode every grid of the dataset into LatentPoints, 2048 rows at a time.
+
+    Each batch is a slice of the float32 grids, which the trunk converts to
+    float64 exactly, so nothing is gathered.
+    """
+    mus, sigmas = zip(*_map_batches(lambda rows: model.encode(dataset.grids[rows]),
+                                    len(dataset), 2048))
     return LatentPoints(
         z=np.concatenate(mus),
         sigma=np.concatenate(sigmas),
-        labels=dataset.labels[indices].astype(np.int64),
-        entropy=dataset.entropy[indices].astype(np.float64),
-        skewness=dataset.skewness[indices].astype(np.float64),
-        ks_uniform=dataset.ks_uniform[indices].astype(np.float64),
+        labels=dataset.labels.astype(np.int64),
+        entropy=dataset.entropy.astype(np.float64),
+        skewness=dataset.skewness.astype(np.float64),
+        ks_uniform=dataset.ks_uniform.astype(np.float64),
     )
 
 
@@ -234,11 +233,10 @@ def generate_latent_grid(model: VaeModel, axes) -> np.ndarray:
     return model.decode(lattice(axes))
 
 
-def vae_grad_check(model: VaeModel, batch: np.ndarray, eps: np.ndarray,
-                   h: float = 1e-5, seed: int = 0) -> float:
+def vae_grad_check(model: VaeModel, batch: np.ndarray, eps: np.ndarray, seed: int) -> float:
     """Finite-difference audit of the full loss, reparameterization included."""
     grad, _, _ = model.loss_gradients(batch, eps)
-    return audit_gradients(model.flat, lambda: model.loss(batch, eps), grad, h, seed)
+    return audit_gradients(model.flat, lambda: model.loss(batch, eps), grad, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +246,7 @@ def _header_shape(header: dict) -> tuple[GridShape, int]:
     return header_field(header, "grid", GridShape.from_json), header_field(header, "latent_dim", int)
 
 
-def save_vae(path, model: VaeModel, config: TrainConfig | None = None) -> None:
+def save_vae(path, model: VaeModel, config: TrainConfig | None) -> None:
     header = {"kind": "bvae", "beta": model.beta, "latent_dim": model.latent_dim,
               "grid": asdict(model.grid_shape)}
     save_model(path, header, vae_layers(model.grid_shape, model.latent_dim), model.flat, config)

@@ -56,16 +56,14 @@ class CdfGrid:
 class SeriesStats:
     """Scalar shape descriptors of one series.
 
-    ``skewness`` is ``d_pos - d_neg`` and ``ks_uniform`` is
-    ``max(d_pos, d_neg)``, the largest deviations of the scaled
-    empirical CDF above and below the diagonal.
+    With d_pos and d_neg the largest deviations of the scaled empirical
+    CDF above and below the diagonal, ``skewness`` is ``d_pos - d_neg``
+    and ``ks_uniform`` is ``max(d_pos, d_neg)``.
     """
 
     entropy: float
     skewness: float
     ks_uniform: float
-    d_pos: float
-    d_neg: float
 
 
 def _span_ratio(top, bottom, lo: float, hi: float) -> np.ndarray:
@@ -112,8 +110,7 @@ def _d_above(steps: np.ndarray, u_sorted: np.ndarray) -> float:
     return max(0.0, float((steps - u_sorted).max()))
 
 
-def describe_series(values: np.ndarray,
-                    shape: GridShape | None = None) -> tuple[CdfGrid, SeriesStats]:
+def describe_series(values: np.ndarray, shape: GridShape) -> tuple[CdfGrid, SeriesStats]:
     """The rank-level CDF grid and the shape statistics of a series, in one pass.
 
     Grid: scale values to [0, 1]; bin along x; rank values (ordinal,
@@ -123,7 +120,7 @@ def describe_series(values: np.ndarray,
     ranks still spread over the levels.
 
     Statistics: the entropy is that of the grid's per-bin totals, divided
-    by log2 of x_bins (26 by default) so that it lies in [0, 1]: 1.0 for
+    by log2 of x_bins (26 on the default grid) so that it lies in [0, 1]: 1.0 for
     an equal split over the bins, 0.0 when all mass falls in one. d_pos
     is the maximal excess of the scaled ECDF above the diagonal and
     d_neg the maximal shortfall below it, each evaluated at both sides
@@ -133,7 +130,6 @@ def describe_series(values: np.ndarray,
     constant series has all statistics but the entropy zero. Fewer than
     2 values raise ValueError.
     """
-    shape = shape or GridShape()
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
     if n < 2:
@@ -152,20 +148,14 @@ def describe_series(values: np.ndarray,
     grid = CdfGrid(shape, counts / counts.max())
     ent = _normalized_entropy(counts.sum(axis=1))
     if degenerate:
-        return grid, SeriesStats(entropy=ent, skewness=0.0, ks_uniform=0.0, d_pos=0.0, d_neg=0.0)
+        return grid, SeriesStats(entropy=ent, skewness=0.0, ks_uniform=0.0)
     steps = k / n
     lo, hi = float(ordered[0]), float(ordered[-1])
     d_pos = _d_above(steps, u)
     d_neg = _d_above(steps, _span_ratio(hi, ordered[::-1], lo, hi))
-    return grid, SeriesStats(
-        entropy=ent,
-        skewness=d_pos - d_neg,
-        ks_uniform=max(d_pos, d_neg),
-        d_pos=d_pos,
-        d_neg=d_neg,
-    )
+    return grid, SeriesStats(entropy=ent, skewness=d_pos - d_neg, ks_uniform=max(d_pos, d_neg))
 
 
-def encode_cdf(values: np.ndarray, shape: GridShape | None = None) -> CdfGrid:
-    """Encode a series as its rank-level CDF grid (see describe_series)."""
-    return describe_series(values, shape)[0]
+def encode_cdf(values: np.ndarray) -> CdfGrid:
+    """Encode a series as its rank-level CDF grid on the default grid (see describe_series)."""
+    return describe_series(values, GridShape())[0]

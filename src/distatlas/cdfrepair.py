@@ -3,51 +3,47 @@
 Decoded grids are free-form intensity images, so the implied curve can
 dip. The repair is the exact least-squares projection onto the
 nondecreasing cone, solved by pool-adjacent-violators, followed by a
-clamp to [0, 1]. Each function takes one grid or curve, or a stack of
-them (a decoded lattice) in one call, with the same result per row.
+clamp to [0, 1]. grid_to_curve takes a stack of grids (a decoded
+lattice); the repair takes one curve or a stack of them in one call,
+with the same result per row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cdfcodec import CdfGrid
-
 # columns carrying less total intensity than this are interpolated
 WEIGHT_FLOOR = 1e-6
 
 
-def grid_to_curve(grid) -> np.ndarray:
-    """Reduce a grid of intensities to one cumulative level per x-bin.
+def grid_to_curve(grids: np.ndarray) -> np.ndarray:
+    """Reduce each grid of intensities to one cumulative level per x-bin.
 
     Each bin's level is the intensity-weighted mean of its occupied
     y-levels (level k contributing k/y_levels). Bins whose total
     intensity falls below WEIGHT_FLOOR are filled by linear
     interpolation from their neighbors; at the ends this extends the
-    nearest resolved level. ``grid`` is one (x_bins, y_levels) grid, or
-    a stack (n, x_bins, y_levels) that one stacked matmul reduces to
-    (n, x_bins) curves. A grid with no resolved bin raises ValueError.
+    nearest resolved level. ``grids`` is a float64 stack (n, x_bins,
+    y_levels) that one stacked matmul reduces to (n, x_bins) curves. A
+    grid with no resolved bin raises ValueError.
     """
-    cells = grid.cells if isinstance(grid, CdfGrid) else np.asarray(grid, dtype=np.float64)
-    if cells.ndim not in (2, 3):
-        raise ValueError(f"expected a 2-d intensity grid or a stack of them, got shape {cells.shape}")
-    levels = np.arange(1, cells.shape[-1] + 1, dtype=np.float64) / cells.shape[-1]
-    weight = cells.sum(axis=-1)
-    curves = np.matmul(cells, levels)
+    if grids.ndim != 3:
+        raise ValueError(f"expected a stack of 2-d intensity grids, got shape {grids.shape}")
+    levels = np.arange(1, grids.shape[2] + 1, dtype=np.float64) / grids.shape[2]
+    weight = grids.sum(axis=2)
+    curves = np.matmul(grids, levels)
     with np.errstate(divide="ignore", invalid="ignore"):
         curves /= weight
     # a grid with an unresolved bin takes the one-grid path: the matmul of its resolved
     # bins alone, whose bits can differ from the whole grid's, then the interpolation
-    grids = cells.reshape(-1, *cells.shape[-2:])
-    rows, weight = curves.reshape(grids.shape[:2]), weight.reshape(grids.shape[:2])
     resolved = weight >= WEIGHT_FLOOR
-    idx = np.arange(rows.shape[1], dtype=np.float64)
+    idx = np.arange(curves.shape[1], dtype=np.float64)
     for k in np.flatnonzero(~resolved.all(axis=1)):
         ok = resolved[k]
         if not ok.any():
             raise ValueError("all-zero intensity grid has no curve")
-        rows[k, ok] = (grids[k][ok] @ levels) / weight[k][ok]
-        rows[k, ~ok] = np.interp(idx[~ok], idx[ok], rows[k, ok])
+        curves[k, ok] = (grids[k][ok] @ levels) / weight[k][ok]
+        curves[k, ~ok] = np.interp(idx[~ok], idx[ok], curves[k, ok])
     return curves
 
 

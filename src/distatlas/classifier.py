@@ -193,7 +193,7 @@ _KINDS = {
 }
 
 
-def save_classifier(path, model: Classifier, config: TrainConfig | None = None) -> None:
+def save_classifier(path, model: Classifier, config: TrainConfig | None) -> None:
     if model.grid_shape is None:
         header = {"kind": "latent_classifier", "latent_dim": model.net.in_dim}
     else:

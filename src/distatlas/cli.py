@@ -604,7 +604,7 @@ def cmd_grad_check(args, argv) -> int:
     if "classifier" in archs:
         (net,), _, _ = build_nets(layers["classifier"], [distgen.mix64(args.seed, 1)])
         targets = one_hot(rng.integers(0, distgen.N_FAMILIES, size=16), distgen.N_FAMILIES)
-        worst["classifier"] = grad_check(net, batch, targets, loss="cce", seed=args.seed)
+        worst["classifier"] = grad_check(net, batch, targets, seed=args.seed)
     if "bvae" in archs:
         model = betavae.VaeModel(grid, beta=3.0, latent_dim=args.latent_dim,
                                  seed=distgen.mix64(args.seed, 2))

@@ -339,6 +339,9 @@ _CACHE_HEADER = struct.Struct("<4sIQIIQI")
 # the body after the header, in file order: LabeledDataset field, little-endian dtype
 _CACHE_BLOCKS = (("labels", "<i4"), ("sample_sizes", "<i4"), ("entropy", "<f4"),
                  ("skewness", "<f4"), ("ks_uniform", "<f4"), ("grids", "<f4"))
+# the closed range of each float block's values: the statistics and the grid cells
+_CACHE_RANGES = {"entropy": (0.0, 1.0), "skewness": (-1.0, 1.0), "ks_uniform": (0.0, 1.0),
+                 "grids": (0.0, 1.0)}
 
 
 # rows a worker encodes in one stretch; build_doe deals the rows out in blocks of this many
@@ -459,7 +462,8 @@ def load_cache(path) -> LabeledDataset:
     """Read a binary cache written by save_cache, checking what it holds.
 
     The body must end where the header says it does, labels must be
-    family ids, sample sizes at least 1 and grid cells finite in [0, 1].
+    family ids, sample sizes at least 1, and the entropy, skewness,
+    ks_uniform and grid cells finite in their _CACHE_RANGES.
     Each block is read straight into its array (np.fromfile), so a load
     holds the corpus once; a block that ends early raises ValueError.
     """
@@ -488,9 +492,10 @@ def load_cache(path) -> LabeledDataset:
         raise ValueError(f"{path}: cache labels outside 0..{N_FAMILIES - 1}")
     if np.any(arrays["sample_sizes"] < 1):
         raise ValueError(f"{path}: cache sample sizes below 1")
-    # min and max are NaN when any cell is, so this also rejects NaN
-    if n and not (arrays["grids"].min() >= 0.0 and arrays["grids"].max() <= 1.0):
-        raise ValueError(f"{path}: cache grid cells not finite in [0, 1]")
+    for field, (lo, hi) in _CACHE_RANGES.items():
+        # min and max are NaN when any value is, so this also rejects NaN
+        if n and not (arrays[field].min() >= lo and arrays[field].max() <= hi):
+            raise ValueError(f"{path}: cache {field} not finite in [{lo:g}, {hi:g}]")
     return LabeledDataset(grid_shape=shape, master_seed=int(master_seed),
                           per_family_count=int(per_family), **arrays)
 

@@ -34,7 +34,6 @@ CLASS_MAP_ROWS = 512
 
 def default_latent_bounds(z: np.ndarray) -> list:
     """Per-dimension 1st..99th percentile box, each side padded by BOUNDS_MARGIN of its span."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     bounds = []
     for j in range(z.shape[1]):
         lo, hi = np.percentile(z[:, j], [1.0, 99.0])
@@ -91,7 +90,6 @@ class WoeField(DensityField):
 
 def silverman_bandwidth(z: np.ndarray) -> tuple:
     """Normal-reference bandwidth per dimension: sd * (4/(d+2))^(1/(d+4)) * n^(-1/(d+4))."""
-    z = np.atleast_2d(np.asarray(z, dtype=np.float64))
     n, d = z.shape
     factor = (4.0 / (d + 2.0)) ** (1.0 / (d + 4.0)) * n ** (-1.0 / (d + 4.0))
     sd = z.std(axis=0, ddof=1)
@@ -99,23 +97,14 @@ def silverman_bandwidth(z: np.ndarray) -> tuple:
     return tuple(float(s * factor) for s in sd)
 
 
-def _as_points(points) -> np.ndarray:
-    z = getattr(points, "z", points)
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[:, None]
-    return z
-
-
-def estimate_density(points, resolution: int = DEFAULT_DENSITY_RESOLUTION,
-                     bounds=None) -> DensityField:
-    """Gaussian-kernel density of the points on a lattice of cell centers.
+def estimate_density(z: np.ndarray, resolution: int, bounds) -> DensityField:
+    """Gaussian-kernel density of the (n, d) points z on a lattice of cell centers.
 
     The estimate is renormalized so it integrates to exactly 1 over the
-    lattice. Default bounds are the data range padded by 5 percent; the
+    lattice, resolution cells per dimension. ``bounds`` is [(lo, hi)] per
+    dimension, or None for the data range padded by 5 percent; the
     bandwidth is the normal-reference rule.
     """
-    z = _as_points(points)
     n, d = z.shape
     if n < MIN_DENSITY_POINTS:
         raise ValueError(f"density estimation needs at least {MIN_DENSITY_POINTS} points, got {n}")
@@ -174,8 +163,7 @@ def woe_map(field: DensityField) -> WoeField:
     return WoeField(bounds=field.bounds, density=field.density, woe=woe, valid=valid)
 
 
-def segment(woe_field: WoeField, w_star: float = DEFAULT_W_STAR,
-            p_min: float = DEFAULT_P_MIN) -> np.ndarray:
+def segment(woe_field: WoeField, w_star: float, p_min: float) -> np.ndarray:
     """Label connected exceptional regions of the WOE lattice; int32, the lattice's shape.
 
     A cell is exceptional when |WOE| > w_star and its density is at
@@ -213,7 +201,7 @@ class Trajectory:
     waypoints: list
 
 
-def trajectories(points, n_entropy_bins: int = 20, min_count: int = 20) -> list:
+def trajectories(points, n_entropy_bins: int, min_count: int) -> list:
     """Per-family latent paths ordered by increasing information entropy.
 
     Points split into branches by skewness sign; a branch holding less
@@ -222,9 +210,10 @@ def trajectories(points, n_entropy_bins: int = 20, min_count: int = 20) -> list:
     equal-count bins (at most n_entropy_bins, each at least min_count
     when possible); waypoints carry the bin's mean entropy, mean latent
     position, size, and RMS spread around the mean. Bins that do not
-    strictly advance in entropy merge into their predecessor.
+    strictly advance in entropy merge into their predecessor. points
+    needs .z, .labels, .entropy and .skewness.
     """
-    z = _as_points(points)
+    z = points.z
     labels = np.asarray(points.labels)
     ent = np.asarray(points.entropy, dtype=np.float64)
     skw = np.asarray(points.skewness, dtype=np.float64)
@@ -282,10 +271,11 @@ def overlap_matrix(points) -> np.ndarray:
     Entry (i, j) is the fraction of family-i points whose nearest
     neighbor among all points of other families belongs to family j.
     Rows of present families sum to 1; absent families leave zero rows.
+    points needs .z and .labels.
     """
     from scipy.spatial import cKDTree
 
-    z = _as_points(points)
+    z = points.z
     labels = np.asarray(points.labels, dtype=np.int64)
     scores = np.zeros((N_FAMILIES, N_FAMILIES), dtype=np.float64)
     for family_id in np.unique(labels):

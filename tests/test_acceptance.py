@@ -99,11 +99,11 @@ def test_criterion_02_gradient_correctness(desk_dataset):
     targets = one_hot(desk_dataset.labels[take].astype(np.int64), distgen.N_FAMILIES)
 
     (net,), _, _ = build_nets([classifier.grid_classifier_layers(650)], [11])
-    err_classifier = grad_check(net, batch, targets, loss="cce", h=1e-5, seed=12)
+    err_classifier = grad_check(net, batch, targets, seed=12)
 
     model = betavae.VaeModel(GridShape(), beta=3.0, latent_dim=2, seed=13)
     eps = rng.standard_normal((16, 2))
-    err_vae = betavae.vae_grad_check(model, batch, eps, h=1e-5, seed=14)
+    err_vae = betavae.vae_grad_check(model, batch, eps, seed=14)
 
     ok = err_classifier < 1e-4 and err_vae < 1e-4
     report(2, "gradient correctness", ok,
@@ -130,9 +130,9 @@ def test_criterion_03_kl_closed_form():
 
 def test_criterion_04_entropy_reference_points():
     """Equal 26-bin split -> 1; one bin -> 0; two equal bins -> 1/log2(26)."""
-    equal = describe_series(np.arange(26) / 25.0)[1].entropy
-    single = describe_series(np.full(64, 3.0))[1].entropy
-    two_bins = describe_series(np.array([0.0, 0.0, 1.0, 1.0]))[1].entropy
+    equal = describe_series(np.arange(26) / 25.0, GridShape())[1].entropy
+    single = describe_series(np.full(64, 3.0), GridShape())[1].entropy
+    two_bins = describe_series(np.array([0.0, 0.0, 1.0, 1.0]), GridShape())[1].entropy
     expected_two = 1.0 / np.log2(26)
     ok = (abs(equal - 1.0) < 1e-12 and single == 0.0
           and abs(two_bins - expected_two) < 1e-12)
@@ -153,11 +153,11 @@ def test_criterion_05_signed_ks_skewness():
     for i in range(n_runs):
         exp_values = distgen.sample_variable(exp_spec, distgen.mix64(5, 0, i)).values
         gl_values = distgen.sample_variable(gl_spec, distgen.mix64(5, 1, i)).values
-        s_exp = describe_series(exp_values)[1]
-        s_gl = describe_series(gl_values)[1]
+        s_exp = describe_series(exp_values, GridShape())[1]
+        s_gl = describe_series(gl_values, GridShape())[1]
         exp_pos += s_exp.skewness > 0
         gl_neg += s_gl.skewness < 0
-        mirrored = describe_series(-exp_values)[1]
+        mirrored = describe_series(-exp_values, GridShape())[1]
         mirror_exact &= (mirrored.skewness == -s_exp.skewness
                          and mirrored.ks_uniform == s_exp.ks_uniform)
     ok = exp_pos >= 0.99 * n_runs and gl_neg >= 0.90 * n_runs and mirror_exact
@@ -207,7 +207,7 @@ def test_criterion_07_woe_reference():
     """Standard-normal draws stay inside |WOE| < 0.25; analytic input gives 0."""
     rng = np.random.default_rng(7)
     draws = rng.standard_normal((100_000, 2))
-    field = latentlab.estimate_density(draws, resolution=100)
+    field = latentlab.estimate_density(draws, resolution=100, bounds=None)
     woe = latentlab.woe_map(field)
     heavy = woe.valid & (field.density >= 0.025)
     worst_estimated = float(np.nanmax(np.abs(woe.woe[heavy])))

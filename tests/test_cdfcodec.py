@@ -125,7 +125,7 @@ class TestEncodeCdf:
             encode_cdf(np.array([1.0]))
 
     def test_custom_shape(self):
-        grid = encode_cdf(np.linspace(0, 1, 40), GridShape(16, 15))
+        grid = describe_series(np.linspace(0, 1, 40), GridShape(16, 15))[0]
         assert grid.cells.shape == (16, 15)
         assert grid.flat().shape == (240,)
 
@@ -133,28 +133,29 @@ class TestEncodeCdf:
 class TestEntropy:
     def test_equal_mass_over_all_bins_is_one(self):
         values = np.arange(26) / 25.0  # one value per bin
-        assert describe_series(values)[1].entropy == pytest.approx(1.0, abs=1e-12)
+        assert describe_series(values, GridShape())[1].entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_repeated_equal_mass_is_one(self):
         values = np.repeat(np.arange(26) / 25.0, 7)
-        assert describe_series(values)[1].entropy == pytest.approx(1.0, abs=1e-12)
+        assert describe_series(values, GridShape())[1].entropy == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_series_is_zero(self):
-        assert describe_series(np.full(100, 2.5))[1].entropy == 0.0
+        assert describe_series(np.full(100, 2.5), GridShape())[1].entropy == 0.0
 
     def test_two_equal_bins(self):
         # mass split between bins 0 and 25 only
         values = np.array([0.0, 0.0, 1.0, 1.0])
-        assert describe_series(values)[1].entropy == pytest.approx(1.0 / np.log2(26), abs=1e-12)
+        assert describe_series(values, GridShape())[1].entropy == pytest.approx(1.0 / np.log2(26),
+                                                                        abs=1e-12)
 
     def test_one_value_raises(self):
         with pytest.raises(ValueError):
-            describe_series(np.array([2.5]))
+            describe_series(np.array([2.5]), GridShape())
 
     @given(finite_series)
     @settings(max_examples=100, deadline=None)
     def test_range(self, values):
-        e = describe_series(values)[1].entropy
+        e = describe_series(values, GridShape())[1].entropy
         assert 0.0 <= e <= 1.0 + 1e-12
 
 
@@ -162,42 +163,40 @@ class TestSignedKs:
     def test_diagonal_crossings_have_tiny_skew(self):
         for n in (10, 100, 1000):
             values = (np.arange(1, n + 1) - 0.5) / n
-            stats = describe_series(values)[1]
+            stats = describe_series(values, GridShape())[1]
             assert abs(stats.skewness) <= 1.0 / (2 * n)
 
     @given(finite_series)
     @example(EXTREME)
     @settings(max_examples=150, deadline=None)
     def test_mirror_negates_exactly(self, values):
-        fwd = describe_series(values)[1]
-        rev = describe_series(-values)[1]
+        fwd = describe_series(values, GridShape())[1]
+        rev = describe_series(-values, GridShape())[1]
         assert rev.skewness == -fwd.skewness
         assert rev.ks_uniform == fwd.ks_uniform
-        assert (rev.d_pos, rev.d_neg) == (fwd.d_neg, fwd.d_pos)
 
     @given(finite_series)
     @settings(max_examples=100, deadline=None)
     def test_ks_bounds_skew(self, values):
-        stats = describe_series(values)[1]
-        assert stats.ks_uniform == max(stats.d_pos, stats.d_neg)
+        stats = describe_series(values, GridShape())[1]
         assert stats.ks_uniform >= abs(stats.skewness) - 1e-15
         assert -1.0 <= stats.skewness <= 1.0
         assert 0.0 <= stats.ks_uniform <= 1.0
 
     def test_exponential_samples_skew_positive(self):
         rng = np.random.default_rng(3)
-        hits = sum(describe_series(-np.log1p(-rng.random(1000)))[1].skewness > 0
+        hits = sum(describe_series(-np.log1p(-rng.random(1000)), GridShape())[1].skewness > 0
                    for _ in range(50))
         assert hits >= 49
 
     def test_degenerate_series(self):
-        stats = describe_series(np.full(40, 1.25))[1]
+        stats = describe_series(np.full(40, 1.25), GridShape())[1]
         assert stats.skewness == 0.0 and stats.ks_uniform == 0.0
         assert stats.entropy == 0.0
 
     def test_carries_entropy(self):
         values = np.arange(26) / 25.0
-        assert describe_series(values)[1].entropy == pytest.approx(1.0, abs=1e-12)
+        assert describe_series(values, GridShape())[1].entropy == pytest.approx(1.0, abs=1e-12)
 
 
 class TestDescribeSeries:
@@ -208,13 +207,14 @@ class TestDescribeSeries:
         u, _ = scale_to_unit(values)
         counts = np.bincount(np.minimum((u * 26).astype(np.int64), 25), minlength=26)
         p = counts[counts > 0] / counts.sum()
-        assert describe_series(values)[1].entropy == float(-(p @ np.log2(p)) / np.log2(26))
+        want = float(-(p @ np.log2(p)) / np.log2(26))
+        assert describe_series(values, GridShape())[1].entropy == want
 
 
 def _ranked_describe_series(values, shape):
     """describe_series as it ranked, scattered and added at, kept as the one-sort pass's reference.
 
-    Returns the grid cells and the five statistics in SeriesStats order.
+    Returns the grid cells and the three statistics in SeriesStats order.
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
@@ -230,7 +230,7 @@ def _ranked_describe_series(values, shape):
     p = totals[totals > 0] / totals.sum()
     ent = float(-(p @ np.log2(p)) / np.log2(totals.size))
     if degenerate:
-        return counts / counts.max(), (ent, 0.0, 0.0, 0.0, 0.0)
+        return counts / counts.max(), (ent, 0.0, 0.0)
     lo, hi = float(values.min()), float(values.max())
     steps = np.arange(1, n + 1, dtype=np.float64) / n
     mirrored = values[order[::-1]]
@@ -240,7 +240,7 @@ def _ranked_describe_series(values, shape):
         flipped = (hi - mirrored) / (hi - lo)
     d_pos = max(0.0, float(np.max(steps - u[order])))
     d_neg = max(0.0, float(np.max(steps - flipped)))
-    return counts / counts.max(), (ent, d_pos - d_neg, max(d_pos, d_neg), d_pos, d_neg)
+    return counts / counts.max(), (ent, d_pos - d_neg, max(d_pos, d_neg))
 
 
 # a few values drawn with repeats: ties, signed zeros, a range that overflows, constants
@@ -269,7 +269,7 @@ class TestOneSortedPass:
         cells, expected = _ranked_describe_series(values, shape)
         assert grid.cells.dtype == np.float64 and grid.cells.shape == cells.shape
         assert grid.cells.tobytes() == cells.tobytes()
-        got = (stats.entropy, stats.skewness, stats.ks_uniform, stats.d_pos, stats.d_neg)
+        got = (stats.entropy, stats.skewness, stats.ks_uniform)
         assert np.array(got).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 

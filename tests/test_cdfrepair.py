@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from distatlas.cdfcodec import GridShape, encode_cdf
+from distatlas.cdfcodec import encode_cdf
 from distatlas.cdfrepair import WEIGHT_FLOOR, grid_to_curve, isotonic_fit, monotone_repair
 
 
@@ -135,41 +135,37 @@ class TestGridToCurve:
     def test_single_intensity(self):
         cells = np.zeros((26, 25))
         cells[4, 12] = 1.0  # level 13 -> 13/25
-        curve = grid_to_curve(cells)
+        curve = grid_to_curve(cells[None])[0]
         assert curve[4] == pytest.approx(13 / 25)
 
     def test_equal_intensities_average(self):
         cells = np.zeros((26, 25))
         cells[0, 9] = 0.5   # level 10
         cells[0, 19] = 0.5  # level 20
-        assert grid_to_curve(cells)[0] == pytest.approx(15 / 25)
+        assert grid_to_curve(cells[None])[0, 0] == pytest.approx(15 / 25)
 
     def test_empty_bins_interpolated(self):
         cells = np.zeros((26, 25))
         cells[0, 0] = 1.0   # level 1 -> 0.04
         cells[25, 24] = 1.0  # level 25 -> 1.0
-        curve = grid_to_curve(cells)
+        curve = grid_to_curve(cells[None])[0]
         expected = np.interp(np.arange(26), [0, 25], [1 / 25, 1.0])
         np.testing.assert_allclose(curve, expected)
 
     def test_all_zero_grid_raises(self):
         with pytest.raises(ValueError):
-            grid_to_curve(np.zeros((26, 25)))
+            grid_to_curve(np.zeros((1, 26, 25)))
 
     def test_encoded_staircase_needs_no_repair(self):
-        grid = encode_cdf(np.arange(26) / 25.0, GridShape())
-        curve = grid_to_curve(grid)
+        grid = encode_cdf(np.arange(26) / 25.0)
+        curve = grid_to_curve(grid.cells[None])[0]
         np.testing.assert_array_equal(monotone_repair(curve), curve)
 
     def test_sorted_sample_curve_monotone(self):
         rng = np.random.default_rng(6)
         grid = encode_cdf(np.sort(rng.random(400)))
-        curve = grid_to_curve(grid)
+        curve = grid_to_curve(grid.cells[None])[0]
         assert np.all(np.diff(curve) >= 0.0)
-
-    def test_accepts_cdfgrid(self):
-        grid = encode_cdf(np.arange(26) / 25.0)
-        assert grid_to_curve(grid).shape == (26,)
 
 
 class TestBatched:
@@ -185,7 +181,6 @@ class TestBatched:
         cells[5, :-1] = 0.0
         want = np.array([reference_curve(c) for c in cells])
         assert_bits_equal(grid_to_curve(cells), want)
-        assert_bits_equal(grid_to_curve(cells[5]), want[5])
 
     def test_a_decoder_lattice_matches_the_per_grid_reference(self):
         # strictly positive sigmoid outputs: every bin resolved, the whole stack in one matmul

@@ -197,7 +197,7 @@ class TestCheckpoints:
         model, _ = train_latent_classifier(
             FakePoints(z, labels), default_latent_train_config(epochs=1, seed=1))
         path = tmp_path / "latent.ckpt"
-        save_classifier(path, model)
+        save_classifier(path, model, None)
         clone, header = load_classifier(path)
         assert header["kind"] == "latent_classifier" and header["train_config"] is None
         assert clone.grid_shape is None and clone.net.in_dim == 2

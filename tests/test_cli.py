@@ -427,6 +427,9 @@ def _corrupt(src: Path, dst: Path, how: str) -> Path:
         blob[36:40] = struct.pack("<i", 99)  # first label, just past the cache's 36-byte header
     elif how == "trailing bytes":
         blob += b"\0\0\0\0"
+    elif how == "entropy nan":  # the whole entropy block, after n labels and n sample sizes
+        (n,) = struct.unpack("<Q", blob[8:16])
+        blob[36 + 8 * n:36 + 12 * n] = np.full(n, np.nan, dtype="<f4").tobytes()
     elif how.startswith(("nan ", "inf ")):  # one parameter of a checkpoint, "first" or "last"
         value, position = how.split()
         (header_len,) = struct.unpack("<I", blob[8:12])
@@ -450,6 +453,7 @@ def _corrupt(src: Path, dst: Path, how: str) -> Path:
         {"in": 13, "out": 13, "activation": "softmax"}])),
     ("eval", "dataset.bin", "label 99"),
     ("map", "dataset.bin", "label 99"),
+    ("map", "dataset.bin", "entropy nan"),
     ("eval", "dataset.bin", "trailing bytes"),
     ("map", "bvae.ckpt", lambda h: h.update(grid={"x_bins": 10 ** 6, "y_levels": 10 ** 6})),
     ("map", "bvae.ckpt", lambda h: h["param_shapes"].__setitem__(0, [10 ** 15])),
@@ -467,9 +471,9 @@ def _corrupt(src: Path, dst: Path, how: str) -> Path:
     ("describe", "classifier.ckpt", "nan last"),
 ], ids=["map-no-grid", "map-param-shapes", "map-latent-dim-inf", "eval-no-layers",
         "describe-no-layers", "eval-train-config", "eval-extra-layer", "eval-label-99",
-        "map-label-99", "eval-trailing-bytes", "map-huge-grid", "map-huge-param-shape",
-        "map-ckpt-trailing-float", "eval-ckpt-trailing-float", "map-beta-nan",
-        "eval-negative-split-seed", "map-vae-nan-first", "map-vae-inf-last",
+        "map-label-99", "map-entropy-nan", "eval-trailing-bytes", "map-huge-grid",
+        "map-huge-param-shape", "map-ckpt-trailing-float", "eval-ckpt-trailing-float",
+        "map-beta-nan", "eval-negative-split-seed", "map-vae-nan-first", "map-vae-inf-last",
         "describe-vae-inf-first", "describe-vae-nan-last", "eval-nan-first", "eval-inf-last",
         "describe-classifier-inf-first", "describe-classifier-nan-last"])
 def test_malformed_artifact_exits_3(workspace, tmp_path, capsys, command, artifact, edit):

@@ -426,10 +426,21 @@ class TestCache:
         (0, struct.pack("<i", 99)),           # first label
         (0, struct.pack("<i", -1)),
         (1, struct.pack("<i", 0)),            # first sample size
+        (2, struct.pack("<f", float("nan"))),  # first entropy
+        (2, struct.pack("<f", 1.5)),
+        (2, struct.pack("<f", -0.5)),
+        (3, struct.pack("<f", float("nan"))),  # first skewness
+        (3, struct.pack("<f", 1.5)),
+        (3, struct.pack("<f", -1.5)),
+        (4, struct.pack("<f", float("nan"))),  # first K-S statistic
+        (4, struct.pack("<f", 1.5)),
+        (4, struct.pack("<f", -0.5)),
         (5, struct.pack("<f", float("nan"))),  # first grid cell
         (5, struct.pack("<f", 1.5)),
         (None, b"\0\0\0\0"),                # trailing bytes
-    ], ids=["label-99", "label-negative", "sample-size-0", "cell-nan", "cell-above-1",
+    ], ids=["label-99", "label-negative", "sample-size-0", "entropy-nan", "entropy-above-1",
+            "entropy-negative", "skewness-nan", "skewness-above-1", "skewness-below-minus-1",
+            "ks-nan", "ks-above-1", "ks-negative", "cell-nan", "cell-above-1",
             "trailing-bytes"])
     def test_rejects_bad_contents(self, tmp_path, offset, packed):
         ds = build_doe(1, master_seed=9)

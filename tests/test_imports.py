@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
 every public definition is named by code other than the tests, and every
-default of a public function is overridden by some caller."""
+default of a public function is set by one call of the program's own code
+and left unset by another."""
 
 import ast
 import os
@@ -137,12 +138,15 @@ def public_callables(tree):
                     yield f"{node.name}.{item.name}", item.name, item, 0 if static else 1
 
 
-def unset_defaults(sources: dict, callers) -> list:
-    """Defaulted parameters of public functions and methods that no call sets.
+def one_sided_defaults(sources: dict, callers) -> list:
+    """Defaulted parameters of public functions and methods that the callers do not
+    both set and leave unset.
 
-    A call sets a parameter when it names it as a keyword, passes enough
-    positional arguments to reach it, or unpacks ``*args`` or ``**kwargs``.
-    Calls are matched by the function's name, bare or as an attribute; a
+    A default is kept only where two calls need different values: one
+    sets the parameter, another leaves it to the default. A call sets a
+    parameter when it names it as a keyword, passes enough positional
+    arguments to reach it, or unpacks ``*args`` or ``**kwargs``. Calls
+    are matched by the function's name, bare or as an attribute; a
     class's ``__init__`` by the class's name (see public_callables).
     """
     defaults = []
@@ -163,17 +167,28 @@ def unset_defaults(sources: dict, callers) -> list:
                 unpacks = (any(isinstance(a, ast.Starred) for a in call.args)
                            or any(k.arg is None for k in call.keywords))
                 calls[name].append((unpacks, len(call.args), {k.arg for k in call.keywords}))
-    return sorted(f"{label}({param})" for label, name, params in defaults
-                  for i, param in params
-                  if not any(unpacks or (i is not None and n_args > i) or param in keywords
-                             for unpacks, n_args, keywords in calls[name]))
+    flagged = []
+    for label, name, params in defaults:
+        for i, param in params:
+            sets = {unpacks or (i is not None and n_args > i) or param in keywords
+                    for unpacks, n_args, keywords in calls[name]}
+            if sets != {True, False}:
+                flagged.append(f"{label}({param})")
+    return sorted(flagged)
+
+
+# the program's own code: the package, the benchmark and the tools, but not the tests
+PRODUCTION = ("src", "bench", "tools")
+
+
+def production_sources(root: Path) -> list:
+    return [p.read_text(encoding="utf-8") for folder in PRODUCTION
+            for p in sorted((root / folder).rglob("*.py"))]
 
 
 def test_every_public_default_is_set_by_some_caller():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
-    callers = [p.read_text(encoding="utf-8") for folder in ("src", "tests", "bench", "tools")
-               for p in sorted((ROOT / folder).rglob("*.py"))]
-    assert unset_defaults(sources, callers) == []
+    assert one_sided_defaults(sources, production_sources(ROOT)) == []
 
 
 def test_checker_flags_an_unset_default():
@@ -189,10 +204,27 @@ def test_checker_flags_an_unset_default():
                        "    def _hidden(self, unset=0):\n        pass\n\n"
                        "class _Private:\n"
                        "    def __init__(self, unset=None):\n        pass\n"}
-    callers = ["import a\na.f(0, 1)\nf(0, by_keyword=5)\ng(*[])\n"
-               "c = a.C(1)\nc.m(by_keyword=2)\na.C.s(3)\n"]
-    assert unset_defaults(sources, callers) == ["a.py:C(never)", "a.py:C.m(never)",
-                                                "a.py:f(kw_never)", "a.py:f(never)"]
+    callers = ["import a\na.f(0, 1)\nf(0, by_keyword=5)\ng(*[])\ng()\n"
+               "c = a.C(1)\na.C()\nc.m(by_keyword=2)\nc.m()\na.C.s(3)\na.C.s()\n"]
+    assert one_sided_defaults(sources, callers) == ["a.py:C(never)", "a.py:C.m(never)",
+                                                    "a.py:f(kw_never)", "a.py:f(never)"]
+
+
+def test_checker_flags_a_one_sided_default(tmp_path):
+    files = {"src/distatlas/a.py": "def always(x, seed=0):\n    pass\n\n"
+                                   "def never(x, h=1e-5):\n    pass\n\n"
+                                   "def tested(x, shape=None):\n    pass\n\n"
+                                   "def kept(x, spread=0):\n    pass\n",
+             "bench/b.py": "from a import always, kept, never, tested\n"
+                           "always(1, seed=2)\nalways(1, 3)\nnever(1)\ntested(1)\n"
+                           "kept(1)\nkept(1, spread=2)\n",
+             "tests/test_a.py": "from a import never, tested\ntested(1, shape=5)\nnever(1, h=2)\n"}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    sources = {"a.py": files["src/distatlas/a.py"]}
+    assert one_sided_defaults(sources, production_sources(tmp_path)) == [
+        "a.py:always(seed)", "a.py:never(h)", "a.py:tested(shape)"]
 
 
 def test_cli_import_leaves_scipy_submodules_unloaded():

@@ -39,14 +39,14 @@ def analytic_normal_field(bounds=((-5.0, 5.0), (-5.0, 5.0)), resolution=101):
 class TestEstimateDensity:
     def test_integral_is_one(self):
         rng = np.random.default_rng(0)
-        field = estimate_density(rng.standard_normal((5000, 2)), resolution=60)
+        field = estimate_density(rng.standard_normal((5000, 2)), resolution=60, bounds=None)
         assert field.integral() == pytest.approx(1.0, abs=1e-6)
 
     def test_peak_at_tight_cluster(self):
         rng = np.random.default_rng(1)
         z = np.vstack([rng.normal((2.0, -1.0), 0.05, (900, 2)),
                        rng.uniform(-4, 4, (100, 2))])
-        field = estimate_density(z, resolution=50)
+        field = estimate_density(z, resolution=50, bounds=None)
         i, j = np.unravel_index(np.argmax(field.density), field.density.shape)
         assert abs(field.centers(0)[i] - 2.0) < 0.3
         assert abs(field.centers(1)[j] + 1.0) < 0.3
@@ -54,27 +54,23 @@ class TestEstimateDensity:
     def test_standard_normal_origin_value(self):
         # at this sample size the kernel smoothing bias stays inside 5%
         rng = np.random.default_rng(2)
-        field = estimate_density(rng.standard_normal((100_000, 2)), resolution=100)
+        field = estimate_density(rng.standard_normal((100_000, 2)), resolution=100,
+                                 bounds=None)
         i = np.argmin(np.abs(field.centers(0)))
         j = np.argmin(np.abs(field.centers(1)))
         assert field.density[i, j] == pytest.approx(1.0 / (2 * np.pi), rel=0.05)
 
     def test_rejects_small_sets(self):
         with pytest.raises(ValueError):
-            estimate_density(np.zeros((50, 2)))
+            estimate_density(np.zeros((50, 2)), resolution=100, bounds=None)
 
     def test_one_dimensional(self):
         rng = np.random.default_rng(3)
-        field = estimate_density(rng.standard_normal((5000, 1)), resolution=80)
+        field = estimate_density(rng.standard_normal((5000, 1)), resolution=80, bounds=None)
         assert field.density.shape == (80,)
         assert field.integral() == pytest.approx(1.0, abs=1e-6)
         i = np.argmin(np.abs(field.centers(0)))
         assert field.density[i] == pytest.approx(1.0 / np.sqrt(2 * np.pi), rel=0.1)
-
-    def test_accepts_points_object(self):
-        rng = np.random.default_rng(4)
-        field = estimate_density(FakePoints(rng.standard_normal((500, 2))), resolution=30)
-        assert field.density.shape == (30, 30)
 
     def test_silverman_two_d(self):
         rng = np.random.default_rng(5)
@@ -134,11 +130,11 @@ class TestSegment:
         rng = np.random.default_rng(6)
         field = estimate_density(
             np.vstack([rng.standard_normal((5000, 2)),
-                       rng.normal((3.0, 3.0), 0.1, (500, 2))]), resolution=60)
+                       rng.normal((3.0, 3.0), 0.1, (500, 2))]), resolution=60, bounds=None)
         woe = woe_map(field)
         previous = None
         for w_star in (0.5, 1.5, 2.5, 4.0):
-            count = int((segment(woe, w_star=w_star) > 0).sum())
+            count = int((segment(woe, w_star=w_star, p_min=0.025) > 0).sum())
             if previous is not None:
                 assert count <= previous
             previous = count
@@ -148,7 +144,8 @@ class TestSegment:
         labels = np.array([[0, 2], [1, 0]], dtype=np.int32)
         assert segment_names(labels).tolist() == [
             "common", "exceptional-2", "exceptional-1", "common"]
-        assert set(segment_names(segment(woe_map(analytic_normal_field())))) == {"common"}
+        assert set(segment_names(segment(woe_map(analytic_normal_field()), w_star=2.5,
+                                            p_min=0.025))) == {"common"}
 
 
 class TestTrajectories:
@@ -166,7 +163,7 @@ class TestTrajectories:
         pts = FakePoints(rng.normal(size=(n, 2)), labels=np.full(n, 2),
                          entropy=rng.uniform(0.3, 0.9, n),
                          skewness=rng.uniform(0.05, 0.5, n))
-        trajs = trajectories(pts)
+        trajs = trajectories(pts, n_entropy_bins=20, min_count=20)
         assert len(trajs) == 1
         assert trajs[0].branch == "skew_pos"
 
@@ -177,7 +174,7 @@ class TestTrajectories:
                               rng.uniform(0.05, 0.5, n // 2)])
         pts = FakePoints(rng.normal(size=(n, 2)), labels=np.full(n, 8),
                          entropy=rng.uniform(0.2, 0.95, n), skewness=skw)
-        trajs = trajectories(pts)
+        trajs = trajectories(pts, n_entropy_bins=20, min_count=20)
         assert {t.branch for t in trajs} == {"skew_neg", "skew_pos"}
 
     def test_minor_branch_merged(self):
@@ -186,7 +183,7 @@ class TestTrajectories:
         skw = np.concatenate([np.full(5, -0.3), rng.uniform(0.05, 0.5, n - 5)])
         pts = FakePoints(rng.normal(size=(n, 2)), labels=np.zeros(n, dtype=int),
                          entropy=rng.uniform(0, 1, n), skewness=skw)
-        trajs = trajectories(pts)
+        trajs = trajectories(pts, n_entropy_bins=20, min_count=20)
         assert len(trajs) == 1
         assert sum(w.count for w in trajs[0].waypoints) == n
 

@@ -268,13 +268,17 @@ class TestBackward:
         net = small_net(seed=3)
         x = rng.random((6, 5))
         targets = one_hot(rng.integers(0, 4, 6), 4)
-        assert grad_check(net, x, targets, loss="cce", h=1e-5, seed=0) < 1e-4
+        assert grad_check(net, x, targets, seed=0) < 1e-4
 
     def test_bce_path_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         net = make_net([LayerSpec(5, 8, "relu"), LayerSpec(8, 5, "sigmoid")], seed=5)
         x = rng.random((4, 5))
-        assert grad_check(net, x, rng.random((4, 5)), loss="bce", h=1e-5, seed=0) < 1e-4
+        targets = rng.random((4, 5))
+        cache = net.forward(x)
+        net.backward(cache, binary_cross_entropy_grad(cache.output, targets), input_grad=False)
+        assert audit_gradients(net.flat, lambda: binary_cross_entropy(net(x), targets), net.grad,
+                               seed=0) < 1e-4
 
     def test_duplicated_example_matches_single(self):
         # batch-mean convention: duplicating an example leaves grads unchanged
@@ -598,7 +602,7 @@ class TestGradCheck:
 
         cache = net.forward(x)
         net.backward(cache, (cache.output - t) / x.shape[0])
-        assert audit_gradients(net.flat, loss, net.grad, h=1e-5, seed=1) < 1e-8
+        assert audit_gradients(net.flat, loss, net.grad, seed=1) < 1e-8
 
     def test_wrong_gradient_is_caught(self):
         rng = np.random.default_rng(5)
@@ -611,15 +615,6 @@ class TestGradCheck:
         cache = net.forward(x)
         net.backward(cache, cache.output)  # half the true gradient
         assert audit_gradients(net.flat, loss, net.grad, seed=1) > 0.3
-
-    def test_coarse_step_is_worse(self):
-        rng = np.random.default_rng(6)
-        net = make_net([LayerSpec(4, 4, "sigmoid"), LayerSpec(4, 3, "softmax")], seed=7)
-        x = rng.random((8, 4))
-        t = one_hot(rng.integers(0, 3, 8), 3)
-        fine = grad_check(net, x, t, loss="cce", h=1e-5, seed=2)
-        coarse = grad_check(net, x, t, loss="cce", h=1e-1, seed=2)
-        assert coarse > fine
 
 
 class TestSplit:

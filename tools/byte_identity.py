@@ -15,7 +15,9 @@ resolution 1), a 23x23 class map, one full 512-row slice of `class_map` plus
 a 17-row tail, and a 300x300 class map, 175 full slices plus a 400-row tail,
 each beside a 7x7 density and a 3x3 curve lattice. Then
 `grad-check --arch both`, which
-builds fresh nets outside training, then `train classifier` and `train bvae`
+builds fresh nets outside training, and, in its own directory, `grad-check
+--arch bvae --latent-dim 1 --grid 8x6`, which audits the 1-D latent on a
+small non-default grid; then `train classifier` and `train bvae`
 with `--optimizer adadelta`, so that both optimizers step the grid
 classifier's vector (3 STEP_CHUNK slices) and the beta-VAE's (23, the last one
 short); Adadelta also steps the latent classifier's (3) in `map`. Last,
@@ -88,6 +90,8 @@ COMMANDS = [
                      "--latent-epochs", "5", "--seed", "7", "--density-resolution", "7",
                      "--class-map-resolution", "300", "--curve-resolution", "3"]),
     ("grad_check", ["grad-check", "--arch", "both", "--seed", "7"]),
+    ("grad_check_1d", ["grad-check", "--arch", "bvae", "--latent-dim", "1", "--grid", "8x6",
+                       "--seed", "3"]),
     # Adadelta on the grid classifier (3 optimizer slices) and the beta-VAE (23, with a tail)
     ("adadelta", ["train", "classifier", "--dataset", "two_d/dataset.bin", "--epochs", "3",
                   "--optimizer", "adadelta", "--seed", "7"]),
