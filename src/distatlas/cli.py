@@ -220,16 +220,16 @@ def cmd_generate(args, argv) -> int:
         if per_family < 1:
             raise CliError(EXIT_BAD_SPEC, "--per-family must be >= 1")
     n = distgen.N_FAMILIES * per_family
-    # the float32 grids, by far the largest arrays of a corpus
+    # generate writes the float32 grids block by block and never holds them, but train,
+    # eval and map load them whole: a corpus they could not load is refused here
     _require_memory(f"a corpus of {n} entries on a {grid.x_bins}x{grid.y_levels} grid",
                     4 * n * grid.n_cells)
 
     out = _out_dir(args)
     # the worker count depends on the machine, so it goes to the run log only
     _log_invocation(out, "generate", argv, workers=distgen.worker_count(n))
-    dataset = distgen.build_doe(per_family, grid, master_seed)
     cache_path = out / "dataset.bin"
-    distgen.save_cache(dataset, cache_path)
+    fields = distgen.write_corpus(cache_path, per_family, grid, master_seed)
 
     spec_obj = {"master_seed": master_seed, "per_family_count": per_family, "grid": asdict(grid)}
     _write_json(out / "dataset_spec.json", spec_obj)
@@ -238,20 +238,20 @@ def cmd_generate(args, argv) -> int:
         digest = hashlib.file_digest(fh, "sha256").hexdigest()
     per_family_stats = []
     for fid in range(distgen.N_FAMILIES):
-        mask = dataset.labels == fid
+        mask = fields["labels"] == fid
         per_family_stats.append({
             "family_id": fid,
             "name": distgen.FAMILY_NAMES[fid],
             "count": int(mask.sum()),
-            "mean_entropy": round(float(dataset.entropy[mask].mean()), 6),
-            "mean_skewness": round(float(dataset.skewness[mask].mean()), 6),
-            "mean_ks_uniform": round(float(dataset.ks_uniform[mask].mean()), 6),
-            "mean_sample_size": round(float(dataset.sample_sizes[mask].mean()), 2),
+            "mean_entropy": round(float(fields["entropy"][mask].mean()), 6),
+            "mean_skewness": round(float(fields["skewness"][mask].mean()), 6),
+            "mean_ks_uniform": round(float(fields["ks_uniform"][mask].mean()), 6),
+            "mean_sample_size": round(float(fields["sample_sizes"][mask].mean()), 2),
         })
     manifest = {
         "kind": "cdf-dataset-manifest",
         "version": 1,
-        "n_entries": len(dataset),
+        "n_entries": n,
         "n_families": distgen.N_FAMILIES,
         "per_family_count": per_family,
         "master_seed": master_seed,
@@ -263,7 +263,7 @@ def cmd_generate(args, argv) -> int:
         "per_family": per_family_stats,
     }
     _write_json(out / "dataset_manifest.json", manifest)
-    print(f"generated {len(dataset)} entries -> {cache_path}")
+    print(f"generated {n} entries -> {cache_path}")
     return 0
 
 

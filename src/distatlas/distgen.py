@@ -9,11 +9,14 @@ gamma/beta/chi group. A (spec, seed) pair always reproduces the same
 series, and a corpus is a pure function of one master seed. One block
 list, _CACHE_BLOCKS, fixes the order and dtypes of the cache body.
 
-build_doe encodes the corpus on every CPU of the process's affinity mask
-(os.sched_getaffinity): forked workers write their rows straight into one
-shared mapping laid out as the cache body. No row depends on another, so
-the corpus is the same, byte for byte, whatever the number of workers;
-`taskset -c 0 distatlas generate ...` builds it on one core.
+write_corpus encodes the corpus on every CPU of the process's affinity
+mask (os.sched_getaffinity) and writes it straight into the cache file:
+each forked worker writes its finished blocks of grid rows with
+os.pwrite, so no process holds more than one block of them. No row
+depends on another, so the cache is the same, byte for byte, whatever the
+number of workers; `taskset -c 0 distatlas generate ...` builds it on one
+core. build_doe is the same corpus held in memory, read back from a
+temporary file.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 import mmap
 import os
 import struct
+import tempfile
 import traceback
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -344,7 +348,8 @@ _CACHE_RANGES = {"entropy": (0.0, 1.0), "skewness": (-1.0, 1.0), "ks_uniform": (
                  "grids": (0.0, 1.0)}
 
 
-# rows a worker encodes in one stretch; build_doe deals the rows out in blocks of this many
+# rows a worker encodes and writes in one stretch; write_corpus deals the rows out in
+# blocks of this many
 ROW_BLOCK = 64
 
 
@@ -358,84 +363,66 @@ def _blocks(n: int, grid_shape: GridShape) -> list[tuple[str, np.dtype, tuple[in
 
 
 def worker_count(n: int) -> int:
-    """The processes build_doe encodes n rows in: one per CPU of the affinity
+    """The processes write_corpus encodes n rows in: one per CPU of the affinity
     mask, but no more than there are ROW_BLOCK blocks of rows."""
     return max(1, min(len(os.sched_getaffinity(0)), -(-n // ROW_BLOCK)))
 
 
-def _fill_rows(data: LabeledDataset, rows) -> None:
-    """Generate and encode the given rows of data in place; the one per-row path.
+def _fill_rows(fields: dict, grids: np.ndarray, start: int, per_family_count: int,
+               master_seed: int, grid_shape: GridShape) -> None:
+    """Generate and encode rows start .. start + len(grids) - 1; the one per-row path.
 
-    Row family_id * per_family_count + index holds entry index of that
-    family, drawn from mix64(master_seed, family_id, index, 0) and sampled
-    from mix64(master_seed, family_id, index, 1).
+    Row start + i writes its grid into grids[i] and its per-row fields
+    (the other _CACHE_BLOCKS) at index start + i of fields. Row
+    family_id * per_family_count + index holds entry index of that family,
+    drawn from mix64(master_seed, family_id, index, 0) and sampled from
+    mix64(master_seed, family_id, index, 1).
     """
-    for row in rows:
-        family_id, index = divmod(row, data.per_family_count)
-        spec_rng = np.random.default_rng(mix64(data.master_seed, family_id, index, 0))
+    for i in range(len(grids)):
+        row = start + i
+        family_id, index = divmod(row, per_family_count)
+        spec_rng = np.random.default_rng(mix64(master_seed, family_id, index, 0))
         spec = draw_spec(family_id, spec_rng)
-        series = sample_variable(spec, mix64(data.master_seed, family_id, index, 1))
-        grid, stats = describe_series(series.values, data.grid_shape)
-        data.grids[row] = grid.flat()
-        data.labels[row] = family_id
-        data.entropy[row] = stats.entropy
-        data.skewness[row] = stats.skewness
-        data.ks_uniform[row] = stats.ks_uniform
-        data.sample_sizes[row] = spec.sample_size
+        series = sample_variable(spec, mix64(master_seed, family_id, index, 1))
+        grid, stats = describe_series(series.values, grid_shape)
+        grids[i] = grid.flat()
+        fields["labels"][row] = family_id
+        fields["entropy"][row] = stats.entropy
+        fields["skewness"][row] = stats.skewness
+        fields["ks_uniform"][row] = stats.ks_uniform
+        fields["sample_sizes"][row] = spec.sample_size
 
 
-def build_doe(per_family_count: int, grid_shape: GridShape | None = None,
-              master_seed: int = 0) -> LabeledDataset:
-    """Generate per_family_count variables per family and encode them.
+def _pwrite_all(fd: int, buffer, offset: int) -> None:
+    """os.pwrite all of buffer at offset, looping on short writes."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        written = os.pwrite(fd, view, offset)
+        view, offset = view[written:], offset + written
 
-    Entry seeds derive from (master_seed, family_id, index) through
-    mix64 with separate sub-streams for the parameter draw and the
-    sampling, so any entry can be regenerated in isolation.
 
-    The arrays are views into one anonymous shared mapping, laid out in
-    _CACHE_BLOCKS order. The rows are dealt out to worker_count(n)
-    processes in ROW_BLOCK blocks, block b to worker b % workers. Worker 0
-    is this process; the others are forked children that write their rows
-    into the mapping and leave through os._exit, never returning into the
-    caller. Each child is waited for, even when this process's own share
-    raised, and a child that fails raises RuntimeError. The children call
-    numpy only on single series; OpenBLAS stops its thread pool before a
-    fork and starts it again on its next call.
+def _run_workers(workers: int, run: Callable[[int], None]) -> None:
+    """run(0) in this process and run(1) .. run(workers - 1) in forked children.
+
+    A child leaves through os._exit on every path, never returning into
+    the caller. Each child is waited for, even when this process's own
+    run raised, and a child that fails raises RuntimeError.
     """
-    if per_family_count < 1:
-        raise ValueError("per_family_count must be >= 1")
-    grid_shape = grid_shape or GridShape()
-    n = N_FAMILIES * per_family_count
-    blocks = _blocks(n, grid_shape)
-    body = mmap.mmap(-1, sum(dtype.itemsize * math.prod(dims) for _, dtype, dims in blocks))
-    arrays, offset = {}, 0
-    for field, dtype, dims in blocks:
-        arrays[field] = np.frombuffer(body, dtype, math.prod(dims), offset).reshape(dims)
-        offset += arrays[field].nbytes
-    data = LabeledDataset(grid_shape=grid_shape, master_seed=int(master_seed),
-                          per_family_count=int(per_family_count), **arrays)
-    workers = worker_count(n)
-    starts = range(0, n, ROW_BLOCK)
-
-    def share(worker: int):
-        return (row for start in starts[worker::workers]
-                for row in range(start, min(start + ROW_BLOCK, n)))
-
     children = []
     try:
         for worker in range(1, workers):
             pid = os.fork()
-            if pid == 0:  # a child: its share, then os._exit on every path
+            if pid == 0:  # a child: its run, then os._exit on every path
                 status = 1
                 try:
-                    _fill_rows(data, share(worker))
+                    run(worker)
                     status = 0
                 except BaseException:
                     traceback.print_exc()
                 finally:
                     os._exit(status)
             children.append(pid)
-        _fill_rows(data, share(0))
+        run(0)
     finally:
         statuses = [os.waitpid(pid, 0)[1] for pid in children]
     failed = [f"pid {pid} exit code {os.waitstatus_to_exitcode(status)}"
@@ -443,23 +430,81 @@ def build_doe(per_family_count: int, grid_shape: GridShape | None = None,
     if failed:
         # a negative exit code is the signal that ended the worker
         raise RuntimeError(f"corpus workers failed: {', '.join(failed)}")
-    return data
 
 
-def save_cache(dataset: LabeledDataset, path) -> None:
-    """Write the corpus as a little-endian binary cache: the header, then _CACHE_BLOCKS."""
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_HEADER.pack(
-            _CACHE_MAGIC, _CACHE_VERSION, len(dataset),
-            dataset.grid_shape.x_bins, dataset.grid_shape.y_levels,
-            dataset.master_seed & M64, dataset.per_family_count,
-        ))
-        for field, dtype in _CACHE_BLOCKS:
-            fh.write(np.ascontiguousarray(getattr(dataset, field), dtype=dtype))
+def write_corpus(path, per_family_count: int, grid_shape: GridShape,
+                 master_seed: int) -> dict[str, np.ndarray]:
+    """Generate per_family_count variables per family, encode them and write
+    the binary cache to path; returns the per-row fields, every block but the grids.
+
+    The cache is the header, then the _CACHE_BLOCKS in file order, all
+    little-endian. Entry seeds derive from (master_seed, family_id, index)
+    through mix64 with separate sub-streams for the parameter draw and the
+    sampling, so any entry can be regenerated in isolation.
+
+    The rows are dealt out to worker_count(n) processes in ROW_BLOCK
+    blocks, block b to worker b % workers (_run_workers: worker 0 is this
+    process, the others forked children). Each worker encodes a block
+    into its own ROW_BLOCK-row grid buffer and writes it into the file
+    with os.pwrite, so no process holds more than one block of grids. The
+    per-row fields go into one small anonymous shared mapping, which this
+    process writes after the header once every worker has succeeded. The
+    children call numpy only on single series; OpenBLAS stops its thread
+    pool before a fork and starts it again on its next call.
+
+    The file is written under a temporary name beside path and renamed
+    onto it last, so a run that fails leaves path as it was and no
+    temporary file behind.
+    """
+    if per_family_count < 1:
+        raise ValueError("per_family_count must be >= 1")
+    n = N_FAMILIES * per_family_count
+    # the grids are the last block; the per-row fields come before them
+    *per_row, (_, grid_dtype, (_, n_cells)) = _blocks(n, grid_shape)
+    body = mmap.mmap(-1, sum(dtype.itemsize * n for _, dtype, _ in per_row))
+    fields, offset = {}, 0
+    for field, dtype, _ in per_row:
+        fields[field] = np.frombuffer(body, dtype, n, offset)
+        offset += fields[field].nbytes
+    grids_at = _CACHE_HEADER.size + offset
+    workers = worker_count(n)
+    starts = range(0, n, ROW_BLOCK)
+
+    def write_share(worker: int) -> None:
+        grids = np.empty((ROW_BLOCK, n_cells), grid_dtype)
+        for start in starts[worker::workers]:
+            block = grids[:min(ROW_BLOCK, n - start)]
+            _fill_rows(fields, block, start, per_family_count, master_seed, grid_shape)
+            _pwrite_all(fh.fileno(), block, grids_at + start * grids[0].nbytes)
+
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            _run_workers(workers, write_share)
+            _pwrite_all(fh.fileno(), _CACHE_HEADER.pack(
+                _CACHE_MAGIC, _CACHE_VERSION, n, grid_shape.x_bins, grid_shape.y_levels,
+                master_seed & M64, per_family_count), 0)
+            _pwrite_all(fh.fileno(), body, _CACHE_HEADER.size)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    return fields
+
+
+def build_doe(per_family_count: int) -> LabeledDataset:
+    """The corpus `distatlas generate --per-family per_family_count` writes
+    (master seed 0, the default grid), held in memory: write_corpus writes
+    it into a temporary directory and load_cache reads it back."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "dataset.bin")
+        write_corpus(path, per_family_count, GridShape(), 0)
+        return load_cache(path)
 
 
 def load_cache(path) -> LabeledDataset:
-    """Read a binary cache written by save_cache, checking what it holds.
+    """Read a binary cache written by write_corpus, checking what it holds.
 
     The body must end where the header says it does, labels must be
     family ids, sample sizes at least 1, and the entropy, skewness,

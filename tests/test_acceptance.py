@@ -33,8 +33,8 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 @pytest.fixture(scope="module")
-def desk_dataset():
-    return distgen.build_doe(DESK_PER_FAMILY, master_seed=DESK_SEED)
+def desk_dataset(corpus):
+    return corpus(DESK_PER_FAMILY, DESK_SEED)
 
 
 def train_desk_classifier(dataset, seed):

@@ -31,8 +31,8 @@ from distatlas.neuralcore import ShapeMismatchError, TrainConfig, build_nets, lo
 
 
 @pytest.fixture(scope="module")
-def tiny_dataset():
-    return distgen.build_doe(20, master_seed=321)
+def tiny_dataset(corpus):
+    return corpus(20, 321)
 
 
 @pytest.fixture(scope="module")

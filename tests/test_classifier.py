@@ -18,8 +18,8 @@ from distatlas.neuralcore import ShapeMismatchError, TrainConfig, split_indices
 
 
 @pytest.fixture(scope="module")
-def small_dataset():
-    return distgen.build_doe(40, master_seed=777)
+def small_dataset(corpus):
+    return corpus(40, 777)
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +84,8 @@ class TestTrainClassifier:
         _, h2 = train_classifier(small_dataset, config)
         assert h1 == h2
 
-    def test_single_family_dataset_is_trivial(self):
-        ds = distgen.build_doe(40, master_seed=5)
+    def test_single_family_dataset_is_trivial(self, corpus):
+        ds = corpus(40, 5)
         keep = np.flatnonzero(ds.labels == 6)
         sub = distgen.LabeledDataset(
             grid_shape=ds.grid_shape, grids=ds.grids[keep], labels=ds.labels[keep],

@@ -5,7 +5,6 @@ import os
 import struct
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +128,28 @@ class TestGenerate:
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="corpus workers failed: pid [0-9]+ exit code 1"):
             main(["generate", "--per-family", "37", "--seed", "5", "--out-dir", str(out)])
-        assert not (out / "dataset.bin").exists()
+        # neither the cache nor its temporary file
+        assert [p.name for p in out.iterdir()] == ["run_log.jsonl"]
         # no worker is left behind
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    def test_generate_holds_one_block_of_grids(self, tmp_path):
+        # a 500-per-family corpus after a 10-per-family one must not lift this process's
+        # peak RSS by a quarter of its 16.9 MB grid block; holding the block lifts it whole
+        code = ("import resource, sys\n"
+                "from distatlas.cli import main\n"
+                "def peak():\n"
+                "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024\n"
+                "for per_family in ('10', '500'):\n"
+                "    before = peak()\n"
+                "    main(['generate', '--per-family', per_family, '--out-dir', sys.argv[1]])\n"
+                "print(peak() - before)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(distgen.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], env=env,
+                              check=True, capture_output=True, text=True, timeout=300)
+        grid_block = 4 * 13 * 500 * (26 * 25)
+        assert int(done.stdout.split()[-1]) < grid_block / 4
 
 
 class TestTrain:
@@ -275,10 +292,14 @@ def test_bad_flag_exits_2_and_writes_nothing(workspace, tmp_path, command, flags
 def test_too_few_entries_exit_6_and_write_nothing(workspace, tmp_path, capsys, command, n_entries):
     # a cache load_cache accepts but no train/test split, or no density estimate, can serve
     full = distgen.load_cache(workspace / "dataset.bin")
-    small = replace(full, **{name: getattr(full, name)[:n_entries] for name in (
-        "grids", "labels", "entropy", "skewness", "ks_uniform", "sample_sizes")})
     path = tmp_path / "small.bin"
-    distgen.save_cache(small, path)
+    with open(path, "wb") as fh:
+        # the header with n_entries, then the first n_entries of each block
+        fh.write(distgen._CACHE_HEADER.pack(
+            distgen._CACHE_MAGIC, distgen._CACHE_VERSION, n_entries, full.grid_shape.x_bins,
+            full.grid_shape.y_levels, full.master_seed, full.per_family_count))
+        for field, dtype in distgen._CACHE_BLOCKS:
+            fh.write(getattr(full, field)[:n_entries].astype(dtype).tobytes())
     out = tmp_path / "out"
     inputs = {"eval": ["--classifier", str(workspace / "classifier.ckpt")],
               "map": ["--vae", str(workspace / "bvae.ckpt")]}

@@ -2,13 +2,14 @@ import math
 import os
 import struct
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from distatlas import distgen
-from distatlas.cdfcodec import GridShape
+from distatlas.cdfcodec import GridShape, describe_series
 from distatlas.distgen import (
     FAMILIES,
     FAMILY_NAMES,
@@ -23,7 +24,7 @@ from distatlas.distgen import (
     mix64,
     parse_dataset_spec,
     sample_variable,
-    save_cache,
+    write_corpus,
 )
 
 # critical K-S value at alpha = 0.001: sqrt(-ln(alpha/2) / 2) / sqrt(n)
@@ -302,41 +303,45 @@ class TestSamplerMoments:
 
 class TestBuildDoe:
     def test_counts_per_family(self):
-        ds = build_doe(2, master_seed=1)
+        ds = build_doe(2)
         assert len(ds) == 2 * N_FAMILIES
         assert np.all(np.bincount(ds.labels, minlength=N_FAMILIES) == 2)
+        assert (ds.master_seed, ds.per_family_count, ds.grid_shape) == (0, 2, GridShape())
 
     def test_single_per_family(self):
-        ds = build_doe(1, master_seed=1)
+        ds = build_doe(1)
         assert len(ds) == N_FAMILIES
         assert sorted(ds.labels.tolist()) == list(range(N_FAMILIES))
 
-    def test_deterministic(self):
-        a = build_doe(3, master_seed=7)
-        b = build_doe(3, master_seed=7)
+    def test_deterministic(self, corpus):
+        a = corpus(3, 7)
+        b = corpus(3, 7)
         np.testing.assert_array_equal(a.grids, b.grids)
         np.testing.assert_array_equal(a.entropy, b.entropy)
 
-    def test_seed_changes_output(self):
-        a = build_doe(2, master_seed=1)
-        b = build_doe(2, master_seed=2)
+    def test_seed_changes_output(self, corpus):
+        a = corpus(2, 1)
+        b = corpus(2, 2)
         assert not np.array_equal(a.grids, b.grids)
 
     def test_sample_sizes_in_range(self):
-        ds = build_doe(5, master_seed=3)
+        ds = build_doe(5)
         assert ds.sample_sizes.min() >= 35 and ds.sample_sizes.max() <= 1000
 
-    def test_grids_normalized(self):
-        ds = build_doe(2, master_seed=3)
+    def test_grids_normalized(self, corpus):
+        ds = corpus(2, 3)
         assert ds.grids.min() >= 0.0 and ds.grids.max() <= 1.0
         assert np.all(ds.grids.max(axis=1) == 1.0)
 
-    def test_rejects_zero(self):
+    def test_rejects_zero(self, tmp_path):
         with pytest.raises(ValueError):
             build_doe(0)
+        with pytest.raises(ValueError):
+            write_corpus(tmp_path / "corpus.bin", 0, GridShape(), 0)
+        assert list(tmp_path.iterdir()) == []
 
-    def test_custom_grid(self):
-        ds = build_doe(1, GridShape(16, 15), master_seed=1)
+    def test_custom_grid(self, corpus):
+        ds = corpus(1, 1, GridShape(16, 15))
         assert ds.grids.shape == (N_FAMILIES, 240)
 
     def test_worker_count(self, monkeypatch):
@@ -344,33 +349,79 @@ class TestBuildDoe:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         assert [distgen.worker_count(n) for n in (13, 64, 65, 481, 10**6)] == [1, 1, 2, 4, 4]
 
-    def test_more_workers_than_cores_write_the_same_rows(self, monkeypatch):
-        # 481 rows are 7 full blocks and one of 33: five workers get unequal shares
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        serial = build_doe(37, master_seed=5)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)))
-        assert distgen.worker_count(len(serial)) == 5
-        forked = build_doe(37, master_seed=5)
-        for field, _ in distgen._CACHE_BLOCKS:
-            np.testing.assert_array_equal(getattr(forked, field), getattr(serial, field))
+    def test_more_workers_than_cores_write_the_same_rows(self, tmp_path, monkeypatch):
+        # 481 rows are 7 full blocks and one of 33, dealt unequally to five workers;
+        # 832 rows are 13 full blocks, which five workers get in unequal shares too
+        for per_family in (37, 64):
+            files = []
+            for cpus in (1, 5):
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+                assert distgen.worker_count(N_FAMILIES * per_family) == cpus
+                path = tmp_path / f"corpus_{per_family}_{cpus}.bin"
+                fields = write_corpus(path, per_family, GridShape(), 5)
+                files.append(path.read_bytes())
+                loaded = load_cache(path)
+                for field in fields:
+                    np.testing.assert_array_equal(fields[field], getattr(loaded, field))
+            assert files[0] == files[1]
         # every worker was waited for
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    @pytest.mark.parametrize("where", ["child", "parent"])
+    def test_a_failing_worker_leaves_the_previous_cache(self, tmp_path, monkeypatch, where):
+        path = tmp_path / "dataset.bin"
+        write_corpus(path, 1, GridShape(), 3)
+        previous = path.read_bytes()
+        parent = os.getpid()
+        uniform = FAMILIES[6]
+
+        def sample(rng, params, n):
+            if (os.getpid() == parent) == (where == "parent"):
+                raise ArithmeticError(f"uniform sampler failure in the {where}")
+            return uniform.sample(rng, params, n)
+
+        # set before the fork, so the children inherit the failing sampler
+        monkeypatch.setitem(FAMILIES, 6, replace(uniform, sample=sample))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        # 13 x 37 rows: the uniform family's rows fall in both workers' shares
+        error, message = {"child": (RuntimeError, "corpus workers failed: pid [0-9]+ exit code 1"),
+                          "parent": (ArithmeticError, "in the parent")}[where]
+        with pytest.raises(error, match=message):
+            write_corpus(path, 37, GridShape(), 5)
+        with pytest.raises(error, match=message):
+            build_doe(37)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["dataset.bin"]
+
+
+def regenerated_row(master_seed: int, per_family: int, row: int, shape: GridShape):
+    """Row `row` of a corpus, drawn and encoded on its own from its two mix64 seeds."""
+    family_id, index = divmod(row, per_family)
+    spec = draw_spec(family_id, np.random.default_rng(mix64(master_seed, family_id, index, 0)))
+    series = sample_variable(spec, mix64(master_seed, family_id, index, 1))
+    grid, stats = describe_series(series.values, shape)
+    return family_id, spec.sample_size, grid.flat().astype(np.float32), stats
+
 
 class TestCache:
     def test_round_trip(self, tmp_path):
-        ds = build_doe(4, master_seed=9)
         path = tmp_path / "corpus.bin"
-        save_cache(ds, path)
+        fields = write_corpus(path, 4, GridShape(16, 15), 9)
         loaded = load_cache(path)
-        assert loaded.grid_shape == ds.grid_shape
-        assert loaded.master_seed == ds.master_seed
-        assert loaded.per_family_count == ds.per_family_count
-        np.testing.assert_array_equal(loaded.grids, ds.grids)
-        np.testing.assert_array_equal(loaded.labels, ds.labels)
-        np.testing.assert_array_equal(loaded.entropy, ds.entropy)
-        np.testing.assert_array_equal(loaded.sample_sizes, ds.sample_sizes)
+        assert loaded.grid_shape == GridShape(16, 15)
+        assert loaded.master_seed == 9
+        assert loaded.per_family_count == 4
+        assert set(fields) == {field for field, _ in distgen._CACHE_BLOCKS} - {"grids"}
+        for field, values in fields.items():
+            np.testing.assert_array_equal(getattr(loaded, field), values)
+        for row in (0, 17, len(loaded) - 1):
+            label, size, grid, stats = regenerated_row(9, 4, row, GridShape(16, 15))
+            assert (loaded.labels[row], loaded.sample_sizes[row]) == (label, size)
+            np.testing.assert_array_equal(loaded.grids[row], grid)
+            assert loaded.entropy[row] == np.float32(stats.entropy)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -379,25 +430,16 @@ class TestCache:
             load_cache(path)
 
     def test_truncated(self, tmp_path):
-        ds = build_doe(2, master_seed=9)
         path = tmp_path / "corpus.bin"
-        save_cache(ds, path)
+        write_corpus(path, 2, GridShape(), 9)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(ValueError):
             load_cache(path)
 
     def test_load_holds_each_block_once(self, tmp_path):
-        rng = np.random.default_rng(8)
-        n, shape = 13 * 400, GridShape()
-        ds = distgen.LabeledDataset(
-            grid_shape=shape, master_seed=8, per_family_count=400,
-            grids=rng.random((n, shape.n_cells), dtype=np.float32),
-            labels=np.repeat(np.arange(13, dtype=np.int32), 400),
-            sample_sizes=rng.integers(35, 1001, n, dtype=np.int32),
-            **{f: rng.random(n, dtype=np.float32) for f in ("entropy", "skewness", "ks_uniform")})
         path = tmp_path / "corpus.bin"
-        save_cache(ds, path)
+        fields = write_corpus(path, 400, GridShape(), 8)
         tracemalloc.start()
         try:
             loaded = load_cache(path)
@@ -405,14 +447,14 @@ class TestCache:
         finally:
             tracemalloc.stop()
         assert peak < 1.1 * path.stat().st_size
-        np.testing.assert_array_equal(loaded.grids, ds.grids)
+        np.testing.assert_array_equal(loaded.labels, fields["labels"])
+        assert loaded.grids.tobytes() == path.read_bytes()[-loaded.grids.nbytes:]
 
     @pytest.mark.parametrize("block", ["labels", "grids"])
     def test_a_block_that_ends_early_is_named(self, tmp_path, monkeypatch, block):
         # a file cut after its size was checked: the read of that block comes up short
-        ds = build_doe(1, master_seed=9)
         path = tmp_path / "corpus.bin"
-        save_cache(ds, path)
+        write_corpus(path, 1, GridShape(), 9)
         blob = path.read_bytes()
         cut = 36 + 2 if block == "labels" else len(blob) - 4
         real_fstat = os.fstat
@@ -443,12 +485,11 @@ class TestCache:
             "ks-nan", "ks-above-1", "ks-negative", "cell-nan", "cell-above-1",
             "trailing-bytes"])
     def test_rejects_bad_contents(self, tmp_path, offset, packed):
-        ds = build_doe(1, master_seed=9)
         path = tmp_path / "corpus.bin"
-        save_cache(ds, path)
+        write_corpus(path, 1, GridShape(), 9)
         blob = path.read_bytes()
         # blocks after the 36-byte header: labels, sizes, entropy, skewness, K-S, grids
-        at = len(blob) if offset is None else 36 + 4 * len(ds) * offset
+        at = len(blob) if offset is None else 36 + 4 * N_FAMILIES * offset
         path.write_bytes(blob[:at] + packed + blob[at + (0 if offset is None else 4):])
         with pytest.raises(ValueError):
             load_cache(path)

@@ -26,7 +26,8 @@ directory as `spec.json`: another master seed and a 16x15 grid, so the
 family table and the cache block list are compared on a second seed,
 through the spec parser, on a non-default grid, and `generate --per-family
 37` (481 rows), whose last block of rows is partial and whose workers get
-unequal shares on any CPU count, and `generate --per-family 120` (1,560
+unequal shares on any CPU count, `generate --per-family 64` (832 rows, 13
+full blocks), and `generate --per-family 120` (1,560
 rows) with `train bvae --epochs 1`: the first held-out evaluation reads
 the 1,045 training rows as two 1,024-row slices, so the BCE of float32
 rows is compared over a slice edge and over a last piece longer than
@@ -100,6 +101,8 @@ COMMANDS = [
     ("spec", ["generate", "--spec", "spec.json"]),
     # 481 rows: 7 full ROW_BLOCK blocks and a partial one, dealt unequally among the workers
     ("partial_block", ["generate", "--per-family", "37", "--seed", "5"]),
+    # 832 rows: 13 full ROW_BLOCK blocks, which 2 to 12 workers get in unequal shares
+    ("full_blocks", ["generate", "--per-family", "64", "--seed", "5"]),
     # 1,045 training rows: a held-out evaluation of a full 1,024-row slice and a 21-row one
     ("heldout", ["generate", "--per-family", "120", "--seed", "9"]),
     ("heldout", ["train", "bvae", "--dataset", "heldout/dataset.bin", "--epochs", "1",
