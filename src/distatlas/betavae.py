@@ -99,16 +99,16 @@ class VaeModel:
     def _forward(self, x: np.ndarray, eps: np.ndarray):
         """Trunk, heads and clipped log-variance, then the decode of z at the eps draw.
 
-        Returns (x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache).
+        Returns (x, trunk_acts, mu_acts, logvar_acts, logvar, dec_acts).
         """
         # x is also the target of the BCE gradient, whose 1 - x must not round in float32
         x = np.asarray(x, dtype=np.float64)
-        trunk_cache = self.trunk.forward(x)
-        mu_cache = self.mu_head.forward(trunk_cache.output)
-        logvar_cache = self.logvar_head.forward(trunk_cache.output)
-        logvar = np.clip(logvar_cache.output, -LOGVAR_LIMIT, LOGVAR_LIMIT)
-        dec_cache = self.decoder.forward(reparameterize(mu_cache.output, logvar, eps))
-        return x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache
+        trunk_acts = self.trunk.forward(x)
+        mu_acts = self.mu_head.forward(trunk_acts[-1])
+        logvar_acts = self.logvar_head.forward(trunk_acts[-1])
+        logvar = np.clip(logvar_acts[-1], -LOGVAR_LIMIT, LOGVAR_LIMIT)
+        dec_acts = self.decoder.forward(reparameterize(mu_acts[-1], logvar, eps))
+        return x, trunk_acts, mu_acts, logvar_acts, logvar, dec_acts
 
     def encode(self, grids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Deterministic (mu, sigma) for a batch of flattened grids, through cache-free nets."""
@@ -122,9 +122,9 @@ class VaeModel:
 
     def loss(self, x: np.ndarray, eps: np.ndarray) -> float:
         """Mean BCE plus beta times mean KL of the batch at the given eps draw."""
-        x, _, mu_cache, _, logvar, dec_cache = self._forward(x, eps)
-        kl = float(np.mean(kl_per_example(mu_cache.output, logvar)))
-        return binary_cross_entropy(dec_cache.output, x) + self.beta * kl
+        x, _, mu_acts, _, logvar, dec_acts = self._forward(x, eps)
+        kl = float(np.mean(kl_per_example(mu_acts[-1], logvar)))
+        return binary_cross_entropy(dec_acts[-1], x) + self.beta * kl
 
     def loss_gradients(self, x: np.ndarray, eps: np.ndarray):
         """Analytic parameter gradients of loss() at fixed eps.
@@ -134,23 +134,23 @@ class VaeModel:
         on the log-variance head is flat outside its band, so its
         gradient mask is applied exactly.
         """
-        x, trunk_cache, mu_cache, logvar_cache, logvar, dec_cache = self._forward(x, eps)
+        x, trunk_acts, mu_acts, logvar_acts, logvar, dec_acts = self._forward(x, eps)
         n = x.shape[0]
-        mu = mu_cache.output
-        logvar_raw = logvar_cache.output
+        mu = mu_acts[-1]
+        logvar_raw = logvar_acts[-1]
         sigma = np.exp(0.5 * logvar)
-        decoded = dec_cache.output
+        decoded = dec_acts[-1]
 
         bce = binary_cross_entropy(decoded, x)
         kl = float(np.mean(kl_per_example(mu, logvar)))
 
-        dz = self.decoder.backward(dec_cache, binary_cross_entropy_grad(decoded, x))
+        dz = self.decoder.backward(dec_acts, binary_cross_entropy_grad(decoded, x))
         dmu = dz + self.beta * mu / n
         dlogvar = dz * eps * 0.5 * sigma + self.beta * 0.5 * (np.exp(logvar) - 1.0) / n
         dlogvar_raw = dlogvar * ((logvar_raw > -LOGVAR_LIMIT) & (logvar_raw < LOGVAR_LIMIT))
-        dh_mu = self.mu_head.backward(mu_cache, dmu)
-        dh_logvar = self.logvar_head.backward(logvar_cache, dlogvar_raw)
-        self.trunk.backward(trunk_cache, dh_mu + dh_logvar, input_grad=False)
+        dh_mu = self.mu_head.backward(mu_acts, dmu)
+        dh_logvar = self.logvar_head.backward(logvar_acts, dlogvar_raw)
+        self.trunk.backward(trunk_acts, dh_mu + dh_logvar, input_grad=False)
         return self.grad, bce, kl
 
 
@@ -246,7 +246,7 @@ def _header_shape(header: dict) -> tuple[GridShape, int]:
     return header_field(header, "grid", GridShape.from_json), header_field(header, "latent_dim", int)
 
 
-def save_vae(path, model: VaeModel, config: TrainConfig | None) -> None:
+def save_vae(path, model: VaeModel, config: TrainConfig) -> None:
     header = {"kind": "bvae", "beta": model.beta, "latent_dim": model.latent_dim,
               "grid": asdict(model.grid_shape)}
     save_model(path, header, vae_layers(model.grid_shape, model.latent_dim), model.flat, config)

@@ -132,9 +132,9 @@ def _train_softmax_net(layers, x: np.ndarray, y: np.ndarray, config: TrainConfig
             * onehot[rows].shape[0], train_idx.shape[0], 2048)) / train_idx.shape[0]
 
     def batch_step(rows):
-        cache, target = net.forward(x[train_idx[rows]]), onehot[rows]
-        loss = categorical_cross_entropy(cache.output, target)
-        net.backward(cache, categorical_cross_entropy_grad(cache.output, target), input_grad=False)
+        acts, target = net.forward(x[train_idx[rows]]), onehot[rows]
+        loss = categorical_cross_entropy(acts[-1], target)
+        net.backward(acts, categorical_cross_entropy_grad(acts[-1], target), input_grad=False)
         return net.grad, (loss,)
 
     epochs = train_epochs(net.flat, config, train_idx.shape[0], mix64(config.rng_seed, 2),
@@ -193,7 +193,7 @@ _KINDS = {
 }
 
 
-def save_classifier(path, model: Classifier, config: TrainConfig | None) -> None:
+def save_classifier(path, model: Classifier, config: TrainConfig) -> None:
     if model.grid_shape is None:
         header = {"kind": "latent_classifier", "latent_dim": model.net.in_dim}
     else:

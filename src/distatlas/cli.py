@@ -704,12 +704,11 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
-    except TrainingDivergedError as exc:
+    except (TrainingDivergedError, ShapeMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except ShapeMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+        # _load maps what cannot be read, so an OSError is an output path that cannot be written
+        return (EXIT_DIVERGED if isinstance(exc, TrainingDivergedError)
+                else EXIT_MISMATCH if isinstance(exc, ShapeMismatchError) else EXIT_BAD_SPEC)
 
 
 if __name__ == "__main__":

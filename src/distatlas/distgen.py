@@ -21,6 +21,7 @@ temporary file.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import mmap
 import os
@@ -454,7 +455,9 @@ def write_corpus(path, per_family_count: int, grid_shape: GridShape,
 
     The file is written under a temporary name beside path and renamed
     onto it last, so a run that fails leaves path as it was and no
-    temporary file behind.
+    temporary file behind. When this process is killed, each child finds
+    its parent gone before its next block, removes the temporary file and
+    exits.
     """
     if per_family_count < 1:
         raise ValueError("per_family_count must be >= 1")
@@ -473,11 +476,17 @@ def write_corpus(path, per_family_count: int, grid_shape: GridShape,
     def write_share(worker: int) -> None:
         grids = np.empty((ROW_BLOCK, n_cells), grid_dtype)
         for start in starts[worker::workers]:
+            if worker and os.getppid() != parent:
+                # the parent was killed, so nothing will rename or read the file
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+                os._exit(1)
             block = grids[:min(ROW_BLOCK, n - start)]
             _fill_rows(fields, block, start, per_family_count, master_seed, grid_shape)
             _pwrite_all(fh.fileno(), block, grids_at + start * grids[0].nbytes)
 
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    parent = os.getpid()
+    tmp = f"{os.fspath(path)}.{parent}.tmp"
     fh = open(tmp, "wb")
     try:
         with fh:

@@ -1,30 +1,27 @@
 """Dense feedforward networks with exact backprop, trained in float64.
 
-A deliberately small engine sized for the grid-image models: forward
-caches that keep each layer's activation only (the ReLU and sigmoid
-backward read their masks and slopes from it), a cache-free forward for
-inference (calling a net), which holds only the layer it computes and
-its input, analytic gradients for every activation and loss, one
-allocation per model (build_nets) whose nets are views of its parameter
-and gradient vectors, a backward that
-skips the input gradient no caller reads, RMSprop and Adadelta stepping
-those vectors in cache-sized slices (STEP_CHUNK entries through a
-slice-sized scratch, so no step allocates a whole-vector temporary), the
-one shuffled minibatch loop every trainer runs, finite-difference
-auditing of the whole gradient path, and bit-exact checkpoints, whose
-header only save_model writes and only load_model reads and checks (the
-models pass their own fields, nets and accepted kinds). DenseNet.forward
-is the one input-width check, and converts its input to float64 exactly,
-so trainers pass the float32 rows of a batch as they gather them, and
-writes each layer's output once: the bias and the activation go into the
-matmul's buffer in place; the sigmoid works through it in STEP_CHUNK
-pieces. The BCE value writes each unit's term into one buffer shaped like
-its input, piece by piece through a scratch of two pieces (STEP_CHUNK
-entries, the last piece taking the remainder), upcasting a float32
-target exactly, and sums that buffer once: it holds no other temporary
-the size of its input. The activations and the BCE value and gradient
-keep the operations of their whole-expression forms in the same order,
-so bit for bit. Everything is deterministic given (seed, data, config).
+A deliberately small engine sized for the grid-image models.
+DenseNet.forward returns the activation list [x, a1, ..., aL], the float64
+input and each layer's output and nothing more (the ReLU and sigmoid
+backward read their masks and slopes from the outputs); calling a net is
+the list-free forward for inference, which holds only the layer it
+computes and that layer's input. forward is the one input-width check,
+converts its input to float64 exactly (trainers pass the float32 rows of
+a batch as they gather them) and writes each layer's output once: the bias
+and the activation go into the matmul's buffer in place, the sigmoid in
+STEP_CHUNK pieces. backward writes analytic gradients and skips the input
+gradient no caller reads. build_nets makes one allocation per model,
+whose nets are views of its parameter and gradient vectors; RMSprop and
+Adadelta step those in STEP_CHUNK slices through a slice-sized scratch.
+train_epochs is the one shuffled minibatch loop, audit_gradients the one
+finite-difference audit. The BCE value writes each unit's term into one
+buffer shaped like its input through a scratch of two pieces (the last
+taking the remainder), upcasting a float32 target exactly, and sums it
+once. Checkpoints are bit-exact; only save_model writes their header and
+only load_model reads and checks it. The activations and the BCE value
+and gradient keep the operations of their whole-expression forms in the
+same order, so bit for bit. Everything is deterministic given (seed,
+data, config).
 """
 
 from __future__ import annotations
@@ -33,7 +30,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -63,7 +60,7 @@ class TrainingDivergedError(RuntimeError):
 class LayerSpec:
     in_dim: int
     out_dim: int
-    activation: str = "relu"
+    activation: str
 
     def __post_init__(self) -> None:
         if self.in_dim < 1 or self.out_dim < 1:
@@ -74,13 +71,13 @@ class LayerSpec:
 
 @dataclass
 class TrainConfig:
-    epochs: int = 50
-    batch_size: int = 128
-    learning_rate: float = 1e-3
-    rho: float = 0.9
-    epsilon: float = 1e-8
-    optimizer: str = "rmsprop"
-    rng_seed: int = 0
+    epochs: int
+    batch_size: int
+    learning_rate: float
+    rho: float
+    epsilon: float
+    optimizer: str
+    rng_seed: int
 
     def __post_init__(self) -> None:
         if self.epochs < 1:
@@ -158,18 +155,6 @@ def _activation_backward(name: str, a: np.ndarray, grad_a: np.ndarray,
     return grad_a
 
 
-@dataclass
-class ForwardCache:
-    """Input plus per-layer activations."""
-
-    x: np.ndarray
-    acts: list = field(default_factory=list)
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.acts[-1]
-
-
 def param_shapes(nets_layers) -> list:
     """The one parameter layout of a model: per net, [W, b] shapes per layer; nets in order."""
     return [[shape for s in layers for shape in ((s.in_dim, s.out_dim), (s.out_dim,))]
@@ -235,48 +220,51 @@ class DenseNet:
         return self.layers[-1].out_dim
 
     def forward(self, x: np.ndarray, cache: bool = True):
-        """The layers over a batch: a ForwardCache, or with ``cache`` False the output alone.
+        """The layers over a batch: the activation list, or with ``cache`` False the output alone.
 
-        Without the cache each layer's output is dropped once the next
-        one is computed, and so is the float64 copy of x; the values are
-        the same bit for bit.
+        The activation list is [x, a1, ..., aL]: the float64 copy of x,
+        then each layer's output, so acts[i] is layer i's input and
+        acts[-1] the net's output. Without it each layer's output is
+        dropped once the next one is computed, and so is the copy of x;
+        the values are the same bit for bit.
         """
         a = np.asarray(x, dtype=np.float64)
         if a.ndim != 2 or a.shape[1] != self.in_dim:
             raise ShapeMismatchError(
                 f"expected input of width {self.in_dim}, got shape {a.shape}")
-        kept = ForwardCache(x=a) if cache else None
+        acts = [a] if cache else None
         for spec, w, b in zip(self.layers, self.params[0::2], self.params[1::2]):
             # a @ w + b in one buffer; added in place, a one-element z would keep b's NaN, not z's
             z = np.matmul(a, w)
             a = _activate(spec.activation, np.add(z, b, out=z if z.size > 1 else None))
-            if kept is not None:
-                kept.acts.append(a)
-        return a if kept is None else kept
+            if acts is not None:
+                acts.append(a)
+        return a if acts is None else acts
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x, cache=False)
 
-    def backward(self, cache: ForwardCache, grad_output: np.ndarray,
+    def backward(self, acts: list, grad_output: np.ndarray,
                  input_grad: bool = True) -> np.ndarray | None:
         """Exact gradients for every parameter; returns the input gradient.
 
-        grad_output is the loss gradient w.r.t. the network output
-        (post-activation); whatever batch reduction the loss applies is
-        already baked into it, and it is left unchanged. The parameter
-        gradients are written into ``grad`` (views ``grads``, ordered like
-        ``params``), which the next call overwrites. With ``input_grad``
-        False, layer 0's ``grad_z @ W0.T`` is skipped and None returned,
-        for nets whose input is data rather than another net's output.
+        ``acts`` is forward's activation list [x, a1, ..., aL]: layer i
+        reads its input acts[i] for the weight gradient and its output
+        acts[i + 1] for the activation's slope. grad_output is the loss
+        gradient w.r.t. acts[-1]; whatever batch reduction the loss
+        applies is already baked into it, and it is left unchanged. The
+        parameter gradients are written into ``grad`` (views ``grads``,
+        ordered like ``params``), which the next call overwrites. With
+        ``input_grad`` False, layer 0's ``grad_z @ W0.T`` is skipped and None
+        returned, for nets whose input is data rather than another net's output.
         """
         grad_a = np.asarray(grad_output, dtype=np.float64)
         last = len(self.layers) - 1
         for i in range(last, -1, -1):
-            a_prev = cache.x if i == 0 else cache.acts[i - 1]
             # below the top layer grad_a is the matmul result made here, so it may be overwritten
-            grad_z = _activation_backward(self.layers[i].activation, cache.acts[i], grad_a,
+            grad_z = _activation_backward(self.layers[i].activation, acts[i + 1], grad_a,
                                           owned=i < last)
-            np.matmul(a_prev.T, grad_z, out=self.grads[2 * i])
+            np.matmul(acts[i].T, grad_z, out=self.grads[2 * i])
             np.sum(grad_z, axis=0, out=self.grads[2 * i + 1])
             if i == 0 and not input_grad:
                 return None
@@ -467,8 +455,8 @@ def audit_gradients(flat: np.ndarray, loss, analytic: np.ndarray, seed: int) -> 
 
 def grad_check(net: DenseNet, batch: np.ndarray, targets: np.ndarray, seed: int) -> float:
     """audit_gradients of a softmax network's backprop under categorical cross entropy."""
-    cache = net.forward(batch)
-    net.backward(cache, categorical_cross_entropy_grad(cache.output, targets), input_grad=False)
+    acts = net.forward(batch)
+    net.backward(acts, categorical_cross_entropy_grad(acts[-1], targets), input_grad=False)
     return audit_gradients(net.flat, lambda: categorical_cross_entropy(net(batch), targets),
                            net.grad, seed)
 
@@ -513,18 +501,18 @@ def _shapes_json(nets: dict) -> list:
     return [list(shape) for shapes in param_shapes(nets.values()) for shape in shapes]
 
 
-def save_model(path, header: dict, nets: dict, flat: np.ndarray, config: TrainConfig | None) -> None:
+def save_model(path, header: dict, nets: dict, flat: np.ndarray, config: TrainConfig) -> None:
     """Write a model's checkpoint: a versioned JSON header, then ``flat``.
 
     ``header`` holds the model's own fields (its ``kind`` among them);
     ``nets`` maps header keys to the LayerSpec lists of its nets in
     parameter order. Each list is written under its key, with
-    ``train_config`` (``asdict(config)`` or null) and the ``param_shapes``
+    ``train_config`` (``asdict(config)``) and the ``param_shapes``
     of the nets. ``flat`` follows as little-endian float64 in one write,
     so a round trip is bit-exact.
     """
     header = {**header, **{key: layer_specs_to_json(specs) for key, specs in nets.items()},
-              "train_config": None if config is None else asdict(config),
+              "train_config": asdict(config),
               "param_shapes": _shapes_json(nets)}
     encoded = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:

@@ -1,7 +1,18 @@
+from dataclasses import replace
+
 import pytest
 
-from distatlas import distgen
+from distatlas import cli, distgen
 from distatlas.cdfcodec import GridShape
+from distatlas.neuralcore import TrainConfig
+
+
+def train_config(epochs: int, **fields) -> TrainConfig:
+    """The TrainConfig `distatlas train classifier --epochs epochs` builds from its other
+    flags' defaults, with ``fields`` replacing some of its values. The parser is the one
+    place that spells the grid models' training settings."""
+    args = cli.build_parser().parse_args(["train", "classifier"])
+    return replace(cli._train_config_from_args(args, default_epochs=epochs), **fields)
 
 
 @pytest.fixture(scope="session")

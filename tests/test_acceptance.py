@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from conftest import train_config
 from distatlas import betavae, cdfrepair, classifier, distgen, latentlab
 from distatlas.cdfcodec import GridShape, describe_series
 from distatlas.cli import main as cli_main
-from distatlas.neuralcore import TrainConfig, build_nets, grad_check, one_hot, split_indices
+from distatlas.neuralcore import build_nets, grad_check, one_hot, split_indices
 
 DESK_SEED = 1
 DESK_PER_FAMILY = 1000
@@ -40,7 +41,7 @@ def desk_dataset(corpus):
 def train_desk_classifier(dataset, seed):
     start = time.perf_counter()
     model, history = classifier.train_classifier(
-        dataset, TrainConfig(epochs=CLASSIFIER_EPOCHS, rng_seed=seed))
+        dataset, train_config(epochs=CLASSIFIER_EPOCHS, rng_seed=seed))
     elapsed = time.perf_counter() - start
     _, test_idx = split_indices(len(dataset), seed)
     matrix = classifier.evaluate(model, dataset.grids, dataset.labels, test_idx)
@@ -58,7 +59,7 @@ def vae_runs(desk_dataset):
     for seed in VAE_SEEDS:
         model, history = betavae.train_bvae(
             desk_dataset, beta=3.0, latent_dim=2,
-            config=TrainConfig(epochs=VAE_EPOCHS, rng_seed=seed))
+            config=train_config(epochs=VAE_EPOCHS, rng_seed=seed))
         points = betavae.encode_dataset(model, desk_dataset)
         runs.append((seed, model, history, points))
     return runs

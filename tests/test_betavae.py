@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import train_config
 from distatlas import betavae, classifier, distgen
 from distatlas.betavae import (
     LatentPoints,
@@ -27,7 +28,7 @@ from distatlas.classifier import (
     save_classifier,
 )
 from distatlas.latentlab import default_latent_bounds, latent_axes, lattice
-from distatlas.neuralcore import ShapeMismatchError, TrainConfig, build_nets, load_model
+from distatlas.neuralcore import ShapeMismatchError, build_nets, load_model
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def tiny_dataset(corpus):
 @pytest.fixture(scope="module")
 def tiny_model(tiny_dataset):
     model, history = train_bvae(tiny_dataset, beta=3.0, latent_dim=2,
-                                config=TrainConfig(epochs=4, rng_seed=5))
+                                config=train_config(epochs=4, rng_seed=5))
     return model, history
 
 
@@ -127,8 +128,8 @@ class TestModel:
         grids[3] = np.nan
         with np.errstate(invalid="ignore"):
             mu, sigma = model.encode(grids)
-            _, _, mu_cache, _, logvar, _ = model._forward(grids, np.zeros((7, 2)))
-        np.testing.assert_array_equal(mu.view(np.int64), mu_cache.output.view(np.int64))
+            _, _, mu_acts, _, logvar, _ = model._forward(grids, np.zeros((7, 2)))
+        np.testing.assert_array_equal(mu.view(np.int64), mu_acts[-1].view(np.int64))
         np.testing.assert_array_equal(sigma.view(np.int64), np.exp(0.5 * logvar).view(np.int64))
 
     def test_shape_mismatch(self):
@@ -204,21 +205,21 @@ class TestTraining:
         assert history[-1].test_bce < history[0].test_bce
 
     def test_deterministic_history(self, tiny_dataset):
-        config = TrainConfig(epochs=2, rng_seed=9)
+        config = train_config(epochs=2, rng_seed=9)
         _, h1 = train_bvae(tiny_dataset, beta=3.0, latent_dim=2, config=config)
         _, h2 = train_bvae(tiny_dataset, beta=3.0, latent_dim=2, config=config)
         assert h1 == h2
 
     def test_beta_zero_reconstructs_better(self, tiny_dataset):
         _, h_plain = train_bvae(tiny_dataset, beta=0.0, latent_dim=2,
-                                config=TrainConfig(epochs=4, rng_seed=5))
+                                config=train_config(epochs=4, rng_seed=5))
         _, h_beta = train_bvae(tiny_dataset, beta=3.0, latent_dim=2,
-                               config=TrainConfig(epochs=4, rng_seed=5))
+                               config=train_config(epochs=4, rng_seed=5))
         assert h_plain[-1].test_bce < h_beta[-1].test_bce
 
     def test_latent_dim_one_runs(self, tiny_dataset):
         model, history = train_bvae(tiny_dataset, beta=3.0, latent_dim=1,
-                                    config=TrainConfig(epochs=2, rng_seed=3))
+                                    config=train_config(epochs=2, rng_seed=3))
         assert model.latent_dim == 1
         mu, sigma = model.encode(tiny_dataset.grids[:4].astype(np.float64))
         assert mu.shape == (4, 1)
@@ -247,9 +248,9 @@ def _evaluate_fresh_net(dataset):
 # grows only what the reader holds per row, not a slice that was still filling up
 CORPUS_READERS = {
     "train_bvae": (3200, lambda dataset: train_bvae(
-        dataset, beta=3.0, latent_dim=2, config=TrainConfig(epochs=1))),
+        dataset, beta=3.0, latent_dim=2, config=train_config(epochs=1))),
     "train_classifier": (6400, lambda dataset: classifier.train_classifier(
-        dataset, TrainConfig(epochs=1))),
+        dataset, train_config(epochs=1))),
     "evaluate": (2048, _evaluate_fresh_net),
 }
 
@@ -380,7 +381,7 @@ class TestVaeCheckpoint:
     def test_round_trip(self, tiny_model, tmp_path):
         model, _ = tiny_model
         path = tmp_path / "vae.ckpt"
-        save_vae(path, model, TrainConfig(epochs=4, rng_seed=5))
+        save_vae(path, model, train_config(epochs=4, rng_seed=5))
         clone, header = load_vae(path)
         assert header["beta"] == 3.0 and header["latent_dim"] == 2
         grids = np.random.default_rng(0).random((3, 650))
@@ -391,8 +392,9 @@ class TestVaeCheckpoint:
     def test_loaders_adopt_the_block_without_drawing(self, tmp_path, monkeypatch):
         vae = VaeModel(GridShape(8, 6), beta=3.0, latent_dim=2, seed=2)
         (net,), _, _ = build_nets([grid_classifier_layers(48)], [3])
-        save_vae(tmp_path / "vae.ckpt", vae, None)
-        save_classifier(tmp_path / "clf.ckpt", Classifier(net, GridShape(8, 6)), None)
+        save_vae(tmp_path / "vae.ckpt", vae, train_config(epochs=1))
+        save_classifier(tmp_path / "clf.ckpt", Classifier(net, GridShape(8, 6)),
+                        train_config(epochs=1))
         blocks = []
 
         def no_draws(*args, **kwargs):
@@ -422,25 +424,28 @@ class TestVaeCheckpoint:
     def test_rejects_wrong_kind(self, tmp_path):
         (net,), _, _ = build_nets([grid_classifier_layers(48)], [3])
         path = tmp_path / "other.ckpt"
-        save_classifier(path, Classifier(net, GridShape(8, 6)), None)
+        save_classifier(path, Classifier(net, GridShape(8, 6)), train_config(epochs=1))
         with pytest.raises(ValueError, match="kind"):
             load_vae(path)
-        save_vae(path, VaeModel(GridShape(8, 6), beta=3.0, latent_dim=2, seed=2), None)
+        save_vae(path, VaeModel(GridShape(8, 6), beta=3.0, latent_dim=2, seed=2),
+                 train_config(epochs=1))
         with pytest.raises(ValueError, match="kind"):
             load_classifier(path)
 
     def test_checkpoint_bytes_are_pinned(self, tmp_path):
-        # SHA-256 of each file, recorded before the models shared one checkpoint writer
+        # SHA-256 of each file, recorded before the models shared one checkpoint writer (the
+        # grid file's with this config by the writer before configs became required)
         (grid_net,), _, _ = build_nets([grid_classifier_layers(48)], [3])
         (latent_net,), _, _ = build_nets([latent_classifier_layers(1)], [4])
         save_vae(tmp_path / "vae.ckpt", VaeModel(GridShape(8, 6), beta=2.5, latent_dim=2, seed=2),
-                 TrainConfig(epochs=4, rng_seed=5))
-        save_classifier(tmp_path / "grid.ckpt", Classifier(grid_net, GridShape(8, 6)), None)
+                 train_config(epochs=4, rng_seed=5))
+        save_classifier(tmp_path / "grid.ckpt", Classifier(grid_net, GridShape(8, 6)),
+                        train_config(epochs=8, rng_seed=2))
         save_classifier(tmp_path / "latent.ckpt", Classifier(latent_net),
                         default_latent_train_config(epochs=3, seed=6))
         for name, size, digest in [
                 ("vae", 930866, "e66f78b622ec0107bde35e0db86ba1a8a220dc3abdf819e0497256d55440e57d"),
-                ("grid", 123262, "957e848aebfef93e4470a08063f426d96cb0b88fee5ed63fa3da2bb55b7b58a4"),
+                ("grid", 123370, "3bc07da9b9d9226df3d061624245c544322bd8e8d856e7de5a643a615dee5b24"),
                 ("latent", 548322,
                  "28c4c46efd1b42f6c996004eff32af1082e06c813297015d9dc1ee19a86fa603")]:
             blob = (tmp_path / f"{name}.ckpt").read_bytes()

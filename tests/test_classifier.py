@@ -1,6 +1,9 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
+from conftest import train_config
 from distatlas import distgen
 from distatlas.cdfcodec import GridShape, encode_cdf
 from distatlas.classifier import (
@@ -14,7 +17,7 @@ from distatlas.classifier import (
     train_classifier,
     train_latent_classifier,
 )
-from distatlas.neuralcore import ShapeMismatchError, TrainConfig, split_indices
+from distatlas.neuralcore import ShapeMismatchError, split_indices
 
 
 @pytest.fixture(scope="module")
@@ -24,7 +27,7 @@ def small_dataset(corpus):
 
 @pytest.fixture(scope="module")
 def small_model(small_dataset):
-    model, history = train_classifier(small_dataset, TrainConfig(epochs=8, rng_seed=2))
+    model, history = train_classifier(small_dataset, train_config(epochs=8, rng_seed=2))
     return model, history
 
 
@@ -79,7 +82,7 @@ class TestTrainClassifier:
         assert [h.epoch for h in history] == list(range(9))
 
     def test_deterministic(self, small_dataset):
-        config = TrainConfig(epochs=2, rng_seed=4)
+        config = train_config(epochs=2, rng_seed=4)
         _, h1 = train_classifier(small_dataset, config)
         _, h2 = train_classifier(small_dataset, config)
         assert h1 == h2
@@ -92,7 +95,7 @@ class TestTrainClassifier:
             entropy=ds.entropy[keep], skewness=ds.skewness[keep],
             ks_uniform=ds.ks_uniform[keep], sample_sizes=ds.sample_sizes[keep],
             master_seed=5, per_family_count=40)
-        _, history = train_classifier(sub, TrainConfig(epochs=3, rng_seed=1))
+        _, history = train_classifier(sub, train_config(epochs=3, rng_seed=1))
         assert history[-1].test_accuracy == 1.0
 
     def test_empty_dataset_rejected(self, small_dataset):
@@ -103,7 +106,7 @@ class TestTrainClassifier:
             skewness=np.empty(0, dtype=np.float32), ks_uniform=np.empty(0, dtype=np.float32),
             sample_sizes=np.empty(0, dtype=np.int32), master_seed=0, per_family_count=0)
         with pytest.raises(ValueError):
-            train_classifier(empty, TrainConfig())
+            train_classifier(empty, train_config(epochs=50))
 
 
 class TestPredict:
@@ -182,7 +185,7 @@ class TestCheckpoints:
     def test_grid_classifier_round_trip(self, small_model, tmp_path):
         model, _ = small_model
         path = tmp_path / "clf.ckpt"
-        save_classifier(path, model, TrainConfig(epochs=8, rng_seed=2))
+        save_classifier(path, model, train_config(epochs=8, rng_seed=2))
         clone, header = load_classifier(path)
         assert header["kind"] == "classifier"
         assert header["train_config"]["rng_seed"] == 2
@@ -194,11 +197,11 @@ class TestCheckpoints:
         rng = np.random.default_rng(7)
         z = rng.normal(size=(200, 2))
         labels = rng.integers(0, 13, 200)
-        model, _ = train_latent_classifier(
-            FakePoints(z, labels), default_latent_train_config(epochs=1, seed=1))
+        config = default_latent_train_config(epochs=1, seed=1)
+        model, _ = train_latent_classifier(FakePoints(z, labels), config)
         path = tmp_path / "latent.ckpt"
-        save_classifier(path, model, None)
+        save_classifier(path, model, config)
         clone, header = load_classifier(path)
-        assert header["kind"] == "latent_classifier" and header["train_config"] is None
+        assert header["kind"] == "latent_classifier" and header["train_config"] == asdict(config)
         assert clone.grid_shape is None and clone.net.in_dim == 2
         np.testing.assert_array_equal(clone.predict_proba(z[:5]), model.predict_proba(z[:5]))

@@ -2,9 +2,12 @@ import csv
 import io
 import json
 import os
+import shutil
+import signal
 import struct
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -133,6 +136,33 @@ class TestGenerate:
         # no worker is left behind
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one worker forks no child")
+    def test_killed_generate_stops_its_workers_and_removes_the_temporary_file(self, tmp_path):
+        # 26,000 rows: several seconds of encoding left in each worker when the parent dies
+        env = dict(os.environ, PYTHONPATH=str(Path(distgen.__file__).resolve().parents[1]))
+        out = tmp_path / "out"
+        run = subprocess.Popen([sys.executable, "-m", "distatlas.cli", "generate",
+                                "--per-family", "2000", "--out-dir", str(out)], env=env,
+                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+        def wait_until(condition, seconds: float) -> bool:
+            deadline = time.monotonic() + seconds
+            while not condition():
+                if time.monotonic() > deadline:
+                    return False
+                time.sleep(0.01)
+            return True
+
+        try:
+            assert wait_until(lambda: list(out.glob("dataset.bin.*.tmp")), 60)
+            (tmp,) = out.glob("dataset.bin.*.tmp")
+            assert wait_until(lambda: tmp.stat().st_size > 0, 60)
+        finally:
+            run.send_signal(signal.SIGKILL)
+            run.wait(timeout=60)
+        assert wait_until(lambda: not tmp.exists(), 10)
+        assert [p.name for p in out.iterdir()] == ["run_log.jsonl"]
 
     def test_generate_holds_one_block_of_grids(self, tmp_path):
         # a 500-per-family corpus after a 10-per-family one must not lift this process's
@@ -353,6 +383,31 @@ def test_grid_flag_is_rejected_where_no_grid_is_built(workspace, tmp_path, capsy
     err = capsys.readouterr().err
     assert "unrecognized arguments: --grid 16x15" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, artifact", [
+    ("generate", "dataset.bin"), ("train classifier", "classifier.ckpt"),
+    ("map", "latent_points.csv"), ("eval", "eval_report.json")])
+def test_artifact_path_that_is_a_directory_exits_2(workspace, tmp_path, capsys, command,
+                                                   artifact):
+    out = tmp_path / "out"
+    out.mkdir()
+    dataset = out / "dataset.bin"
+    if command != "generate":
+        shutil.copyfile(workspace / "dataset.bin", dataset)
+    (out / artifact).mkdir(exist_ok=True)
+    kept = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    flags = {"generate": ["--per-family", "2"],
+             "train classifier": ["--dataset", str(dataset), "--epochs", "1"],
+             "map": ["--dataset", str(dataset), "--vae", str(workspace / "bvae.ckpt")],
+             "eval": ["--dataset", str(dataset), "--classifier", str(workspace / "classifier.ckpt")]}
+    assert main([*command.split(), *flags[command], "--out-dir", str(out)]) == EXIT_BAD_SPEC
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    # the input cache keeps its bytes, and generate leaves no temporary file
+    assert {p.name: p.read_bytes() for p in out.iterdir()
+            if p.is_file() and p.name != "run_log.jsonl"} == kept
+    assert list((out / artifact).iterdir()) == []
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
@@ -767,6 +822,15 @@ class TestEval:
         assert len(report["matrix"]) == 13
         rows = list(csv.reader(open(workspace / "confusion_matrix.csv")))
         assert len(rows) == 14  # header + 13 families
+
+    @pytest.mark.parametrize("edit", [lambda h: h.update(train_config=None),
+                                      lambda h: h.pop("train_config")], ids=["null", "missing"])
+    def test_checkpoint_without_train_config_splits_by_seed(self, workspace, tmp_path, edit):
+        # the program always writes a train_config, but a checkpoint is input from outside
+        ckpt = _rewrite_header(workspace / "classifier.ckpt", tmp_path / "classifier.ckpt", edit)
+        assert main(["eval", "--classifier", str(ckpt), "--dataset", str(workspace / "dataset.bin"),
+                     "--seed", "7", "--out-dir", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "eval_report.json").read_text())["split_seed"] == 7
 
 
 class TestGradCheckCommand:

@@ -1,8 +1,8 @@
 """Every name a package module imports is used in that module, every
 module-level private function or class is used somewhere in the package,
 every public definition is named by code other than the tests, and every
-default of a public function is set by one call of the program's own code
-and left unset by another."""
+default of a public function or public dataclass field is set by one call of
+the program's own code and left unset by another."""
 
 import ast
 import os
@@ -138,20 +138,72 @@ def public_callables(tree):
                     yield f"{node.name}.{item.name}", item.name, item, 0 if static else 1
 
 
+def called_name(node):
+    """The name a call or decorator uses, bare or as an attribute."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", None))
+
+
+def init_fields(node, dataclasses: dict) -> dict:
+    """{name: has a default} of the ``__init__`` parameters a dataclass generates, in order.
+
+    Fields of base classes found in ``dataclasses`` come first, the last
+    base's first as in the method resolution order; a field declared
+    again keeps its place. ``ClassVar`` and ``init=False`` fields are not
+    parameters.
+    """
+    params = {}
+    for base in reversed(node.bases):
+        if called_name(base) in dataclasses:
+            params.update(init_fields(dataclasses[called_name(base)], dataclasses))
+    for stmt in node.body:
+        if (not isinstance(stmt, ast.AnnAssign) or not isinstance(stmt.target, ast.Name)
+                or "ClassVar" in ast.unparse(stmt.annotation)):
+            continue
+        name, value = stmt.target.id, stmt.value
+        if isinstance(value, ast.Call) and called_name(value) == "field":
+            options = {k.arg: k.value for k in value.keywords}
+            if getattr(options.get("init"), "value", True) is False:
+                params.pop(name, None)
+                continue
+            params[name] = "default" in options or "default_factory" in options
+        else:
+            params[name] = value is not None
+    return params
+
+
+def dataclass_defaults(trees: dict) -> list:
+    """(label, name calls use, defaulted parameters) of the ``__init__`` that each public
+    dataclass of the modules generates, as one_sided_defaults lists a function's."""
+    found = {module: [node for node in tree.body if isinstance(node, ast.ClassDef)
+                      and any(called_name(d) == "dataclass" for d in node.decorator_list)]
+             for module, tree in trees.items()}
+    by_name = {node.name: node for nodes in found.values() for node in nodes}
+    return [(f"{module}:{node.name}", node.name,
+             [(i, name) for i, (name, default) in enumerate(init_fields(node, by_name).items())
+              if default])
+            for module, nodes in found.items() for node in nodes
+            if not node.name.startswith("_")
+            and not any(getattr(item, "name", None) == "__init__" for item in node.body)]
+
+
 def one_sided_defaults(sources: dict, callers) -> list:
-    """Defaulted parameters of public functions and methods that the callers do not
-    both set and leave unset.
+    """Defaulted parameters of public functions and methods, and defaulted fields of
+    public dataclasses, that the callers do not both set and leave unset.
 
     A default is kept only where two calls need different values: one
     sets the parameter, another leaves it to the default. A call sets a
     parameter when it names it as a keyword, passes enough positional
     arguments to reach it, or unpacks ``*args`` or ``**kwargs``. Calls
     are matched by the function's name, bare or as an attribute; a
-    class's ``__init__`` by the class's name (see public_callables).
+    class's ``__init__`` by the class's name (see public_callables). A
+    dataclass field is a parameter of the class's name, placed as in the
+    ``__init__`` the dataclass generates (see init_fields).
     """
-    defaults = []
-    for module, source in sources.items():
-        for label, name, node, skip in public_callables(ast.parse(source)):
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defaults = dataclass_defaults(trees)
+    for module, tree in trees.items():
+        for label, name, node, skip in public_callables(tree):
             args = node.args
             positional = (args.posonlyargs + args.args)[skip:]
             first = len(positional) - len(args.defaults)
@@ -163,7 +215,7 @@ def one_sided_defaults(sources: dict, callers) -> list:
     for source in callers:
         for call in ast.walk(ast.parse(source)):
             if isinstance(call, ast.Call):
-                name = getattr(call.func, "id", getattr(call.func, "attr", None))
+                name = called_name(call)
                 unpacks = (any(isinstance(a, ast.Starred) for a in call.args)
                            or any(k.arg is None for k in call.keywords))
                 calls[name].append((unpacks, len(call.args), {k.arg for k in call.keywords}))
@@ -225,6 +277,23 @@ def test_checker_flags_a_one_sided_default(tmp_path):
     sources = {"a.py": files["src/distatlas/a.py"]}
     assert one_sided_defaults(sources, production_sources(tmp_path)) == [
         "a.py:always(seed)", "a.py:never(h)", "a.py:tested(shape)"]
+
+
+def test_checker_flags_a_one_sided_field_default():
+    sources = {"a.py": "from dataclasses import dataclass, field\n\n"
+                       "@dataclass\n"
+                       "class Base:\n    x: int\n    inherited: int = 0\n\n"
+                       "@dataclass(frozen=True)\n"
+                       "class D(Base):\n    every: int = 1\n    some: int = 2\n"
+                       "    made: list = field(default_factory=list)\n"
+                       "    hidden: int = field(default=0, init=False)\n\n"
+                       "@dataclass\n"
+                       "class _Private:\n    unset: int = 0\n\n"
+                       "@dataclasses.dataclass\n"
+                       "class K:\n    spread: int = 0\n"}
+    callers = ["import a\na.D(0, 1, every=3)\nD(0, every=4, some=5)\na.Base(0)\nBase(0, 1)\n"
+               "a.K(**{})\nK()\n_Private()\n"]
+    assert one_sided_defaults(sources, callers) == ["a.py:D(every)", "a.py:D(made)"]
 
 
 def test_cli_import_leaves_scipy_submodules_unloaded():

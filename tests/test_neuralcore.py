@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import train_config
 from distatlas import neuralcore
+from distatlas.classifier import default_latent_train_config
 from distatlas.neuralcore import (
     ACTIVATIONS,
     LOSS_EPS,
@@ -18,7 +20,6 @@ from distatlas.neuralcore import (
     RMSprop,
     STEP_CHUNK,
     ShapeMismatchError,
-    TrainConfig,
     TrainingDivergedError,
     _activation_backward,
     _sigmoid,
@@ -83,7 +84,7 @@ class TestLayerSpec:
 
     def test_rejects_zero_dims(self):
         with pytest.raises(ValueError):
-            LayerSpec(0, 3)
+            LayerSpec(0, 3, "relu")
 
     def test_softmax_only_final(self):
         with pytest.raises(ValueError):
@@ -91,7 +92,7 @@ class TestLayerSpec:
 
     def test_chain_must_connect(self):
         with pytest.raises(ValueError):
-            make_net([LayerSpec(3, 4), LayerSpec(5, 2)])
+            make_net([LayerSpec(3, 4, "relu"), LayerSpec(5, 2, "relu")])
 
 
 class TestForward:
@@ -116,9 +117,11 @@ class TestForward:
 
     def test_cache_has_all_layers(self):
         net = small_net()
-        cache = net.forward(np.random.default_rng(0).random((4, 5)))
-        assert len(cache.acts) == 3
-        assert cache.output.shape == (4, 4)
+        x = np.random.default_rng(0).random((4, 5))
+        acts = net.forward(x)
+        assert len(acts) == 4
+        np.testing.assert_array_equal(acts[0], x)
+        assert acts[-1].shape == (4, 4)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
@@ -187,7 +190,7 @@ class TestForward:
         net.params[-1][:] = np.resize([np.nan, 1.0, -np.nan], width)
         for rows in [slice(None)] + [slice(i, i + 1) for i in range(x.shape[0])]:
             with np.errstate(all="ignore"):
-                cached, free = net.forward(x[rows]).output, net.forward(x[rows], cache=False)
+                cached, free = net.forward(x[rows])[-1], net.forward(x[rows], cache=False)
                 called = net(x[rows])
             assert isinstance(free, np.ndarray)
             for got in (free, called):
@@ -239,7 +242,7 @@ class TestForward:
         for rows in [slice(None)] + [slice(i, i + 1) for i in range(x.shape[0])]:
             a = x[rows].astype(np.float64)
             with np.errstate(all="ignore"):
-                acts = net.forward(x[rows]).acts
+                acts = net.forward(x[rows])[1:]
                 for got, spec, w, b in zip(acts, net.layers, net.params[0::2], net.params[1::2]):
                     a = reference_act(spec.activation, a @ w + b)
                     np.testing.assert_array_equal(got.view(np.int64), a.view(np.int64))
@@ -257,9 +260,9 @@ class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         net = small_net()
         x = np.random.default_rng(1).random((3, 5))
-        cache = net.forward(x)
+        acts = net.forward(x)
         net.grad[:] = np.nan
-        grad_in = net.backward(cache, np.zeros((3, 4)))
+        grad_in = net.backward(acts, np.zeros((3, 4)))
         np.testing.assert_array_equal(net.grad, np.zeros_like(net.grad))
         np.testing.assert_array_equal(grad_in, np.zeros((3, 5)))
 
@@ -275,8 +278,8 @@ class TestBackward:
         net = make_net([LayerSpec(5, 8, "relu"), LayerSpec(8, 5, "sigmoid")], seed=5)
         x = rng.random((4, 5))
         targets = rng.random((4, 5))
-        cache = net.forward(x)
-        net.backward(cache, binary_cross_entropy_grad(cache.output, targets), input_grad=False)
+        acts = net.forward(x)
+        net.backward(acts, binary_cross_entropy_grad(acts[-1], targets), input_grad=False)
         assert audit_gradients(net.flat, lambda: binary_cross_entropy(net(x), targets), net.grad,
                                seed=0) < 1e-4
 
@@ -285,14 +288,14 @@ class TestBackward:
         net = small_net(seed=7)
         x = np.random.default_rng(8).random((1, 5))
         t = one_hot(np.array([2]), 4)
-        cache1 = net.forward(x)
-        net.backward(cache1, categorical_cross_entropy_grad(cache1.output, t))
+        acts1 = net.forward(x)
+        net.backward(acts1, categorical_cross_entropy_grad(acts1[-1], t))
         # the next backward overwrites net.grad in place
         g1 = net.grad.copy()
         x2 = np.vstack([x, x])
         t2 = np.vstack([t, t])
-        cache2 = net.forward(x2)
-        net.backward(cache2, categorical_cross_entropy_grad(cache2.output, t2))
+        acts2 = net.forward(x2)
+        net.backward(acts2, categorical_cross_entropy_grad(acts2[-1], t2))
         np.testing.assert_allclose(g1, net.grad, atol=1e-12)
 
 
@@ -303,22 +306,22 @@ class TestBackward:
     def test_without_input_grad_the_parameter_gradients_are_the_same(self, layers):
         rng = np.random.default_rng(9)
         net = make_net(layers, seed=10)
-        cache = net.forward(rng.random((16, 650)))
+        acts = net.forward(rng.random((16, 650)))
         upstream = rng.standard_normal((16, net.out_dim))
-        assert net.backward(cache, upstream).shape == (16, 650)
+        assert net.backward(acts, upstream).shape == (16, 650)
         full = net.grad.copy()
         net.grad[:] = np.nan
-        assert net.backward(cache, upstream, input_grad=False) is None
+        assert net.backward(acts, upstream, input_grad=False) is None
         np.testing.assert_array_equal(net.grad.view(np.int64), full.view(np.int64))
 
     def test_leaves_the_callers_grad_output_unchanged(self):
         # every layer is a ReLU, so an in-place mask of grad_output would show
         rng = np.random.default_rng(11)
         net = make_net([LayerSpec(5, 8, "relu"), LayerSpec(8, 6, "relu")], seed=12)
-        cache = net.forward(rng.standard_normal((7, 5)))
+        acts = net.forward(rng.standard_normal((7, 5)))
         upstream = rng.standard_normal((7, 6))
         kept = upstream.copy()
-        net.backward(cache, upstream)
+        net.backward(acts, upstream)
         np.testing.assert_array_equal(upstream.view(np.int64), kept.view(np.int64))
 
 
@@ -456,14 +459,14 @@ class TestOptimizers:
     def test_zero_gradient_keeps_params(self):
         for cls in (RMSprop, Adadelta):
             p = np.array([1.0, -2.0])
-            opt = cls(p, TrainConfig(epochs=1))
+            opt = cls(p, train_config(epochs=1))
             opt.step(p, np.zeros(2))
             np.testing.assert_array_equal(p, [1.0, -2.0])
 
     def test_rmsprop_first_step_value(self):
         # fresh accumulator, g = 1: a = 0.1, step = -lr / (sqrt(0.1) + eps)
         p = np.array([0.0])
-        config = TrainConfig(epochs=1, learning_rate=1e-3, rho=0.9, epsilon=1e-8)
+        config = train_config(epochs=1, learning_rate=1e-3, rho=0.9, epsilon=1e-8)
         RMSprop(p, config).step(p, np.array([1.0]))
         expected = -1e-3 / (np.sqrt(0.1) + 1e-8)
         assert p[0] == pytest.approx(expected, rel=1e-12)
@@ -472,7 +475,7 @@ class TestOptimizers:
     def test_adadelta_first_step_value(self):
         # a = (1-rho) g^2; update = g sqrt(eps) / sqrt(a + eps)
         p = np.array([0.0])
-        config = TrainConfig(epochs=1, learning_rate=1.0, rho=0.95, epsilon=1e-6,
+        config = train_config(epochs=1, learning_rate=1.0, rho=0.95, epsilon=1e-6,
                              optimizer="adadelta")
         Adadelta(p, config).step(p, np.array([2.0]))
         a = 0.05 * 4.0
@@ -497,9 +500,8 @@ class TestOptimizers:
 
             # the two trainers' settings: RMSprop defaults and the latent classifier's Adadelta
             for config, reference in [
-                    (TrainConfig(epochs=1), _reference_rmsprop),
-                    (TrainConfig(epochs=1, learning_rate=1.0, rho=0.95, epsilon=1e-6,
-                                 optimizer="adadelta"), _reference_adadelta)]:
+                    (train_config(epochs=1), _reference_rmsprop),
+                    (default_latent_train_config(epochs=1, seed=0), _reference_adadelta)]:
                 flat = start.copy()
                 opt = make_optimizer(flat, config)
                 params = arrays(start.copy())
@@ -517,7 +519,7 @@ class TestOptimizers:
         n = sum(int(np.prod(shape)) for shape in VAE_SHAPES)
         rng = np.random.default_rng(5)
         flat, grad = rng.standard_normal(n), rng.standard_normal(n)
-        opt = make_optimizer(flat, TrainConfig(epochs=1, optimizer=optimizer))
+        opt = make_optimizer(flat, train_config(epochs=1, optimizer=optimizer))
         tracemalloc.start()
         try:
             opt.step(flat, grad)
@@ -531,13 +533,13 @@ class TestOptimizers:
         net = small_net(seed=4)
         x = rng.random((32, 5))
         t = one_hot(rng.integers(0, 4, 32), 4)
-        config = TrainConfig(epochs=1, learning_rate=1e-4)
+        config = train_config(epochs=1, learning_rate=1e-4)
         opt = make_optimizer(net.flat, config)
         losses = []
         for _ in range(6):
-            cache = net.forward(x)
-            losses.append(categorical_cross_entropy(cache.output, t))
-            net.backward(cache, categorical_cross_entropy_grad(cache.output, t))
+            acts = net.forward(x)
+            losses.append(categorical_cross_entropy(acts[-1], t))
+            net.backward(acts, categorical_cross_entropy_grad(acts[-1], t))
             opt.step(net.flat, net.grad)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -545,14 +547,14 @@ class TestOptimizers:
         # a finite loss with a non-finite gradient stops training before the step
         flat = np.array([1.0, -2.0])
         with pytest.raises(TrainingDivergedError, match="gradient"):
-            list(train_epochs(flat, TrainConfig(epochs=2), 5, 0,
+            list(train_epochs(flat, train_config(epochs=2), 5, 0,
                               lambda rows: (np.array([1.0, np.nan]), (1.0,))))
         np.testing.assert_array_equal(flat, [1.0, -2.0])
 
     def test_train_epochs_nan_loss_diverges_before_the_step(self):
         flat = np.array([1.0, -2.0])
         with pytest.raises(TrainingDivergedError, match="loss"):
-            list(train_epochs(flat, TrainConfig(epochs=2), 5, 0,
+            list(train_epochs(flat, train_config(epochs=2), 5, 0,
                               lambda rows: (np.ones(2), (float("nan"),))))
         np.testing.assert_array_equal(flat, [1.0, -2.0])
 
@@ -563,7 +565,7 @@ class TestOptimizers:
             seen.append(rows)
             return np.zeros(1), (float(rows.shape[0]), 1.0)
 
-        config = TrainConfig(epochs=3, batch_size=4)
+        config = train_config(epochs=3, batch_size=4)
         epochs = list(train_epochs(np.zeros(1), config, 10, 7, batch_step))
         assert epochs == [(e, [10.0 / 3.0, 1.0]) for e in (1, 2, 3)]
         assert [r.shape[0] for r in seen] == [4, 4, 2] * 3
@@ -578,10 +580,10 @@ class TestOptimizers:
             net = small_net(seed=10)
             x = rng.random((16, 5))
             t = one_hot(rng.integers(0, 4, 16), 4)
-            opt = make_optimizer(net.flat, TrainConfig(epochs=1))
+            opt = make_optimizer(net.flat, train_config(epochs=1))
             for _ in range(10):
-                cache = net.forward(x)
-                net.backward(cache, categorical_cross_entropy_grad(cache.output, t))
+                acts = net.forward(x)
+                net.backward(acts, categorical_cross_entropy_grad(acts[-1], t))
                 opt.step(net.flat, net.grad)
             return net.flat.copy()
 
@@ -600,8 +602,8 @@ class TestGradCheck:
             d = net(x) - t
             return float(0.5 * (d * d).sum() / x.shape[0])
 
-        cache = net.forward(x)
-        net.backward(cache, (cache.output - t) / x.shape[0])
+        acts = net.forward(x)
+        net.backward(acts, (acts[-1] - t) / x.shape[0])
         assert audit_gradients(net.flat, loss, net.grad, seed=1) < 1e-8
 
     def test_wrong_gradient_is_caught(self):
@@ -612,8 +614,8 @@ class TestGradCheck:
         def loss():
             return float((net(x) ** 2).sum())
 
-        cache = net.forward(x)
-        net.backward(cache, cache.output)  # half the true gradient
+        acts = net.forward(x)
+        net.backward(acts, acts[-1])  # half the true gradient
         assert audit_gradients(net.flat, loss, net.grad, seed=1) > 0.3
 
 
@@ -645,7 +647,7 @@ def write_checkpoint(path, header, body_bytes):
 class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         net = small_net(seed=11)
-        config = TrainConfig(epochs=3, rng_seed=4)
+        config = train_config(epochs=3, rng_seed=4)
         path = tmp_path / "model.ckpt"
         save_model(path, {"kind": "toy", "note": "round trip"}, {"layers": net.layers}, net.flat,
                    config)
@@ -660,7 +662,8 @@ class TestCheckpoint:
         assert nets == {"layers": net.layers}
         assert block.dtype == np.float64
         np.testing.assert_array_equal(block.view(np.int64), net.flat.view(np.int64))
-        save_model(path, {"kind": "toy"}, {"layers": net.layers}, net.flat, None)
+        # a checkpoint is outside input: a null train_config loads
+        write_checkpoint(path, {**header, "train_config": None}, net.flat.nbytes)
         assert load_model(path, {"toy": lambda h: {"layers": net.layers}})[0]["train_config"] is None
 
     def test_rejects_garbage(self, tmp_path):
@@ -690,7 +693,7 @@ class TestCheckpoint:
         # a file cut after its size was checked: the block's read comes up short
         net = small_net()
         path = tmp_path / "model.ckpt"
-        save_model(path, {"kind": "toy"}, {"layers": net.layers}, net.flat, None)
+        save_model(path, {"kind": "toy"}, {"layers": net.layers}, net.flat, train_config(epochs=1))
         path.write_bytes(path.read_bytes()[:-8])
         real_fstat = os.fstat
         monkeypatch.setattr(neuralcore.os, "fstat", lambda fd: SimpleNamespace(
@@ -705,7 +708,7 @@ class TestCheckpoint:
         flat = net.flat.copy()
         flat[index] = value
         path = tmp_path / "model.ckpt"
-        save_model(path, {"kind": "toy"}, {"layers": net.layers}, flat, None)
+        save_model(path, {"kind": "toy"}, {"layers": net.layers}, flat, train_config(epochs=1))
         with pytest.raises(ValueError, match="non-finite"):
             load_model(path, {"toy": lambda h: {"layers": net.layers}})
 
@@ -713,7 +716,7 @@ class TestCheckpoint:
         net = small_net()
         kinds = {"toy": lambda h: {"layers": net.layers}}
         path = tmp_path / "model.ckpt"
-        save_model(path, {"kind": "toy"}, {"layers": net.layers}, net.flat, None)
+        save_model(path, {"kind": "toy"}, {"layers": net.layers}, net.flat, train_config(epochs=1))
         header, _, _ = load_model(path, kinds)
         shapes = header["param_shapes"]
         wider = [{**header["layers"][0], "out": 9}, *header["layers"][1:]]
@@ -732,7 +735,7 @@ class TestCheckpoint:
     def test_kind_must_be_accepted(self, tmp_path, kind):
         net = small_net()
         path = tmp_path / "model.ckpt"
-        save_model(path, {"kind": kind}, {"layers": net.layers}, net.flat, None)
+        save_model(path, {"kind": kind}, {"layers": net.layers}, net.flat, train_config(epochs=1))
         with pytest.raises(ValueError, match="kind"):
             load_model(path, {"toy": lambda h: {"layers": net.layers}})
 
@@ -746,4 +749,4 @@ class TestTrainConfig:
     ])
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
-            TrainConfig(epochs=1, **kwargs)
+            train_config(epochs=1, **kwargs)

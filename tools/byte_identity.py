@@ -20,7 +20,9 @@ builds fresh nets outside training, and, in its own directory, `grad-check
 small non-default grid; then `train classifier` and `train bvae`
 with `--optimizer adadelta`, so that both optimizers step the grid
 classifier's vector (3 STEP_CHUNK slices) and the beta-VAE's (23, the last one
-short); Adadelta also steps the latent classifier's (3) in `map`. Last,
+short); Adadelta also steps the latent classifier's (3) in `map`. A `train
+classifier` with `--batch-size 50 --learning-rate 2e-3 --rho 0.8 --epsilon
+1e-7` pins the one mapping from the training flags to TrainConfig. Last,
 `generate --spec` reads SPEC, which each side writes into its run
 directory as `spec.json`: another master seed and a 16x15 grid, so the
 family table and the cache block list are compared on a second seed,
@@ -98,6 +100,11 @@ COMMANDS = [
                   "--optimizer", "adadelta", "--seed", "7"]),
     ("adadelta", ["train", "bvae", "--dataset", "two_d/dataset.bin", "--epochs", "2",
                   "--optimizer", "adadelta", "--seed", "7"]),
+    # every RMSprop flag off its default: the parser -> TrainConfig mapping, which alone
+    # holds the grid models' settings, and the checkpoint's train_config that records it
+    ("flags", ["train", "classifier", "--dataset", "two_d/dataset.bin", "--epochs", "3",
+               "--batch-size", "50", "--learning-rate", "2e-3", "--rho", "0.8",
+               "--epsilon", "1e-7", "--seed", "7"]),
     ("spec", ["generate", "--spec", "spec.json"]),
     # 481 rows: 7 full ROW_BLOCK blocks and a partial one, dealt unequally among the workers
     ("partial_block", ["generate", "--per-family", "37", "--seed", "5"]),
