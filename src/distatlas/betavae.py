@@ -168,12 +168,13 @@ def _dataset_eval(model: VaeModel, grids: np.ndarray, idx: np.ndarray):
     """Mean (BCE, KL) over rows grids[idx], gathered 1024 at a time, at the encoder mean.
 
     The gathered rows stay in the grids' dtype: the trunk converts its input
-    to float64 exactly, and so does the BCE its target, piece by piece.
+    to float64 exactly, and so does the BCE its target, piece by piece. The
+    BCE writes its terms into the decoded rows, which nothing else reads.
     """
     def batch_sums(rows: slice):
         x = grids[idx[rows]]
         mu, sigma = model.encode(x)
-        return (binary_cross_entropy(model.decode(mu), x) * x.shape[0],
+        return (binary_cross_entropy(model.decode(mu), x, owned=True) * x.shape[0],
                 float(np.sum(kl_per_example(mu, 2.0 * np.log(sigma)))))
 
     n = idx.shape[0]

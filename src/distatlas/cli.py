@@ -97,6 +97,23 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _outputs(args, *names: str):
+    """(output directory, [its path of each name]), the directory made by _out_dir.
+
+    A name whose path is a directory, or whose file cannot be created or
+    written, exits 2 here, before the command does any work.
+    """
+    out = _out_dir(args)
+    paths = [out / name for name in names]
+    for path in paths:
+        target = path.resolve()
+        if target.is_dir():
+            raise CliError(EXIT_BAD_SPEC, f"cannot write {path}: it is a directory")
+        if not os.access(target if target.exists() else target.parent, os.W_OK):
+            raise CliError(EXIT_BAD_SPEC, f"cannot write {path}: it cannot be created")
+    return out, paths
+
+
 def _log_invocation(out: Path, command: str, argv, **details) -> None:
     record = {
         "command": command,
@@ -225,14 +242,14 @@ def cmd_generate(args, argv) -> int:
     _require_memory(f"a corpus of {n} entries on a {grid.x_bins}x{grid.y_levels} grid",
                     4 * n * grid.n_cells)
 
-    out = _out_dir(args)
+    out, (cache_path, spec_path, manifest_path) = _outputs(
+        args, "dataset.bin", "dataset_spec.json", "dataset_manifest.json")
     # the worker count depends on the machine, so it goes to the run log only
     _log_invocation(out, "generate", argv, workers=distgen.worker_count(n))
-    cache_path = out / "dataset.bin"
     fields = distgen.write_corpus(cache_path, per_family, grid, master_seed)
 
     spec_obj = {"master_seed": master_seed, "per_family_count": per_family, "grid": asdict(grid)}
-    _write_json(out / "dataset_spec.json", spec_obj)
+    _write_json(spec_path, spec_obj)
 
     with open(cache_path, "rb") as fh:
         digest = hashlib.file_digest(fh, "sha256").hexdigest()
@@ -262,7 +279,7 @@ def cmd_generate(args, argv) -> int:
         "cache_sha256": digest,
         "per_family": per_family_stats,
     }
-    _write_json(out / "dataset_manifest.json", manifest)
+    _write_json(manifest_path, manifest)
     print(f"generated {n} entries -> {cache_path}")
     return 0
 
@@ -290,20 +307,18 @@ def cmd_train(args, argv) -> int:
     if args.model == "bvae" and not 0 <= args.beta < math.inf:
         raise CliError(EXIT_BAD_SPEC, f"--beta must be finite and >= 0, got {args.beta}")
     dataset = _load_dataset(args.dataset)
-    out = _out_dir(args)
+    out, (ckpt, history_path) = _outputs(args, f"{args.model}.ckpt", f"{args.model}_history.csv")
     _log_invocation(out, "train", argv)
     if args.model == "classifier":
         model, history = classifier.train_classifier(dataset, config)
-        ckpt = out / "classifier.ckpt"
         classifier.save_classifier(ckpt, model, config)
-        _write_history(out / "classifier_history.csv", history)
+        _write_history(history_path, history)
         print(f"classifier test accuracy {history[-1].test_accuracy:.4f} -> {ckpt}")
     else:
         model, history = betavae.train_bvae(dataset, beta=args.beta,
                                             latent_dim=args.latent_dim, config=config)
-        ckpt = out / "bvae.ckpt"
         betavae.save_vae(ckpt, model, config)
-        _write_history(out / "bvae_history.csv", history)
+        _write_history(history_path, history)
         print(f"autoencoder test bce {history[-1].test_bce:.3f} "
               f"(epoch 0: {history[0].test_bce:.3f}) -> {ckpt}")
     return 0
@@ -341,13 +356,18 @@ def cmd_map(args, argv) -> int:
         resolution = getattr(args, flag)
         _require_memory(f"--{flag.replace('_', '-')} {resolution}", 8 * resolution ** d * per_point)
     dataset = _load_dataset(args.dataset, model, latentlab.MIN_DENSITY_POINTS)
-    out = _out_dir(args)
+    out, (points_path, density_path, woe_path, segments_path, trajectories_path, latent_path,
+          class_map_path, overlap_path, curves_path) = _outputs(
+        args, "latent_points.csv", "density.csv", "woe.csv", "segments.csv", "trajectories.json",
+        "latent_classifier.ckpt", "class_map.csv", "overlap_matrix.csv", "generated_curves.csv")
     _log_invocation(out, "map", argv)
 
     points = betavae.encode_dataset(model, dataset)
+    # nothing reads the grids again, and the density estimate below would peak on top of them
+    del dataset
     z_cols = [f"z{j + 1}" for j in range(d)]
     s_cols = [f"sigma{j + 1}" for j in range(d)]
-    _write_csv(out / "latent_points.csv",
+    _write_csv(points_path,
                z_cols + s_cols + ["family_id", "entropy", "skewness", "ks_uniform"],
                [*points.z.T, *points.sigma.T, points.labels, points.entropy,
                 points.skewness, points.ks_uniform])
@@ -364,15 +384,15 @@ def cmd_map(args, argv) -> int:
     lattice_header = index_cols + ["x_center", "y_center"][:d]
     indices, centers = _lattice_columns([field.centers(axis) for axis in range(d)])
     density, woe_values = field.density.ravel(), woe.woe.ravel()
-    _write_csv(out / "density.csv", lattice_header + ["density"], [*indices, *centers, density])
-    _write_csv(out / "woe.csv", lattice_header + ["density", "woe"],
+    _write_csv(density_path, lattice_header + ["density"], [*indices, *centers, density])
+    _write_csv(woe_path, lattice_header + ["density", "woe"],
                [*indices, *centers, density, woe_values])
-    _write_csv(out / "segments.csv", lattice_header + ["density", "woe", "segment"],
+    _write_csv(segments_path, lattice_header + ["density", "woe", "segment"],
                [*indices, *centers, density, woe_values, latentlab.segment_names(labels)])
 
     trajs = latentlab.trajectories(points, n_entropy_bins=args.trajectory_bins,
                                    min_count=args.trajectory_min_count)
-    _write_json(out / "trajectories.json", [
+    _write_json(trajectories_path, [
         {
             "family_id": t.family_id,
             "family": distgen.FAMILY_NAMES[t.family_id],
@@ -389,15 +409,15 @@ def cmd_map(args, argv) -> int:
     latent_config = classifier.default_latent_train_config(
         epochs=args.latent_epochs, seed=distgen.mix64(args.seed, 21))
     latent_model, latent_accuracy = classifier.train_latent_classifier(points, latent_config)
-    classifier.save_classifier(out / "latent_classifier.ckpt", latent_model, latent_config)
+    classifier.save_classifier(latent_path, latent_model, latent_config)
     axes = latentlab.latent_axes(bounds, args.class_map_resolution)
     cmap = latentlab.class_map(latent_model, axes)
     indices, coordinates = _lattice_columns(axes)
-    _write_csv(out / "class_map.csv", index_cols + z_cols + ["family_id", "family"],
+    _write_csv(class_map_path, index_cols + z_cols + ["family_id", "family"],
                [*indices, *coordinates, cmap, np.asarray(distgen.FAMILY_NAMES)[cmap]])
 
     overlap = latentlab.overlap_matrix(points)
-    _write_csv(out / "overlap_matrix.csv", ["family"] + distgen.FAMILY_NAMES,
+    _write_csv(overlap_path, ["family"] + distgen.FAMILY_NAMES,
                [distgen.FAMILY_NAMES, *overlap.T])
 
     axes = latentlab.latent_axes(bounds, args.curve_resolution)
@@ -409,7 +429,7 @@ def cmd_map(args, argv) -> int:
     _, coordinates = _lattice_columns(axes)
     (point_index, bin_index), (_, bin_center) = _lattice_columns(
         [np.arange(n_points), (np.arange(shape.x_bins) + 0.5) / shape.x_bins])
-    _write_csv(out / "generated_curves.csv",
+    _write_csv(curves_path,
                ["point_index"] + z_cols + ["bin", "bin_center", "raw_level", "repaired_level"],
                [point_index, *(np.repeat(column, shape.x_bins) for column in coordinates),
                 bin_index, bin_center, raw.ravel(), repaired.ravel()])
@@ -559,7 +579,7 @@ def cmd_eval(args, argv) -> int:
     except (AttributeError, OverflowError, TypeError, ValueError) as exc:
         raise CliError(EXIT_MISSING_ARTIFACT,
                        f"{args.classifier}: malformed train_config ({exc!r})") from exc
-    out = _out_dir(args)
+    out, (report_path, matrix_path) = _outputs(args, "eval_report.json", "confusion_matrix.csv")
     _log_invocation(out, "eval", argv)
     _, test_idx = split_indices(len(dataset), split_seed)
     matrix = classifier.evaluate(model, dataset.grids, dataset.labels, test_idx)
@@ -578,8 +598,8 @@ def cmd_eval(args, argv) -> int:
         ],
         "matrix": matrix.counts.tolist(),
     }
-    _write_json(out / "eval_report.json", report)
-    _write_csv(out / "confusion_matrix.csv", ["family"] + distgen.FAMILY_NAMES,
+    _write_json(report_path, report)
+    _write_csv(matrix_path, ["family"] + distgen.FAMILY_NAMES,
                [distgen.FAMILY_NAMES, *matrix.counts.T])
     print(f"test accuracy {matrix.overall_accuracy:.4f} over {test_idx.shape[0]} entries")
     return 0

@@ -289,7 +289,7 @@ def categorical_cross_entropy_grad(probs: np.ndarray, onehot: np.ndarray) -> np.
     return g
 
 
-def binary_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
+def binary_cross_entropy(pred: np.ndarray, target: np.ndarray, owned: bool = False) -> float:
     """Binary cross entropy summed over units, averaged over the batch (float64 pred).
 
     Each unit's term goes into one float64 buffer shaped like pred, filled
@@ -300,11 +300,13 @@ def binary_cross_entropy(pred: np.ndarray, target: np.ndarray) -> float:
     array through other loops than the tail of a long one, and where two
     NaNs meet they keep the other operand's. A float32 target is upcast
     exactly, piece by piece, before its 1 - target, which therefore never
-    rounds in float32.
+    rounds in float32. When the caller owns pred (``owned``, a C-ordered
+    array), the terms go into pred itself: each piece is clipped into the
+    scratch before its terms overwrite it, so the value is the same.
     """
     flat = pred.reshape(-1)
     goal = np.broadcast_to(target, pred.shape).reshape(-1)
-    terms = np.empty(pred.shape)
+    terms = pred if owned else np.empty(pred.shape)
     out = terms.reshape(-1)
     starts = range(0, max(flat.size - STEP_CHUNK, 0) + 1, STEP_CHUNK)
     scratch = np.empty((2, flat.size - starts[-1]))

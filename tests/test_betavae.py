@@ -28,7 +28,7 @@ from distatlas.classifier import (
     save_classifier,
 )
 from distatlas.latentlab import default_latent_bounds, latent_axes, lattice
-from distatlas.neuralcore import ShapeMismatchError, build_nets, load_model
+from distatlas.neuralcore import ShapeMismatchError, build_nets, load_model, split_indices
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +286,21 @@ class TestHeldOutMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 15_000_000
+
+    def test_held_out_pass_writes_the_bce_into_the_decoded_rows(self):
+        # the held-out third of 3,000 float32 rows, one 990-row slice: the gathered rows
+        # beside the decoder's 512-wide layer and output set the peak, 12.1 MB; with the
+        # BCE's own buffer of terms it was 13.8 MB
+        grids = np.random.default_rng(3).random((3000, 650), dtype=np.float32)
+        model = VaeModel(GridShape(), beta=3.0, latent_dim=2, seed=1)
+        _, test_idx = split_indices(len(grids), 0)
+        tracemalloc.start()
+        try:
+            betavae._dataset_eval(model, grids, test_idx)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12_500_000
 
 
 class TestEncodeDataset:

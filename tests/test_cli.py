@@ -410,6 +410,68 @@ def test_artifact_path_that_is_a_directory_exits_2(workspace, tmp_path, capsys, 
     assert list((out / artifact).iterdir()) == []
 
 
+# runs `distatlas argv...` with the corpus writer, the trainers, the encoder and the
+# evaluation replaced by stand-ins that say they ran and exit 9
+GUARDED_MAIN = """
+import sys
+from distatlas import betavae, classifier, cli, distgen
+
+def stand_in(name):
+    def ran(*args, **kwargs):
+        print("ran", name, flush=True)
+        sys.exit(9)
+    return ran
+
+for module, name in ((distgen, "write_corpus"), (classifier, "train_classifier"),
+                     (betavae, "train_bvae"), (betavae, "encode_dataset"),
+                     (classifier, "evaluate")):
+    setattr(module, name, stand_in(name))
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command, artifact, kind", [
+    ("generate", "dataset.bin", "directory"),
+    ("generate", "dataset_manifest.json", "directory"),
+    ("generate", "dataset_spec.json", "dangling link"),
+    ("train classifier", "classifier_history.csv", "directory"),
+    ("train bvae", "bvae.ckpt", "dangling link"),
+    ("train bvae", "bvae_history.csv", "directory"),
+    ("map", "generated_curves.csv", "directory"),
+    ("map", "latent_points.csv", "dangling link"),
+    ("map", "latent_classifier.ckpt", "directory"),
+    ("eval", "confusion_matrix.csv", "directory"),
+])
+def test_unwritable_artifact_exits_2_before_any_work(workspace, tmp_path, command, artifact,
+                                                     kind):
+    # a directory in the way, or a link into a directory that does not exist
+    out = tmp_path / "out"
+    out.mkdir()
+    dataset = out / "dataset.bin"
+    if artifact != "dataset.bin":
+        shutil.copyfile(workspace / "dataset.bin", dataset)
+    if kind == "directory":
+        (out / artifact).mkdir()
+    else:
+        (out / artifact).symlink_to(tmp_path / "missing" / artifact)
+    kept = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()}
+    inputs = {"generate": ["--per-family", "2"],
+              "train": ["--dataset", str(dataset), "--epochs", "1"],
+              "map": ["--dataset", str(dataset), "--vae", str(workspace / "bvae.ckpt")],
+              "eval": ["--dataset", str(dataset),
+                       "--classifier", str(workspace / "classifier.ckpt")]}
+    env = dict(os.environ, PYTHONPATH=str(Path(distgen.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", GUARDED_MAIN, *command.split(),
+                           *inputs[command.split()[0]], "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_BAD_SPEC, done.stdout + done.stderr
+    assert done.stderr.startswith("error: cannot write ") and artifact in done.stderr
+    assert "Traceback" not in done.stderr
+    assert "ran" not in done.stdout
+    # an earlier dataset.bin keeps its bytes, and nothing else is written but the run log
+    assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file()} == kept
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
 @pytest.mark.parametrize("model", ["classifier", "bvae"])
 def test_diverged_training_exits_4_and_writes_no_model(workspace, tmp_path, capsys, model):

@@ -303,3 +303,45 @@ def test_cli_import_leaves_scipy_submodules_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def scipy_imports(source: str) -> list:
+    """Line numbers of the imports of scipy or of any of its subpackages."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Import) and any(
+                      alias.name.split(".")[0] == "scipy" for alias in node.names)
+                  or isinstance(node, ast.ImportFrom) and node.level == 0
+                  and (node.module or "").split(".")[0] == "scipy")
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_scipy(path):
+    assert scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_flags_every_form_of_a_scipy_import():
+    source = ("import numpy, scipy.ndimage\nfrom scipy import spatial\n"
+              "def f():\n    from scipy.spatial import cKDTree\n"
+              "from . import scipy_free\nimport scipyx\n")
+    assert scipy_imports(source) == [1, 2, 4]
+
+
+def test_the_pipeline_runs_with_scipy_blocked(tmp_path):
+    # generate, train bvae and map, each in a process where `import scipy` raises
+    code = ("import sys; sys.modules['scipy'] = None\n"
+            "from distatlas.cli import main\n"
+            "for argv in sys.argv[1:]:\n"
+            "    code = main(argv.split())\n"
+            "    if code:\n"
+            "        sys.exit(code)\n")
+    out = tmp_path / "run"
+    argvs = [f"generate --per-family 8 --seed 2 --out-dir {out}",
+             f"train bvae --dataset {out}/dataset.bin --epochs 1 --seed 2 --out-dir {out}",
+             f"map --vae {out}/bvae.ckpt --dataset {out}/dataset.bin --seed 2 --latent-epochs 1"
+             f" --density-resolution 30 --class-map-resolution 5 --curve-resolution 3"
+             f" --out-dir {out}"]
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-c", code, *argvs], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert (out / "overlap_matrix.csv").is_file() and (out / "segments.csv").is_file()

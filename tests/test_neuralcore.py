@@ -440,6 +440,38 @@ class TestLosses:
             assert np.isnan(got)
             assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(5, 13), (3, STEP_CHUNK // 3 + 5), (1024, 650)],
+                             ids=["below", "above", "slice"])
+    def test_bce_into_its_own_pred_gives_the_same_bits(self, shape, dtype):
+        # the edge cases of the reference test, then walks of one piece, of a long last
+        # piece and of a full held-out slice, with the clamp's edges on STEP_CHUNK edges
+        rng = np.random.default_rng(shape[0])
+        cases = list(self._bce_cases())
+        pred = _sigmoid(rng.normal(scale=8.0, size=shape))
+        for start in range(0, pred.size - 4, STEP_CHUNK):
+            pred.reshape(-1)[max(start - 2, 0):max(start - 2, 0) + 4] = [
+                0.0, 1.0, LOSS_EPS / 2, 1.0 - LOSS_EPS / 2]
+        cases.append((pred, rng.random(shape).astype(dtype)))
+        for pred, target in cases:
+            with np.errstate(invalid="ignore"):
+                expected = binary_cross_entropy(pred, target)
+                owned = np.ascontiguousarray(pred)
+                got = binary_cross_entropy(owned, target, owned=True)
+            assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+
+    def test_bce_of_an_owned_pred_allocates_only_the_scratch(self):
+        rng = np.random.default_rng(12)
+        pred = rng.random((1024, 650))
+        target = rng.random((1024, 650), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            binary_cross_entropy(pred, target, owned=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * STEP_CHUNK
+
     def test_bce_allocates_one_buffer_of_terms(self):
         # a 1,024-row slice of the 26x25 grid against float32 targets: the terms and a
         # two-piece scratch, where the whole-array pass held three slice-sized temporaries

@@ -13,7 +13,9 @@ the 2-D run's corpus and classifier). Three more 2-D `map` runs, each in its
 own directory, compare the lattices at their edges: one-point lattices (every
 resolution 1), a 23x23 class map, one full 512-row slice of `class_map` plus
 a 17-row tail, and a 300x300 class map, 175 full slices plus a 400-row tail,
-each beside a 7x7 density and a 3x3 curve lattice. Then
+each beside a 7x7 density and a 3x3 curve lattice. One more, at `--w-star 0.5
+--p-min 0`, labels three exceptional components of the 100x100 WOE lattice, so
+`segments.csv` compares their numbering. Then
 `grad-check --arch both`, which
 builds fresh nets outside training, and, in its own directory, `grad-check
 --arch bvae --latent-dim 1 --grid 8x6`, which audits the 1-D latent on a
@@ -92,6 +94,9 @@ COMMANDS = [
     ("map_res_300", ["map", "--vae", "two_d/bvae.ckpt", "--dataset", "two_d/dataset.bin",
                      "--latent-epochs", "5", "--seed", "7", "--density-resolution", "7",
                      "--class-map-resolution", "300", "--curve-resolution", "3"]),
+    # every cell with |WOE| over 0.5 at any density: segments.csv numbers 3 components
+    ("segments", ["map", "--vae", "two_d/bvae.ckpt", "--dataset", "two_d/dataset.bin",
+                  "--latent-epochs", "5", "--seed", "7", "--w-star", "0.5", "--p-min", "0"]),
     ("grad_check", ["grad-check", "--arch", "both", "--seed", "7"]),
     ("grad_check_1d", ["grad-check", "--arch", "bvae", "--latent-dim", "1", "--grid", "8x6",
                        "--seed", "3"]),
