@@ -6,17 +6,27 @@ are scaled so the densest cell reads 1.0. Normalized entropy and the
 signed deviation of the scaled empirical CDF from the diagonal are
 computed on the same scaled values, which makes every statistic
 invariant to positive affine transforms of the input.
+
+describe_block is the one encoder: it takes a list of series and
+encodes them in one vectorized pass over their concatenated sorted
+values, so numpy's per-call cost is paid per block, not per series.
+Callers feed it the sub-blocks of sub_blocks, at most BLOCK_VALUES
+values each, which bounds the pass's temporaries to a few hundred KB.
+A series encodes to the same bits in any block; describe_series is the
+block of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 import numpy as np
 
 DEFAULT_X_BINS = 26
 DEFAULT_Y_LEVELS = 25
+# values describe_block takes in one pass (sub_blocks); bounds the pass's temporaries
+BLOCK_VALUES = 4096
 
 
 @dataclass(frozen=True)
@@ -54,70 +64,74 @@ class CdfGrid:
 
 @dataclass(frozen=True)
 class SeriesStats:
-    """Scalar shape descriptors of one series.
+    """Scalar shape descriptors of one series (describe_series), or arrays of
+    them with one entry per series (describe_block).
 
     With d_pos and d_neg the largest deviations of the scaled empirical
     CDF above and below the diagonal, ``skewness`` is ``d_pos - d_neg``
     and ``ks_uniform`` is ``max(d_pos, d_neg)``.
     """
 
-    entropy: float
-    skewness: float
-    ks_uniform: float
+    entropy: float | np.ndarray
+    skewness: float | np.ndarray
+    ks_uniform: float | np.ndarray
 
 
-def _span_ratio(top, bottom, lo: float, hi: float) -> np.ndarray:
-    """(top - bottom) / (hi - lo) for lo <= bottom and top <= hi.
+def _span_ratio(top, bottom, lo, hi) -> np.ndarray:
+    """(top - bottom) / (hi - lo), entry by entry, for lo <= bottom and top <= hi.
 
-    When hi - lo overflows to inf every term is halved first, so a range
-    wider than the largest float still scales into [0, 1]; any finite
-    range takes the plain quotient.
+    Where hi - lo overflows to inf every term of that entry is halved
+    first, so a range wider than the largest float still scales into
+    [0, 1]; any finite range takes the plain quotient. Where hi == lo (a
+    constant series) the entry is top - bottom, a zero.
     """
-    span = hi - lo
-    if math.isinf(span):
-        return (0.5 * top - 0.5 * bottom) / (0.5 * hi - 0.5 * lo)
-    return (top - bottom) / span
+    with np.errstate(over="ignore"):
+        span = np.subtract(hi, lo)
+    wide = np.isinf(span)
+    if wide.any():
+        half = np.where(wide, 0.5, 1.0)
+        top, bottom, span = top * half, bottom * half, hi * half - lo * half
+    ratio = np.subtract(top, bottom)
+    return np.divide(ratio, span, out=ratio, where=span != 0)
 
 
-def scale_to_unit(values: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Min-max scale to [0, 1]; a constant series maps to all zeros.
+def scale_to_unit(values: np.ndarray, lo, hi) -> np.ndarray:
+    """Min-max scale each value into [0, 1] against its own bounds: (values - lo) / (hi - lo).
 
-    Returns the scaled array and a flag marking the degenerate
-    (max == min) case.
+    lo and hi broadcast against values (a block passes one entry per
+    value: the minimum and maximum of that value's series). A constant
+    series (hi == lo) maps to zeros.
     """
-    values = np.asarray(values, dtype=np.float64)
-    lo = float(values.min())
-    hi = float(values.max())
-    if hi > lo:
-        return _span_ratio(values, lo, lo, hi), False
-    return np.zeros_like(values), True
+    return _span_ratio(values, lo, lo, hi)
 
 
-def _bin_indices(u: np.ndarray, n_bins: int) -> np.ndarray:
-    # u in [0, 1]; the value 1.0 is folded into the last bin
-    idx = (u * n_bins).astype(np.int64)
-    return np.minimum(idx, n_bins - 1)
+def sub_blocks(series: Iterable) -> Iterator[list]:
+    """Group series, in order, into the lists describe_block encodes in one pass.
+
+    A list holds at most BLOCK_VALUES values, or one longer series alone,
+    which bounds the block-sized temporaries of a pass.
+    """
+    block, size = [], 0
+    for values in series:
+        if block and size + len(values) > BLOCK_VALUES:
+            yield block
+            block, size = [], 0
+        block.append(values)
+        size += len(values)
+    if block:
+        yield block
 
 
-def _normalized_entropy(counts: np.ndarray) -> float:
-    """Shannon entropy of a bin histogram, divided by log2 of its bin count."""
-    p = counts[counts > 0] / counts.sum()
-    return float(-(p @ np.log2(p)) / np.log2(counts.size))
+def describe_block(series: list, shape: GridShape) -> tuple[np.ndarray, SeriesStats]:
+    """The rank-level CDF grids and the shape statistics of a list of series, in one pass.
 
+    Returns the grids as rows (len(series), shape.n_cells), x-bin-major
+    (CdfGrid.flat), and a SeriesStats of arrays, one entry per series.
 
-def _d_above(steps: np.ndarray, u_sorted: np.ndarray) -> float:
-    """Largest deviation of the ECDF (its steps k / n) above the diagonal, clamped at 0."""
-    return max(0.0, float((steps - u_sorted).max()))
-
-
-def describe_series(values: np.ndarray, shape: GridShape) -> tuple[CdfGrid, SeriesStats]:
-    """The rank-level CDF grid and the shape statistics of a series, in one pass.
-
-    Grid: scale values to [0, 1]; bin along x; rank values (ordinal,
-    ties by original order) and map rank r to level ceil(y_levels*r/n);
-    count observations per (bin, level) cell; divide by the maximum
-    cell count. A constant series puts all mass in x-bin 0 while the
-    ranks still spread over the levels.
+    Grid: scale values to [0, 1]; bin along x; rank values and map rank r
+    to level ceil(y_levels*r/n); count observations per (bin, level)
+    cell; divide by the maximum cell count. A constant series puts all
+    mass in x-bin 0 while the ranks still spread over the levels.
 
     Statistics: the entropy is that of the grid's per-bin totals, divided
     by log2 of x_bins (26 on the default grid) so that it lies in [0, 1]: 1.0 for
@@ -127,35 +141,100 @@ def describe_series(values: np.ndarray, shape: GridShape) -> tuple[CdfGrid, Seri
     of every step. d_neg is the d_pos of (hi - x) / (hi - lo), which is
     bit for bit what scaling the negated series gives; negating a series
     therefore swaps d_pos/d_neg exactly and negates the skewness. A
-    constant series has all statistics but the entropy zero. Fewer than
-    2 values raise ValueError.
+    constant series has all statistics but the entropy zero. A series of
+    fewer than 2 values raises ValueError.
+
+    The pass sorts each series in place in one concatenated buffer, so
+    that sorted position k - 1 of a series holds its value of rank k, and
+    works on that buffer with per-value row offsets: one bincount of
+    (series, bin, level) cells gives every grid, and a maximum per series
+    (np.maximum.reduceat, exact in any order) each of d_pos and d_neg.
+    Every value and statistic is computed with the same operations as
+    for the series alone, so a series encodes to the same bits in any
+    block. Only the sorted values are read, so ties need no stable sort.
     """
-    values = np.asarray(values, dtype=np.float64)
-    n = values.shape[0]
-    if n < 2:
+    n = np.array([len(values) for values in series], dtype=np.int64)
+    if n.size == 0 or n.min() < 2:
         raise ValueError("need at least 2 observations to form a CDF grid")
-    # one sort: sorted position k - 1 holds the value of rank k, and every later step
-    # reads the sorted values
-    ordered = values[np.argsort(values, kind="stable")]
-    u, degenerate = scale_to_unit(ordered)
-    k = np.arange(1, n + 1)
-    # rank k takes level ceil(y_levels * k / n), one of 1..y_levels; the integer floor
-    # (y_levels * k - 1) // n is that level less one, exactly, and rank n takes the top level
-    levels = (shape.y_levels * k - 1) // n
-    # a histogram of the (bin, level) cells, whose counts do not depend on the entries' order
-    counts = np.bincount(_bin_indices(u, shape.x_bins) * shape.y_levels + levels,
-                         minlength=shape.n_cells).reshape(shape.x_bins, shape.y_levels)
-    grid = CdfGrid(shape, counts / counts.max())
-    ent = _normalized_entropy(counts.sum(axis=1))
-    if degenerate:
-        return grid, SeriesStats(entropy=ent, skewness=0.0, ks_uniform=0.0)
-    steps = k / n
-    lo, hi = float(ordered[0]), float(ordered[-1])
-    d_pos = _d_above(steps, u)
-    d_neg = _d_above(steps, _span_ratio(hi, ordered[::-1], lo, hi))
-    return grid, SeriesStats(entropy=ent, skewness=d_pos - d_neg, ks_uniform=max(d_pos, d_neg))
+    m, x_bins, y_levels, n_cells = n.size, shape.x_bins, shape.y_levels, shape.n_cells
+    ends = np.cumsum(n)
+    starts = ends - n
+    ordered = np.concatenate(series, dtype=np.float64)
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        ordered[a:b].sort()
+    lo, hi = ordered[starts], ordered[ends - 1]
+    degenerate = ~(hi > lo)
+    lo, hi = np.repeat(lo, n), np.repeat(hi, n)
+    u = scale_to_unit(ordered, lo, hi)
+    flipped = _span_ratio(hi, ordered, lo, hi)
+    del ordered, lo, hi
+    # a series' level (rank k takes level ceil(y_levels * k / n), 1..y_levels, stored less
+    # one) rises by one at each sorted position floor(j * n / y_levels), j = 1 .. y_levels - 1;
+    # one running sum of the rises, with series i starting at offset i * n_cells, gives each
+    # value's level and its series' offset in the block's cell counts
+    rises = (starts[:, None] + np.arange(1, y_levels) * n[:, None] // y_levels).ravel()
+    cell = np.bincount(rises, minlength=u.size)
+    cell[starts[1:]] += n_cells - (y_levels - 1)
+    np.cumsum(cell, out=cell)
+    # plus bin * y_levels; u = 1.0 is folded into the last bin
+    bins = (u * x_bins).astype(np.int64)
+    np.minimum(bins, x_bins - 1, out=bins)
+    bins *= y_levels
+    cell += bins
+    del bins
+    counts = np.bincount(cell, minlength=m * n_cells).reshape(m, n_cells)
+    del cell
+    grids = counts / counts.max(axis=1, keepdims=True)
+    entropy = _normalized_entropy(counts.reshape(m, x_bins, y_levels).sum(axis=2), n)
+    del counts
+    # the ECDF's steps k / n against the scaled values, and against (hi - x) / (hi - lo)
+    # read in reverse: sorted position k - 1 pairs with step (n - k + 1) / n
+    rank = np.arange(1.0, u.size + 1.0)
+    rank -= np.repeat(starts, n)
+    size = np.repeat(n.astype(np.float64), n)
+    np.subtract(rank / size, u, out=u)
+    d_pos = _d_above(u, starts, degenerate)
+    np.subtract(size, rank, out=rank)
+    rank += 1.0
+    rank /= size
+    np.subtract(rank, flipped, out=flipped)
+    d_neg = _d_above(flipped, starts, degenerate)
+    return grids, SeriesStats(entropy=entropy, skewness=d_pos - d_neg,
+                              ks_uniform=np.maximum(d_pos, d_neg))
+
+
+def _normalized_entropy(totals: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Per row of bin totals (each summing to its n): Shannon entropy over log2 of the bin count.
+
+    Each row's entropy is its own dot product of its nonzero p with
+    log2(p), as for one histogram alone, so a row's bits do not depend on
+    the block around it.
+    """
+    nonzero = totals > 0
+    per_row = nonzero.sum(axis=1)
+    p = totals[nonzero] / np.repeat(n, per_row)
+    log_p = np.log2(p)
+    ends = np.cumsum(per_row).tolist()
+    dots = np.array([p[a:b] @ log_p[a:b] for a, b in zip([0, *ends], ends)])
+    return -dots / np.log2(totals.shape[1])
+
+
+def _d_above(gaps: np.ndarray, starts: np.ndarray, degenerate: np.ndarray) -> np.ndarray:
+    """Per series, the largest of its gaps (ECDF step less scaled value), clamped at 0;
+    0 for a constant series."""
+    d = np.maximum(np.maximum.reduceat(gaps, starts), 0.0)
+    d[degenerate] = 0.0
+    return d
+
+
+def describe_series(values: np.ndarray, shape: GridShape) -> tuple[CdfGrid, SeriesStats]:
+    """The rank-level CDF grid and the shape statistics of one series: describe_block of it."""
+    grids, stats = describe_block([values], shape)
+    return (CdfGrid(shape, grids.reshape(shape.x_bins, shape.y_levels)),
+            SeriesStats(float(stats.entropy[0]), float(stats.skewness[0]),
+                        float(stats.ks_uniform[0])))
 
 
 def encode_cdf(values: np.ndarray) -> CdfGrid:
-    """Encode a series as its rank-level CDF grid on the default grid (see describe_series)."""
+    """Encode a series as its rank-level CDF grid on the default grid (see describe_block)."""
     return describe_series(values, GridShape())[0]

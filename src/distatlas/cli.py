@@ -9,6 +9,9 @@ eval (confusion report), grad-check (finite-difference audit).
 Every command is reproducible from its flags and seed; each run
 appends its invocation to run_log.jsonl in the output directory.
 Figure-style results are emitted as data files, never rendered.
+While a command runs, SIGTERM ends it with exit code 143 (128 + 15) by
+raising SystemExit, so it unwinds through the cleanup of what it was
+writing: a `generate` stopped this way leaves no temporary cache file.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ import argparse
 import csv
 import datetime
 import hashlib
+import importlib
 import json
 import math
 import os
+import signal
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -27,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, betavae, cdfrepair, classifier, distgen, latentlab
-from .cdfcodec import GridShape, describe_series
+from .cdfcodec import CdfGrid, GridShape, describe_block, sub_blocks
 from .neuralcore import (
     ShapeMismatchError,
     TrainConfig,
@@ -538,27 +543,32 @@ def cmd_describe(args, argv) -> int:
     _log_invocation(out, "describe", argv)
     shape = grid_model.grid_shape
     records = []
-    for name, values, missing in columns:
-        grid, stats = describe_series(values, shape)
-        probs = classifier.predict(grid_model, grid)
-        mu, sigma = vae_model.encode(grid.flat()[None, :])
-        fid = int(np.argmax(probs))
-        records.append({
-            "name": name,
-            "n_values": int(values.shape[0]),
-            "n_missing": int(missing),
-            "low_confidence": bool(values.shape[0] < distgen.MIN_SAMPLE_SIZE),
-            "z": [round(float(v), 6) for v in mu[0]],
-            "sigma": [round(float(v), 6) for v in sigma[0]],
-            "predicted_family": distgen.FAMILY_NAMES[fid],
-            "predicted_family_id": fid,
-            "probabilities": {distgen.FAMILY_NAMES[i]: round(float(probs[i]), 6)
-                              for i in range(distgen.N_FAMILIES)},
-            "entropy": round(stats.entropy, 6),
-            "skewness": round(stats.skewness, 6),
-            "ks_uniform": round(stats.ks_uniform, 6),
-            "segment": lookup(mu[0]) if lookup else "common",
-        })
+    # the columns are encoded a sub-block at a time; each goes through the nets on its own,
+    # since a batched forward would move the bits of z
+    for block in sub_blocks(values for _, values, _ in columns):
+        grids, stats = describe_block(block, shape)
+        first = len(records)
+        for j, (name, values, missing) in enumerate(columns[first:first + len(block)]):
+            grid = CdfGrid(shape, grids[j].reshape(shape.x_bins, shape.y_levels))
+            probs = classifier.predict(grid_model, grid)
+            mu, sigma = vae_model.encode(grid.flat()[None, :])
+            fid = int(np.argmax(probs))
+            records.append({
+                "name": name,
+                "n_values": int(values.shape[0]),
+                "n_missing": int(missing),
+                "low_confidence": bool(values.shape[0] < distgen.MIN_SAMPLE_SIZE),
+                "z": [round(float(v), 6) for v in mu[0]],
+                "sigma": [round(float(v), 6) for v in sigma[0]],
+                "predicted_family": distgen.FAMILY_NAMES[fid],
+                "predicted_family_id": fid,
+                "probabilities": {distgen.FAMILY_NAMES[i]: round(float(probs[i]), 6)
+                                  for i in range(distgen.N_FAMILIES)},
+                "entropy": round(float(stats.entropy[j]), 6),
+                "skewness": round(float(stats.skewness[j]), 6),
+                "ks_uniform": round(float(stats.ks_uniform[j]), 6),
+                "segment": lookup(mu[0]) if lookup else "common",
+            })
     with open(target, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -712,10 +722,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_on_signal(signum, frame):
+    # once: a second signal ends the process at once, as it would without this handler
+    signal.signal(signum, signal.SIG_DFL)
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # numpy loads np.random on first use, and a SystemExit raised while that import sets up
+    # its extension modules is swallowed there, so it is loaded before the handler is set
+    importlib.import_module("numpy.random")
+    # the previous handler is restored on return
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
     try:
         # seeds enter mix64 and the cache header modulo 2**64, so a larger one would alias
         if not 0 <= args.seed <= distgen.M64:
@@ -729,6 +750,8 @@ def main(argv=None) -> int:
         # _load maps what cannot be read, so an OSError is an output path that cannot be written
         return (EXIT_DIVERGED if isinstance(exc, TrainingDivergedError)
                 else EXIT_MISMATCH if isinstance(exc, ShapeMismatchError) else EXIT_BAD_SPEC)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":

@@ -12,11 +12,14 @@ list, _CACHE_BLOCKS, fixes the order and dtypes of the cache body.
 write_corpus encodes the corpus on every CPU of the process's affinity
 mask (os.sched_getaffinity) and writes it straight into the cache file:
 each forked worker writes its finished blocks of grid rows with
-os.pwrite, so no process holds more than one block of them. No row
-depends on another, so the cache is the same, byte for byte, whatever the
-number of workers; `taskset -c 0 distatlas generate ...` builds it on one
-core. build_doe is the same corpus held in memory, read back from a
-temporary file.
+os.pwrite, so no process holds more than one block of them. A worker
+samples and encodes a block in sub-blocks of at most
+cdfcodec.BLOCK_VALUES values, each in one cdfcodec.describe_block pass,
+so the encoding's temporaries stay a few hundred KB. No row depends on
+another and a series encodes to the same bits in any sub-block, so the
+cache is the same, byte for byte, whatever the number of workers;
+`taskset -c 0 distatlas generate ...` builds it on one core. build_doe
+is the same corpus held in memory, read back from a temporary file.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import contextlib
 import math
 import mmap
 import os
+import signal
 import struct
 import tempfile
 import traceback
@@ -33,7 +37,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cdfcodec import GridShape, describe_series
+from .cdfcodec import GridShape, describe_block, sub_blocks
 
 M64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -377,21 +381,25 @@ def _fill_rows(fields: dict, grids: np.ndarray, start: int, per_family_count: in
     (the other _CACHE_BLOCKS) at index start + i of fields. Row
     family_id * per_family_count + index holds entry index of that family,
     drawn from mix64(master_seed, family_id, index, 0) and sampled from
-    mix64(master_seed, family_id, index, 1).
+    mix64(master_seed, family_id, index, 1). The rows are sampled and
+    encoded a sub-block at a time (cdfcodec.sub_blocks), one describe_block
+    pass each.
     """
-    for i in range(len(grids)):
-        row = start + i
-        family_id, index = divmod(row, per_family_count)
-        spec_rng = np.random.default_rng(mix64(master_seed, family_id, index, 0))
-        spec = draw_spec(family_id, spec_rng)
-        series = sample_variable(spec, mix64(master_seed, family_id, index, 1))
-        grid, stats = describe_series(series.values, grid_shape)
-        grids[i] = grid.flat()
-        fields["labels"][row] = family_id
-        fields["entropy"][row] = stats.entropy
-        fields["skewness"][row] = stats.skewness
-        fields["ks_uniform"][row] = stats.ks_uniform
-        fields["sample_sizes"][row] = spec.sample_size
+    def sampled():
+        for row in range(start, start + len(grids)):
+            family_id, index = divmod(row, per_family_count)
+            spec = draw_spec(family_id, np.random.default_rng(
+                mix64(master_seed, family_id, index, 0)))
+            fields["labels"][row] = family_id
+            fields["sample_sizes"][row] = spec.sample_size
+            yield sample_variable(spec, mix64(master_seed, family_id, index, 1)).values
+
+    done = 0
+    for block in sub_blocks(sampled()):
+        grids[done:done + len(block)], stats = describe_block(block, grid_shape)
+        for field in ("entropy", "skewness", "ks_uniform"):
+            fields[field][start + done:start + done + len(block)] = getattr(stats, field)
+        done += len(block)
 
 
 def _pwrite_all(fd: int, buffer, offset: int) -> None:
@@ -406,8 +414,10 @@ def _run_workers(workers: int, run: Callable[[int], None]) -> None:
     """run(0) in this process and run(1) .. run(workers - 1) in forked children.
 
     A child leaves through os._exit on every path, never returning into
-    the caller. Each child is waited for, even when this process's own
-    run raised, and a child that fails raises RuntimeError.
+    the caller. Each child is waited for, and a child that fails raises
+    RuntimeError. When this process's own run raises (SIGTERM through the
+    CLI, say), the children are killed first, since nothing will use
+    their rows.
     """
     children = []
     try:
@@ -424,6 +434,10 @@ def _run_workers(workers: int, run: Callable[[int], None]) -> None:
                     os._exit(status)
             children.append(pid)
         run(0)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
     finally:
         statuses = [os.waitpid(pid, 0)[1] for pid in children]
     failed = [f"pid {pid} exit code {os.waitstatus_to_exitcode(status)}"
@@ -450,8 +464,9 @@ def write_corpus(path, per_family_count: int, grid_shape: GridShape,
     with os.pwrite, so no process holds more than one block of grids. The
     per-row fields go into one small anonymous shared mapping, which this
     process writes after the header once every worker has succeeded. The
-    children call numpy only on single series; OpenBLAS stops its thread
-    pool before a fork and starts it again on its next call.
+    children call numpy only on sub-blocks of at most BLOCK_VALUES values;
+    OpenBLAS stops its thread pool before a fork and starts it again on its
+    next call.
 
     The file is written under a temporary name beside path and renamed
     onto it last, so a run that fails leaves path as it was and no

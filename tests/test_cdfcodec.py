@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from distatlas import cdfcodec
 from distatlas.cdfcodec import (
     CdfGrid,
     GridShape,
+    describe_block,
     describe_series,
     encode_cdf,
     scale_to_unit,
+    sub_blocks,
 )
 
 finite_series = st.lists(
@@ -86,7 +89,7 @@ class TestEncodeCdf:
         # cells, so no rank falls below level 1 or wraps round to the top
         n = {"2": 2, "y_levels": shape.y_levels, "1000": 1000}[size]
         values = np.full(n, 2.5) if constant else np.random.default_rng(seed).standard_normal(n)
-        u, _ = scale_to_unit(values)
+        u = scale_to_unit(values, values.min(), values.max())
         bins = np.minimum((u * shape.x_bins).astype(np.int64), shape.x_bins - 1)
         ranks = np.empty(n, dtype=np.int64)
         ranks[np.argsort(values, kind="stable")] = np.arange(1, n + 1)
@@ -204,11 +207,52 @@ class TestDescribeSeries:
     @settings(max_examples=100, deadline=None)
     def test_grid_bin_totals_give_the_histogram_entropy(self, values):
         # reference: the normalized entropy of a bincount over the grid's x-bins
-        u, _ = scale_to_unit(values)
+        u = scale_to_unit(values, values.min(), values.max())
         counts = np.bincount(np.minimum((u * 26).astype(np.int64), 25), minlength=26)
         p = counts[counts > 0] / counts.sum()
         want = float(-(p @ np.log2(p)) / np.log2(26))
         assert describe_series(values, GridShape())[1].entropy == want
+
+
+def _reference_span_ratio(top, bottom, lo: float, hi: float) -> np.ndarray:
+    span = hi - lo
+    if math.isinf(span):
+        return (0.5 * top - 0.5 * bottom) / (0.5 * hi - 0.5 * lo)
+    return (top - bottom) / span
+
+
+def _reference_scale(values):
+    values = np.asarray(values, dtype=np.float64)
+    lo, hi = float(values.min()), float(values.max())
+    if hi > lo:
+        return _reference_span_ratio(values, lo, lo, hi), False
+    return np.zeros_like(values), True
+
+
+def _per_series_describe(values, shape):
+    """describe_series as it encoded one series at a time, kept as the block pass's reference.
+
+    Returns the grid cells and the three statistics in SeriesStats order.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    ordered = values[np.argsort(values, kind="stable")]
+    u, degenerate = _reference_scale(ordered)
+    k = np.arange(1, n + 1)
+    levels = (shape.y_levels * k - 1) // n
+    bins = np.minimum((u * shape.x_bins).astype(np.int64), shape.x_bins - 1)
+    counts = np.bincount(bins * shape.y_levels + levels,
+                         minlength=shape.n_cells).reshape(shape.x_bins, shape.y_levels)
+    totals = counts.sum(axis=1)
+    p = totals[totals > 0] / totals.sum()
+    ent = float(-(p @ np.log2(p)) / np.log2(totals.size))
+    if degenerate:
+        return counts / counts.max(), (ent, 0.0, 0.0)
+    steps = k / n
+    lo, hi = float(ordered[0]), float(ordered[-1])
+    d_pos = max(0.0, float((steps - u).max()))
+    d_neg = max(0.0, float((steps - _reference_span_ratio(hi, ordered[::-1], lo, hi)).max()))
+    return counts / counts.max(), (ent, d_pos - d_neg, max(d_pos, d_neg))
 
 
 def _ranked_describe_series(values, shape):
@@ -218,7 +262,7 @@ def _ranked_describe_series(values, shape):
     """
     values = np.asarray(values, dtype=np.float64)
     n = values.shape[0]
-    u, degenerate = scale_to_unit(values)
+    u, degenerate = _reference_scale(values)
     order = np.argsort(values, kind="stable")
     ranks = np.empty(n, dtype=np.int64)
     ranks[order] = np.arange(1, n + 1)
@@ -273,20 +317,129 @@ class TestOneSortedPass:
         assert np.array(got).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
 
+def _bits(*arrays) -> list:
+    return [np.asarray(a, dtype=np.float64).view(np.int64).tolist() for a in arrays]
+
+
+def assert_block_matches_reference(series, shape):
+    grids, stats = describe_block(series, shape)
+    assert grids.dtype == np.float64 and grids.shape == (len(series), shape.n_cells)
+    for i, values in enumerate(series):
+        cells, expected = _per_series_describe(values, shape)
+        assert grids[i].tobytes() == cells.tobytes(), i
+        got = (stats.entropy[i], stats.skewness[i], stats.ks_uniform[i])
+        assert _bits(got) == _bits(expected), (i, got, expected)
+
+
+def ordinary_rows(rng, count):
+    return [rng.standard_normal(int(rng.integers(2, 1001))) * rng.choice([1e-3, 1.0, 1e6])
+            for _ in range(count)]
+
+
+class TestDescribeBlock:
+    @pytest.mark.parametrize("shape", [GridShape(), GridShape(16, 15)], ids=["26x25", "16x15"])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_blocks_match_the_per_series_reference_bit_for_bit(self, shape, seed):
+        # blocks of mixed lengths 2..1000: ordinary, heavy-tailed and discrete rows
+        rng = np.random.default_rng(seed)
+        kinds = [lambda n: rng.standard_normal(n), lambda n: rng.standard_cauchy(n),
+                 lambda n: rng.lognormal(0.0, 3.0, n), lambda n: rng.integers(0, 5, n) * 1.0,
+                 lambda n: (rng.random(n) < 0.05) * 1.0]
+        for _ in range(5):
+            lengths = rng.integers(2, 1001, int(rng.integers(1, 16)))
+            series = [kinds[rng.integers(len(kinds))](int(n)) for n in lengths]
+            assert_block_matches_reference(series, shape)
+
+    @pytest.mark.parametrize("shape", [GridShape(), GridShape(16, 15)], ids=["26x25", "16x15"])
+    def test_corner_rows_among_ordinary_rows_match_the_reference(self, shape):
+        rng = np.random.default_rng(7)
+        zeros = rng.choice([0.0, -0.0, 1.0], 300)
+        corner = [
+            np.full(64, 3.25),                               # constant
+            np.array([2.0, 5.0] * 20),                       # two values
+            (rng.random(500) < 0.01) * 1.0,                  # Bernoulli: one long tie
+            np.where(rng.random(90) < 0.5, 0.0, -0.0),       # only signed zeros
+            zeros,                                           # +0.0 and -0.0 tied, then 1.0
+            -zeros,                                          # and with hi a signed zero
+            EXTREME,                                         # hi - lo overflows to inf
+            np.array([1e308, -1e308]),
+            np.array([5e-324, 0.0, -0.0, 5e-324]),           # the smallest span
+        ]
+        series = ordinary_rows(rng, 6)
+        for i, row in enumerate(corner):
+            series.insert(int(rng.integers(0, len(series) + 1)), row)
+        assert_block_matches_reference(series, shape)
+        # every row encodes the same alone, and in a block of any order
+        order = rng.permutation(len(series))
+        grids, stats = describe_block([series[i] for i in order], shape)
+        alone, _ = describe_block(series, shape)
+        assert grids.tobytes() == alone[order].tobytes()
+
+    def test_signed_zero_ties_give_the_same_bits_in_any_order(self):
+        # np.sort may order tied -0.0 and +0.0 either way; only sorted values are read
+        rng = np.random.default_rng(3)
+        base = np.array([0.0, -0.0] * 20 + [1.0, -1.0, 0.5])
+        for values in (base, -base, np.array([0.0, -0.0] * 20 + [-1.0])):
+            first = describe_block([values], GridShape())
+            for _ in range(20):
+                again = describe_block([rng.permutation(values)], GridShape())
+                assert again[0].tobytes() == first[0].tobytes()
+                assert _bits(*vars(again[1]).values()) == _bits(*vars(first[1]).values())
+
+    def test_inputs_are_left_unsorted(self):
+        values = np.array([3.0, 1.0, 2.0])
+        describe_block([values, values[::-1].copy()], GridShape())
+        assert values.tolist() == [3.0, 1.0, 2.0]
+
+    def test_a_short_series_in_a_block_raises(self):
+        with pytest.raises(ValueError, match="at least 2"):
+            describe_block([np.arange(5.0), np.array([1.0])], GridShape())
+
+    def test_describe_series_is_the_block_of_one(self):
+        values = np.random.default_rng(4).standard_normal(77)
+        grid, stats = describe_series(values, GridShape())
+        grids, block_stats = describe_block([values], GridShape())
+        assert grid.flat().tobytes() == grids[0].tobytes()
+        one_row = [v[0] for v in vars(block_stats).values()]
+        assert _bits(list(vars(stats).values())) == _bits(one_row)
+
+
+class TestSubBlocks:
+    def test_blocks_keep_order_and_stay_within_the_bound(self):
+        rng = np.random.default_rng(1)
+        series = [np.zeros(int(n)) for n in rng.integers(35, 1001, 200)]
+        blocks = list(sub_blocks(iter(series)))
+        assert [s for block in blocks for s in block] == series
+        assert all(sum(map(len, block)) <= cdfcodec.BLOCK_VALUES for block in blocks)
+        # a block closes only when the next series would not fit
+        assert all(sum(map(len, block)) + len(after[0]) > cdfcodec.BLOCK_VALUES
+                   for block, after in zip(blocks, blocks[1:]))
+
+    def test_a_longer_series_goes_alone(self):
+        big = np.zeros(cdfcodec.BLOCK_VALUES + 1)
+        small = np.zeros(10)
+        assert [len(b) for b in sub_blocks([small, big, small])] == [1, 1, 1]
+
+
 class TestScaleToUnit:
     def test_basic(self):
-        u, degenerate = scale_to_unit(np.array([2.0, 4.0, 6.0]))
+        u = scale_to_unit(np.array([2.0, 4.0, 6.0]), 2.0, 6.0)
         np.testing.assert_allclose(u, [0.0, 0.5, 1.0])
-        assert not degenerate
 
     def test_degenerate(self):
-        u, degenerate = scale_to_unit(np.full(5, 9.0))
-        assert degenerate and np.all(u == 0.0)
+        assert np.all(scale_to_unit(np.full(5, 9.0), 9.0, 9.0) == 0.0)
 
     def test_overflowing_range(self):
-        u, degenerate = scale_to_unit(np.array([-1e308, 0.0, 1e308]))
+        u = scale_to_unit(np.array([-1e308, 0.0, 1e308]), -1e308, 1e308)
         np.testing.assert_array_equal(u, [0.0, 0.5, 1.0])
-        assert not degenerate
+
+    def test_per_entry_bounds_scale_each_series_on_its_own(self):
+        # a block of three series: an ordinary one, a constant one and one whose range overflows
+        values = np.array([2.0, 4.0, 6.0, 9.0, 9.0, -1e308, 0.0, 1e308])
+        lo = np.repeat([2.0, 9.0, -1e308], [3, 2, 3])
+        hi = np.repeat([6.0, 9.0, 1e308], [3, 2, 3])
+        np.testing.assert_array_equal(scale_to_unit(values, lo, hi),
+                                      [0.0, 0.5, 1.0, 0.0, 0.0, 0.0, 0.5, 1.0])
 
 
 def test_grid_flat_is_x_bin_major():

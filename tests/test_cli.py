@@ -119,14 +119,14 @@ class TestGenerate:
 
     def test_a_failing_worker_fails_generate_and_writes_no_cache(self, tmp_path, monkeypatch):
         parent = os.getpid()
-        describe_series = distgen.describe_series
+        describe_block = distgen.describe_block
 
-        def fails_in_a_worker(values, shape):
+        def fails_in_a_worker(series, shape):
             if os.getpid() != parent:
                 raise RuntimeError("row failure in a worker")
-            return describe_series(values, shape)
+            return describe_block(series, shape)
 
-        monkeypatch.setattr(distgen, "describe_series", fails_in_a_worker)
+        monkeypatch.setattr(distgen, "describe_block", fails_in_a_worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         out = tmp_path / "out"
         with pytest.raises(RuntimeError, match="corpus workers failed: pid [0-9]+ exit code 1"):
@@ -163,6 +163,37 @@ class TestGenerate:
             run.wait(timeout=60)
         assert wait_until(lambda: not tmp.exists(), 10)
         assert [p.name for p in out.iterdir()] == ["run_log.jsonl"]
+
+    @pytest.mark.parametrize("cpus", ["one", "all"])
+    def test_sigterm_stops_generate_and_removes_the_temporary_file(self, tmp_path, cpus):
+        # 26,000 rows: seconds of encoding left when the signal comes; on one CPU the
+        # parent is the only worker, so only its own unwinding can remove the file
+        if cpus == "all" and len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one worker forks no child")
+        cpu = min(os.sched_getaffinity(0))
+        env = dict(os.environ, PYTHONPATH=str(Path(distgen.__file__).resolve().parents[1]))
+        out = tmp_path / "out"
+        run = subprocess.Popen([sys.executable, "-m", "distatlas.cli", "generate",
+                                "--per-family", "2000", "--out-dir", str(out)], env=env,
+                               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                               preexec_fn=(lambda: os.sched_setaffinity(0, {cpu}))
+                               if cpus == "one" else None)
+        try:
+            deadline = time.monotonic() + 60
+            while not list(out.glob("dataset.bin.*.tmp")) and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert list(out.glob("dataset.bin.*.tmp"))
+            run.send_signal(signal.SIGTERM)
+            assert run.wait(timeout=60) == 128 + signal.SIGTERM
+        finally:
+            run.kill()
+            run.wait(timeout=60)
+        assert [p.name for p in out.iterdir()] == ["run_log.jsonl"]
+
+    def test_main_restores_the_sigterm_handler(self, tmp_path):
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["generate", "--per-family", "1", "--out-dir", str(tmp_path)]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
 
     def test_generate_holds_one_block_of_grids(self, tmp_path):
         # a 500-per-family corpus after a 10-per-family one must not lift this process's

@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+import time
 import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
@@ -395,6 +396,30 @@ class TestBuildDoe:
             os.waitpid(-1, os.WNOHANG)
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["dataset.bin"]
+
+    def test_a_failing_parent_kills_its_workers_before_waiting(self, monkeypatch):
+        # the child has two minutes of work left; the parent's failure does not wait it out
+        forked, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            forked.append(pid)
+            return pid
+
+        def run(worker):
+            if worker:
+                time.sleep(120)
+            raise ArithmeticError(f"failure in worker {worker}")
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        start = time.monotonic()
+        with pytest.raises(ArithmeticError, match="in worker 0"):
+            distgen._run_workers(2, run)
+        assert time.monotonic() - start < 60
+        # the child was killed and reaped: it is no longer this process's child
+        assert len(forked) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(forked[0], os.WNOHANG)
 
 
 def regenerated_row(master_seed: int, per_family: int, row: int, shape: GridShape):

@@ -148,19 +148,32 @@ def write_describe_input(path: Path) -> None:
 
     The sparse column's gaps cycle through the missing-cell tokens, the
     uniform column holds some `inf` cells, a text column is never numeric,
-    and the last rows are shorter than the header.
+    and the last rows are shorter than the header. A constant column and
+    one holding -1e308 and 1e308 among ordinary values (its range
+    overflows to inf) are encoded among the others, and 48 more columns
+    make 55 numeric columns of 9,908 values, which `describe` encodes in
+    three sub-blocks of at most cdfcodec.BLOCK_VALUES (4,096) values.
     """
     import numpy as np
 
     rng = np.random.default_rng(11)
     n = 200
+    extreme = rng.normal(size=n)
+    extreme[[17, 101]] = -1e308, 1e308
     columns = {
         "lognormal": rng.lognormal(0.0, 1.0, n),
         "uniform": np.where(np.arange(n) % 37 == 5, np.inf, rng.random(n)),
         "cauchy": rng.standard_cauchy(n),
         "coin": rng.integers(0, 2, n).astype(float),
         "sparse_normal": np.where(rng.random(n) < 0.3, np.nan, rng.normal(size=n)),
+        "constant": np.full(n, 2.75),
+        "extreme": extreme,
     }
+    draws = [lambda: rng.normal(size=n), lambda: rng.exponential(size=n),
+             lambda: rng.gamma(0.5, size=n), lambda: rng.integers(0, 6, n).astype(float),
+             lambda: (rng.random(n) < 0.1).astype(float), lambda: rng.random(n)]
+    for i in range(48):
+        columns[f"wide_{i:02d}"] = draws[i % len(draws)]()
     gaps = ["", "NA", "null", " n/a ", "None"]
     lines = [",".join([*columns, "site"])]
     for i in range(n):

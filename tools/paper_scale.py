@@ -25,14 +25,17 @@ rows_per_s, peak_rss_mb and children_peak_rss_mb, with the head/base ratios of
 wall_s and peak_rss_mb.
 Exits 1 when a stage fails.
 
-At the default size both sides need about 650 MB of disk in --work-dir
-(default: the system temporary directory), `map` peaks near 450 MB, and
-the run takes about 7 minutes on 2 cores.
+At the default size both sides need about 650 MB of disk, `map` peaks
+near 450 MB, and the run takes about 7 minutes on 2 cores. With --work-dir
+the outputs (base/ and head/ under a new paper_scale_* directory in DIR)
+are kept, so files that differ can be opened afterwards; without it they
+go to a temporary directory that is removed at the end.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
@@ -83,11 +86,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON file to write, under the repo root")
     parser.add_argument("--base", default="HEAD", help="git revision to compare against")
     parser.add_argument("--per-family", type=int, default=9000)
-    parser.add_argument("--work-dir", default=None, help="where both sides' outputs go")
+    parser.add_argument("--work-dir", default=None,
+                        help="where both sides' outputs go and are kept (default: a temporary "
+                             "directory, removed at the end)")
     args = parser.parse_args(argv)
     rows = 13 * args.per_family
     stages = []
-    with tempfile.TemporaryDirectory(prefix="paper_scale_", dir=args.work_dir) as tmp:
+    with (contextlib.nullcontext(tempfile.mkdtemp(prefix="paper_scale_", dir=args.work_dir))
+          if args.work_dir else tempfile.TemporaryDirectory(prefix="paper_scale_")) as tmp:
         tmp = Path(tmp)
         export_base(args.base, tmp / "base_tree")
         sides = {"base": tmp / "base_tree" / "src", "head": ROOT / "src"}
@@ -126,7 +132,7 @@ def main(argv=None) -> int:
     }
     (ROOT / args.out).write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"outputs {'identical' if not differing else 'differ: ' + ', '.join(differing)}; "
-          f"wrote {args.out}")
+          f"wrote {args.out}" + (f"; outputs kept in {tmp}" if args.work_dir else ""))
     return 0
 
 
