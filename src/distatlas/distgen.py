@@ -6,8 +6,13 @@ walk, and a sampler on the uniform stream of a seeded generator:
 inverse-CDF transforms where a closed form exists, Box-Muller normals,
 and Marsaglia-Tsang gammas (alpha < 1 by the power boost) for the
 gamma/beta/chi group. A (spec, seed) pair always reproduces the same
-series, and a corpus is a pure function of one master seed. One block
-list, _CACHE_BLOCKS, fixes the order and dtypes of the cache body.
+series, and a corpus is a pure function of one master seed: row k of
+family f draws its parameters from np.random.default_rng(mix64(master_seed,
+f, k, 0)) and its sample from default_rng(mix64(master_seed, f, k, 1)).
+_fill_rows derives the seeds of a block of rows, and the SeedSequence state
+words of each, in one array pass (mix64 and _seed_state on arrays); PCG64
+then seeds itself from each row's words. One block list, _CACHE_BLOCKS,
+fixes the order and dtypes of the cache body.
 
 write_corpus encodes the corpus on every CPU of the process's affinity
 mask (os.sched_getaffinity) and writes it straight into the cache file:
@@ -36,6 +41,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .cdfcodec import GridShape, describe_block, sub_blocks
 
@@ -54,22 +60,105 @@ class InvalidParameterError(ValueError):
     """Raised when parameters fall outside their family's ranges."""
 
 
-def mix64(*parts: int) -> int:
+def mix64(*parts):
     """Mix integers into one 64-bit child seed.
 
     Absorbs each part with a golden-ratio increment and applies the
     splitmix64 finalizer, so nearby (seed, family, index) tuples land
-    on unrelated streams without storing per-entry seeds.
+    on unrelated streams without storing per-entry seeds. A part is an
+    integer, taken modulo 2**64 (int(part) & M64), or an integer array;
+    array parts broadcast and mix elementwise in wrapping uint64
+    arithmetic. With every part a scalar the seed is a Python int, else
+    a uint64 array of the broadcast shape.
     """
-    h = 0
-    for part in parts:
-        h = (h + _GOLDEN + (int(part) & M64)) & M64
-        h ^= h >> 30
-        h = (h * 0xBF58476D1CE4E5B9) & M64
-        h ^= h >> 27
-        h = (h * 0x94D049BB133111EB) & M64
-        h ^= h >> 31
-    return h
+    # each part plus the golden-ratio increment, modulo 2**64
+    words = [np.uint64((int(part) + _GOLDEN) & M64) if np.ndim(part) == 0
+             else np.asarray(part).astype(np.uint64) + np.uint64(_GOLDEN) for part in parts]
+    h = np.zeros(np.broadcast(*words).shape, np.uint64)
+    for word in words:
+        h += word
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(0xBF58476D1CE4E5B9)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(0x94D049BB133111EB)
+        h ^= h >> np.uint64(31)
+    return int(h) if h.ndim == 0 else h
+
+
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_M32 = (1 << 32) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_state(seeds) -> np.ndarray:
+    """np.random.SeedSequence(s).generate_state(4, np.uint64) for every seed s, in one pass.
+
+    seeds is a uint64 array (or one seed); the result is a C-contiguous
+    uint64 array of shape seeds.shape + (4,). SeedSequence hashes the
+    seed's 32-bit words, low word first, into a pool of 4 uint32 words,
+    mixes the pool, and hashes it into 8 output words, read in pairs as
+    little-endian uint64. A seed below 2**32 has one word, and the pool
+    hashes a missing word as 0, so every seed hashes as its two words.
+    Every step is wrapping uint32 arithmetic, done here on arrays.
+    """
+    seeds = np.asarray(seeds, np.uint64)
+    flat = seeds.reshape(-1)
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _M32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    zero = np.zeros(flat.shape, np.uint32)
+    pool = [hashmix(word) for word in ((flat & np.uint64(_M32)).astype(np.uint32),
+                                       (flat >> np.uint64(32)).astype(np.uint32), zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = (np.uint32(_MIX_MULT_L) * pool[dst]
+                         - np.uint32(_MIX_MULT_R) * hashmix(pool[src]))
+                mixed ^= mixed >> np.uint32(16)
+                pool[dst] = mixed
+    out, hash_const = [], _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _M32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        out.append(value.astype(np.uint64))
+    words = np.stack([low | high << np.uint64(32) for low, high in zip(out[::2], out[1::2])], -1)
+    return words.reshape(seeds.shape + (4,))
+
+
+class _SeedState(ISeedSequence):
+    """A seed sequence whose state words are already generated (_seed_state).
+
+    PCG64 asks its seed sequence once for generate_state(4, np.uint64) and
+    reads the array's buffer as it is, so words must be a C-contiguous
+    uint64 array of 4 words.
+    """
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _generator(words: np.ndarray) -> np.random.Generator:
+    """np.random.default_rng(s) for the seed s whose _seed_state row is words.
+
+    PCG64 seeds itself from the words, and each call builds a fresh bit
+    generator, so no buffered 32-bit half-word carries from one generator
+    into the next.
+    """
+    return np.random.Generator(np.random.PCG64(_SeedState(words)))
 
 
 # ---------------------------------------------------------------------------
@@ -308,12 +397,20 @@ def draw_spec(family_id: int, rng: np.random.Generator) -> DistSpec:
     return DistSpec(family_id=int(family_id), params=params, sample_size=size)
 
 
+def _sample(spec: DistSpec, rng: np.random.Generator) -> np.ndarray:
+    """spec.sample_size values of spec's family from rng; spec's parameters are
+    already validated, as DistSpec does on construction."""
+    return FAMILIES[int(spec.family_id)].sample(rng, spec.params, spec.sample_size)
+
+
 def sample_variable(spec: DistSpec, seed: int) -> RawSeries:
-    """Sample spec.sample_size values; pure in (spec, seed)."""
-    family = _require_family(spec.family_id)
+    """Sample spec.sample_size values; pure in (spec, seed).
+
+    The generator is np.random.default_rng(seed & M64)'s, built as
+    _fill_rows builds each row's.
+    """
     validate_params(spec.family_id, spec.params)
-    rng = np.random.default_rng(int(seed) & M64)
-    return RawSeries(family.sample(rng, spec.params, spec.sample_size))
+    return RawSeries(_sample(spec, _generator(_seed_state(int(seed) & M64))))
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +477,25 @@ def _fill_rows(fields: dict, grids: np.ndarray, start: int, per_family_count: in
     Row start + i writes its grid into grids[i] and its per-row fields
     (the other _CACHE_BLOCKS) at index start + i of fields. Row
     family_id * per_family_count + index holds entry index of that family,
-    drawn from mix64(master_seed, family_id, index, 0) and sampled from
-    mix64(master_seed, family_id, index, 1). The rows are sampled and
-    encoded a sub-block at a time (cdfcodec.sub_blocks), one describe_block
-    pass each.
+    drawn from np.random.default_rng(mix64(master_seed, family_id, index, 0))
+    and sampled from default_rng(mix64(master_seed, family_id, index, 1)).
+    The block's seeds and their generators' state words are derived in one
+    array pass (mix64 and _seed_state on arrays), so each row only builds
+    its two generators from their words. The rows are sampled and encoded
+    a sub-block at a time (cdfcodec.sub_blocks), one describe_block pass
+    each.
     """
+    family_ids, indices = np.divmod(np.arange(start, start + len(grids)), per_family_count)
+    # per row, the state words of its parameter draw's and of its sample's generator
+    states = _seed_state(mix64(master_seed, family_ids[:, None], indices[:, None], [0, 1]))
+
     def sampled():
-        for row in range(start, start + len(grids)):
-            family_id, index = divmod(row, per_family_count)
-            spec = draw_spec(family_id, np.random.default_rng(
-                mix64(master_seed, family_id, index, 0)))
+        for row, family_id, (draw, sample) in zip(range(start, start + len(grids)),
+                                                 family_ids.tolist(), states):
+            spec = draw_spec(family_id, _generator(draw))
             fields["labels"][row] = family_id
             fields["sample_sizes"][row] = spec.sample_size
-            yield sample_variable(spec, mix64(master_seed, family_id, index, 1)).values
+            yield _sample(spec, _generator(sample))
 
     done = 0
     for block in sub_blocks(sampled()):
@@ -447,6 +550,29 @@ def _run_workers(workers: int, run: Callable[[int], None]) -> None:
         raise RuntimeError(f"corpus workers failed: {', '.join(failed)}")
 
 
+def _sweep_stale_temporaries(path) -> None:
+    """Remove every <path>.<pid>.tmp beside path whose pid is not a live process.
+
+    Such a file is what a write_corpus run killed by SIGKILL, with no
+    forked worker to clean up after it, leaves behind. A file whose pid is
+    alive (os.kill(pid, 0) does not raise ProcessLookupError), and a name
+    whose pid does not parse, stay.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    for entry in os.listdir(directory):
+        pid = entry[len(name) + 1:-len(".tmp")]
+        if not (entry.startswith(f"{name}.") and entry.endswith(".tmp")
+                and pid.isascii() and pid.isdigit()):
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(os.path.join(directory, entry))
+        except (OverflowError, PermissionError):
+            pass  # not a pid, or another user's live process
+
+
 def write_corpus(path, per_family_count: int, grid_shape: GridShape,
                  master_seed: int) -> dict[str, np.ndarray]:
     """Generate per_family_count variables per family, encode them and write
@@ -472,7 +598,9 @@ def write_corpus(path, per_family_count: int, grid_shape: GridShape,
     onto it last, so a run that fails leaves path as it was and no
     temporary file behind. When this process is killed, each child finds
     its parent gone before its next block, removes the temporary file and
-    exits.
+    exits. A SIGKILLed run without children leaves the file, so each run
+    first removes the temporary files of dead pids beside path
+    (_sweep_stale_temporaries).
     """
     if per_family_count < 1:
         raise ValueError("per_family_count must be >= 1")
@@ -502,6 +630,7 @@ def write_corpus(path, per_family_count: int, grid_shape: GridShape,
 
     parent = os.getpid()
     tmp = f"{os.fspath(path)}.{parent}.tmp"
+    _sweep_stale_temporaries(path)
     fh = open(tmp, "wb")
     try:
         with fh:

@@ -1,6 +1,8 @@
 import math
 import os
 import struct
+import subprocess
+import sys
 import time
 import tracemalloc
 from dataclasses import replace
@@ -8,6 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from distatlas import distgen
 from distatlas.cdfcodec import GridShape, describe_series
@@ -58,6 +61,78 @@ class TestMix64:
 
     def test_zero_is_not_fixed_point(self):
         assert mix64(0) != 0
+
+    def test_scalar_seeds_are_pinned(self):
+        # parts are taken int(part) & M64: negative parts and parts at or above 2**63
+        # give the seeds they always gave, as Python ints
+        pinned = {(distgen.M64, 3): 209967342931450243, (-1, 0): 6755974106381971767,
+                  (7, 12, 399, 1): 2147586474590519686, (1 << 63,): 5196802822362493915,
+                  (distgen.M64 + 5, 2): 14405767689921910935, (1 << 64,): mix64(0)}
+        for parts, seed in pinned.items():
+            assert type(mix64(*parts)) is int and mix64(*parts) == seed
+        assert mix64(np.int64(-1), np.uint64(0)) == mix64(-1, 0)
+
+    def test_array_parts_mix_elementwise(self):
+        families, indices = np.arange(13)[:, None, None], np.arange(-2, 5)[None, :, None]
+        seeds = mix64(distgen.M64, families, indices, [0, 1])
+        assert seeds.shape == (13, 7, 2) and seeds.dtype == np.uint64
+        for f, i, k in np.ndindex(seeds.shape):
+            assert int(seeds[f, i, k]) == mix64(distgen.M64, f, int(indices[0, i, 0]), k)
+
+
+# the edges of the seed's two 32-bit words
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+
+
+def assert_seeded_like_default_rng(seeds):
+    """distgen's seeder against numpy's: the state words of every seed, in one array
+    pass, equal SeedSequence's, and a generator built from them draws as default_rng."""
+    states = distgen._seed_state(np.array(seeds, np.uint64))
+    assert states.shape == (len(seeds), 4) and states.flags.c_contiguous
+    for seed, words in zip(seeds, states):
+        np.testing.assert_array_equal(
+            words, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+        np.testing.assert_equal(first_draws(distgen._generator(words)),
+                                first_draws(np.random.default_rng(seed)))
+
+
+def first_draws(rng: np.random.Generator) -> list:
+    # integers(35, 1001), an odd number of times, takes 32-bit halves of the 64-bit
+    # outputs and leaves one buffered; the draws after it read past it
+    return [rng.random(3), rng.uniform(0.1, 9.0), [rng.integers(35, 1001) for _ in range(3)],
+            rng.random(), rng.integers(1, 10), rng.standard_normal(2)]
+
+
+class TestSeeder:
+    def test_edge_seeds(self):
+        assert_seeded_like_default_rng(EDGE_SEEDS)
+        # one seed on its own, as sample_variable seeds
+        np.testing.assert_array_equal(distgen._seed_state(2**64 - 1),
+                                      distgen._seed_state(np.array(EDGE_SEEDS, np.uint64))[-1])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8))
+    def test_drawn_seeds(self, seeds):
+        assert_seeded_like_default_rng(seeds)
+
+    @pytest.mark.parametrize("seed", EDGE_SEEDS)
+    def test_sample_variable_samples_from_default_rng(self, seed):
+        spec = draw_spec(9, np.random.default_rng(seed))
+        np.testing.assert_array_equal(
+            sample_variable(spec, seed).values,
+            FAMILIES[9].sample(np.random.default_rng(seed), spec.params, spec.sample_size))
+
+    def test_a_chi_row_passes_no_half_word_to_the_next_row(self, tmp_path):
+        # one per family: the chi row, whose draw takes two 32-bit integers (df and the
+        # sample size), and the bernoulli row after it are in the same block of rows
+        for master_seed in (2**32, 2**64 - 1):
+            write_corpus(tmp_path / "dataset.bin", 1, GridShape(), master_seed)
+            loaded = load_cache(tmp_path / "dataset.bin")
+            assert FAMILY_NAMES[loaded.labels[9]] == "chi"
+            for row in range(len(loaded)):
+                label, size, grid, _ = regenerated_row(master_seed, 1, row, GridShape())
+                assert (loaded.labels[row], loaded.sample_sizes[row]) == (label, size)
+                np.testing.assert_array_equal(loaded.grids[row], grid)
 
 
 class TestDrawParams:
@@ -397,6 +472,29 @@ class TestBuildDoe:
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["dataset.bin"]
 
+    def test_each_row_validates_its_parameters_once(self, tmp_path, monkeypatch):
+        calls = []
+        validate = distgen.validate_params
+        monkeypatch.setattr(distgen, "validate_params",
+                            lambda *args: calls.append(args) or validate(*args))
+        # 13 rows: one block, which this process writes itself
+        write_corpus(tmp_path / "dataset.bin", 1, GridShape(), 0)
+        assert [family_id for family_id, _ in calls] == list(range(N_FAMILIES))
+
+    def test_a_start_sweeps_the_temporary_files_of_dead_pids(self, tmp_path):
+        path = tmp_path / "dataset.bin"
+        exited = subprocess.Popen([sys.executable, "-c", ""])
+        exited.wait()
+        stale = tmp_path / f"dataset.bin.{exited.pid}.tmp"
+        # a live pid, names whose pid does not parse, and another file's temporary
+        kept = [tmp_path / f"dataset.bin.{os.getppid()}.tmp", tmp_path / "dataset.bin.tmp",
+                tmp_path / f"dataset.bin.{exited.pid}x.tmp", tmp_path / "dataset.bin.٣.tmp",
+                tmp_path / f"dataset.bin.{2**70}.tmp", tmp_path / f"other.bin.{exited.pid}.tmp"]
+        for file in (stale, *kept):
+            file.write_bytes(b"partial")
+        write_corpus(path, 1, GridShape(), 0)
+        assert sorted(tmp_path.iterdir()) == sorted([path, *kept])
+
     def test_a_failing_parent_kills_its_workers_before_waiting(self, monkeypatch):
         # the child has two minutes of work left; the parent's failure does not wait it out
         forked, fork = [], os.fork
@@ -423,11 +521,14 @@ class TestBuildDoe:
 
 
 def regenerated_row(master_seed: int, per_family: int, row: int, shape: GridShape):
-    """Row `row` of a corpus, drawn and encoded on its own from its two mix64 seeds."""
+    """Row `row` of a corpus, drawn and encoded on its own from numpy's default_rng
+    of its two mix64 seeds."""
     family_id, index = divmod(row, per_family)
     spec = draw_spec(family_id, np.random.default_rng(mix64(master_seed, family_id, index, 0)))
-    series = sample_variable(spec, mix64(master_seed, family_id, index, 1))
-    grid, stats = describe_series(series.values, shape)
+    values = FAMILIES[family_id].sample(
+        np.random.default_rng(mix64(master_seed, family_id, index, 1)), spec.params,
+        spec.sample_size)
+    grid, stats = describe_series(values, shape)
     return family_id, spec.sample_size, grid.flat().astype(np.float32), stats
 
 

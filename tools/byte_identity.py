@@ -31,7 +31,10 @@ family table and the cache block list are compared on a second seed,
 through the spec parser, on a non-default grid, and `generate --per-family
 37` (481 rows), whose last block of rows is partial and whose workers get
 unequal shares on any CPU count, `generate --per-family 64` (832 rows, 13
-full blocks), and `generate --per-family 120` (1,560
+full blocks), two `generate --per-family 11` runs (143 rows, the last block
+partial) at `--seed 4294967296` and `--seed 18446744073709551615`, which
+compare the array seeding of master seeds of full width, and `generate
+--per-family 120` (1,560
 rows) with `train bvae --epochs 1`: the first held-out evaluation reads
 the 1,045 training rows as two 1,024-row slices, so the BCE of float32
 rows is compared over a slice edge and over a last piece longer than
@@ -115,6 +118,10 @@ COMMANDS = [
     ("partial_block", ["generate", "--per-family", "37", "--seed", "5"]),
     # 832 rows: 13 full ROW_BLOCK blocks, which 2 to 12 workers get in unequal shares
     ("full_blocks", ["generate", "--per-family", "64", "--seed", "5"]),
+    # 143 rows, 2 full blocks and a partial one, at master seeds of full width: 2**32,
+    # whose low 32-bit word is 0, and 2**64 - 1
+    ("seed_2_32", ["generate", "--per-family", "11", "--seed", "4294967296"]),
+    ("seed_2_64", ["generate", "--per-family", "11", "--seed", "18446744073709551615"]),
     # 1,045 training rows: a held-out evaluation of a full 1,024-row slice and a 21-row one
     ("heldout", ["generate", "--per-family", "120", "--seed", "9"]),
     ("heldout", ["train", "bvae", "--dataset", "heldout/dataset.bin", "--epochs", "1",
